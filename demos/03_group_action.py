@@ -17,9 +17,8 @@ from ahtower import (
 
 t = tables_from_cli("1/2", "1/3", d=1, depth=4)
 
-# orbit of the origin at stage 3 under the generator: the permutation
-# acting on stage-n slots is indexed as level n+1
-perm = level_permutation((1,), 4)
+# orbit of the origin at stage 3 under the generator
+perm = level_permutation((1,), 3)
 point, orbit = (0,), []
 while point not in orbit:
     orbit.append(point)
@@ -27,7 +26,7 @@ while point not in orbit:
 print("orbit of (0,) at stage 3 under +1:", orbit)
 
 # doubling the shift halves the orbit
-perm2 = level_permutation((2,), 4)
+perm2 = level_permutation((2,), 3)
 point, orbit = (0,), []
 while point not in orbit:
     orbit.append(point)

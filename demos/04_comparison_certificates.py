@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from ahtower import (
     chern_min_embedding_rank,
-    crossed_find_witness,
     search_witness,
     tables_from_cli,
     verify_witness_json,
@@ -50,7 +49,7 @@ def main():
     # agreement rows tying corner weights to slot counts
     # ------------------------------------------------------------------
     print("crossed witness for rho = 1/4:")
-    wc = crossed_find_witness(t, Fraction(1, 4))
+    wc = search_witness(t, Fraction(1, 4), crossed=True)
     show_ledger(wc)
     print()
 

@@ -2,18 +2,14 @@
 the lattice shift action on it, and radius-of-comparison certificates."""
 
 from .action import (LevelPermutation, check_equivariance, level_permutation,
-                     outerness_witness, tower_permutations)
+                     outerness_witness)
 from .certificates import (LedgerRow, WitnessReport, search_witness,
                            verify_witness_json)
 from .comparison import (ProjectionSymbol, SquareZeroPoly,
-                         chern_min_embedding_rank, find_witness,
-                         projection_pair, rank_obstruction_threshold,
-                         stage_rc_upper)
-from .crossed import (CrossedProjectionSymbol, build_crossed_stage,
-                      check_crossed_sizes, check_upper_bound_gap,
-                      crossed_connecting_map, crossed_find_witness,
-                      crossed_projection_pair, crossed_rank_threshold,
-                      crossed_rc_upper, crossed_trace_check)
+                         chern_min_embedding_rank, projection_pair)
+from .crossed import (build_crossed_stage, check_crossed_sizes,
+                      check_upper_bound_gap, crossed_rc_upper,
+                      crossed_trace_check)
 from .diagram import (DiagramDocument, build_diagram_document,
                       diagram_from_json_obj, diagram_to_json_obj,
                       export_diagram, render_dot)
@@ -27,7 +23,6 @@ from .tower import (ConnectingMap, StageSpec, build_connecting_map,
 
 __all__ = [
     "ConnectingMap",
-    "CrossedProjectionSymbol",
     "DiagramDocument",
     "ExtendedRational",
     "GrowthTables",
@@ -50,17 +45,12 @@ __all__ = [
     "chern_min_embedding_rank",
     "choose_h",
     "compose_multiplicities",
-    "crossed_connecting_map",
-    "crossed_find_witness",
-    "crossed_projection_pair",
-    "crossed_rank_threshold",
     "crossed_rc_upper",
     "crossed_trace_check",
     "derive_kappa",
     "diagram_from_json_obj",
     "diagram_to_json_obj",
     "export_diagram",
-    "find_witness",
     "generate_d",
     "generate_d_prime",
     "level_permutation",
@@ -68,12 +58,9 @@ __all__ = [
     "outerness_witness",
     "parse_fraction",
     "projection_pair",
-    "rank_obstruction_threshold",
     "render_dot",
     "search_witness",
-    "stage_rc_upper",
     "tables_from_cli",
-    "tower_permutations",
     "verify_tables",
     "verify_tower",
     "verify_witness_json",

@@ -1,14 +1,16 @@
 """Permutation bookkeeping for the lattice shift action on the tower.
 
-A group element g in Z^d acts at level n by translating the lattice slots:
-z maps to z + g reduced mod 2^(n-1), while the star slot and all projection
-slots stay put.  Level 1 has a single lattice point, so every g acts there
-as the identity.  The unitary implementing g along the whole tower is just
-the list of these slot permutations, one per level.
+A group element g in Z^d acts at level n by translating the lattice slots
+of stage n, the points of Z_{2^n}^d: z maps to z + g reduced mod 2^n, while
+the star slot and all projection slots stay put.  Level 0 has a single
+lattice point, so every g acts there as the identity.  The unitary
+implementing g along the whole tower is just the list of these slot
+permutations, one per level.
 
 ``check_equivariance`` replays the compatibility between one connecting
 map and the shift: pushing every slot and every evaluation label of the
-map forward by g must reproduce the map's own census exactly.
+map out of stage n forward by the level-n permutation must reproduce the
+map's own census exactly.
 
 ``outerness_witness`` returns the first level at which g visibly moves a
 slot, which is 1 + min over coordinates of the 2-adic valuation of g; at
@@ -32,12 +34,11 @@ class LevelPermutation:
     lattice part, identity elsewhere."""
 
     level: int
-    d: int
     shift: tuple[int, ...]
 
     @property
     def modulus(self) -> int:
-        return 2 ** (self.level - 1)
+        return 2 ** self.level
 
     @property
     def is_identity(self) -> bool:
@@ -51,28 +52,16 @@ class LevelPermutation:
             return TorusSlot(self.apply_point(slot.point))
         return slot
 
-    def then(self, other: "LevelPermutation") -> "LevelPermutation":
-        if (self.level, self.d) != (other.level, other.d):
-            raise ValueError("permutations live at different levels")
-        return level_permutation(
-            tuple(a + b for a, b in zip(self.shift, other.shift)),
-            self.level)
-
 
 def level_permutation(g: tuple[int, ...], level: int) -> LevelPermutation:
-    """The slot permutation of g at ``level`` (level >= 1)."""
-    if level < 1:
-        raise ValueError("levels start at 1")
+    """The slot permutation of g on the lattice of stage ``level`` (>= 0)."""
+    if level < 0:
+        raise ValueError("levels start at 0")
     if not g:
         raise ValueError("g must have at least one coordinate")
-    modulus = 2 ** (level - 1)
-    return LevelPermutation(level=level, d=len(g),
+    modulus = 2 ** level
+    return LevelPermutation(level=level,
                             shift=tuple(x % modulus for x in g))
-
-
-def tower_permutations(g: tuple[int, ...], n: int) -> tuple[LevelPermutation, ...]:
-    """The implementing sequence for g along levels 1..n."""
-    return tuple(level_permutation(g, level) for level in range(1, n + 1))
 
 
 def check_equivariance(cmap: ConnectingMap, g: tuple[int, ...]) -> CheckReport:
@@ -85,7 +74,7 @@ def check_equivariance(cmap: ConnectingMap, g: tuple[int, ...]) -> CheckReport:
     """
     if len(g) != cmap.d:
         raise ValueError(f"g has {len(g)} coordinates, map expects {cmap.d}")
-    perm = level_permutation(g, cmap.level + 1)
+    perm = level_permutation(g, cmap.level)
     c = Checker()
 
     def image(arrow: Arrow) -> Arrow:
@@ -144,9 +133,8 @@ def outerness_witness(g: tuple[int, ...]) -> OuternessWitness:
     if not g or all(x == 0 for x in g):
         raise ValueError("the zero element has no outerness witness")
     level = 1 + min(two_adic_valuation(x) for x in g if x != 0)
-    modulus = 2 ** level
     base = (0,) * len(g)
-    moved = tuple(x % modulus for x in g)
+    moved = level_permutation(g, level).apply_point(base)
     witness = OuternessWitness(g=g, level=level, base_slot=base, moved_slot=moved)
     if not witness.separated:
         raise RuntimeError("witness level failed to separate slots")

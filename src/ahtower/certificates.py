@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
+from .comparison import projection_pair
 from .rational import fraction_from_json, fraction_to_json
 from .report import Checker, CheckReport
 from .sequences import (FORMAT_VERSION, GrowthTables, TargetParams,
@@ -128,17 +129,14 @@ def search_witness(tables: GrowthTables, rho: Fraction,
     rho = Fraction(rho)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    radius = tables.params.r_prime if crossed else tables.params.r
-    if not radius.is_infinite and not rho < radius.finite_value:
-        raise ValueError(f"rho must stay below the target radius {radius}")
+    side = tables.side(crossed)
+    if not side.radius.is_infinite and not rho < side.radius.finite_value:
+        raise ValueError(f"rho must stay below the target radius {side.radius}")
 
     t = tables
     d = t.params.d
-    if crossed:
-        kap, s_of, h_of = t.kappa_prime, t.s_prime, t.h_prime
-    else:
-        kap, s_of, h_of = t.kappa, t.s, t.h
-    finite = not radius.is_infinite
+    kap, s_of, h_of = side.kappa, side.s, side.h
+    finite = not side.radius.is_infinite
 
     rows: list[LedgerRow] = []
     if finite:
@@ -157,9 +155,6 @@ def search_witness(tables: GrowthTables, rho: Fraction,
                                       rho / h0 + 1, "<", norm))
         rows.append(LedgerRow.compare(f"normalized rank ceiling (n={n})",
                                       norm, "<", kap + 1))
-        base_rank = h0     # pattern multiplier at the anchor level
-        base_trace = h0
-        anchor_s = 1
     else:
         c = kap            # exact limit of s(m)/r(m), by construction
         n = next((n for n in range(1, t.depth + 1)
@@ -179,19 +174,18 @@ def search_witness(tables: GrowthTables, rho: Fraction,
                                       rho + h_of(n) * s_of(n), "<", norm))
         rows.append(LedgerRow.compare(f"normalized rank ceiling (n={n})",
                                       norm, "<", c * h_of(n) + h_of(n) * s_of(n)))
-        base_rank = h_of(n)
-        base_trace = h_of(n) * s_of(n)
-        anchor_s = s_of(n)
+    # the pattern's normalized trace; s(0) = 1 at the level-0 anchor
+    base_trace = h_of(origin) * s_of(origin)
 
     checked = tuple(range(n + 1, t.depth + 1))
     for m in checked:
         small_rank = M * (t.r(m) // t.r(n))
-        threshold = base_rank * anchor_s * t.r(m) + base_rank * s_of(m)
         if not finite:
             rows.append(LedgerRow.compare(f"ratio floor (m={m})",
                                           kap * t.r(m), "<=", s_of(m)))
-        rows.append(LedgerRow.compare(f"rank bound (m={m})",
-                                      small_rank, "<", threshold))
+        rows.append(LedgerRow.compare(
+            f"rank bound (m={m})", small_rank, "<",
+            projection_pair(t, m, origin, crossed).threshold))
         rows.append(LedgerRow.compare(f"trace bound (m={m})",
                                       Fraction(M, t.r(n)), ">",
                                       base_trace + rho))

@@ -1,25 +1,24 @@
 """Exact comparison-radius bookkeeping for the tower.
 
-Three ingredients, all in integer or rational arithmetic:
+Two ingredients, all in integer or rational arithmetic:
 
   * a tiny characteristic-class computation in Z[x_1..x_k]/(x_i^2 = 0)
     certifying that the k-fold product of a line bundle with first class
     x_1 + ... + x_k admits no complement below trivial rank 2k (the top
     class of the would-be inverse survives in degree k);
   * the projection symbols of the construction: a patterned projection of
-    rank h(n)s(m) plus trivial padding on the C row against an entirely
-    trivial projection on the B row, both of total rank h(n)s(n)r(m),
-    whose normalized traces agree at h(n)s(n);
-  * stage upper bounds max(h(n)s(n), h'(n)s'(n))/r(n) and the canonical
-    lower-bound witness search (see ``certificates``).
+    rank h(n)s(m) plus trivial padding, of total rank h(n)s(n)r(m), against
+    an entirely trivial companion on the other row with the same
+    normalized trace h(n)s(n), together with the trivial rank that absorbs
+    the pattern, which the witness ledgers of ``certificates`` compare
+    against.  The transform reads the primed sequences (see
+    ``GrowthTables.side``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .certificates import WitnessReport, search_witness
 from .sequences import GrowthTables
 
 
@@ -109,68 +108,52 @@ def chern_min_embedding_rank(k: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# projection symbols and rank thresholds
+# projection symbols
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ProjectionSymbol:
     """The distinguished projection pair of origin n evaluated at level m.
 
-    The C-row member is patterned on the k-fold bundle product over
-    h(n)s(m) coordinates and padded with a trivial rest; the B-row member
-    is entirely trivial of the same total rank.
+    One member is patterned on the k-fold bundle product over h(n)s(m)
+    coordinates and padded with a trivial rest; it sits on the C row of
+    the tower, or on the small B row of its transform.  The companion on
+    the other row is entirely trivial and has the same normalized trace.
     """
 
     origin: int
     stage: int
-    c_nontrivial_rank: int
-    c_trivial_rank: int
-    b_trivial_rank: int
+    patterned_rank: int
+    padding_rank: int
+    companion_rank: int
 
     @property
     def total_rank(self) -> int:
-        return self.c_nontrivial_rank + self.c_trivial_rank
+        return self.patterned_rank + self.padding_rank
 
-    def trace_value(self, matrix_size: int) -> Fraction:
-        return Fraction(self.total_rank, matrix_size)
+    @property
+    def threshold(self) -> int:
+        """Trivial rank needed to absorb the pattern: h(n)s(n)r(m) + h(n)s(m)."""
+        return self.total_rank + self.patterned_rank
 
 
-def projection_pair(tables: GrowthTables, m: int, n: int) -> ProjectionSymbol:
-    """Build the symbol of origin n at evaluation level m >= n."""
+def projection_pair(tables: GrowthTables, m: int, n: int,
+                    crossed: bool = False) -> ProjectionSymbol:
+    """Build the symbol of origin n at evaluation level m >= n.
+
+    The transform reads the primed sequences, and its companion row is
+    2^(md) times larger than the row carrying the pattern.
+    """
     if not 0 <= n <= m <= tables.depth:
         raise ValueError(f"need 0 <= n <= m <= depth, got n={n} m={m}")
-    total = tables.h(n) * tables.s(n) * tables.r(m)
-    patterned = tables.h(n) * tables.s(m)
+    side = tables.side(crossed)
+    total = side.h(n) * side.s(n) * tables.r(m)
+    patterned = side.h(n) * side.s(m)
+    widen = tables.torus_points(m) if crossed else 1
     symbol = ProjectionSymbol(origin=n, stage=m,
-                              c_nontrivial_rank=patterned,
-                              c_trivial_rank=total - patterned,
-                              b_trivial_rank=total)
-    if symbol.c_trivial_rank < 0:
+                              patterned_rank=patterned,
+                              padding_rank=total - patterned,
+                              companion_rank=total * widen)
+    if symbol.padding_rank < 0:
         raise RuntimeError("patterned rank exceeded the total rank")
-    if symbol.trace_value(tables.r(m)) != tables.h(n) * tables.s(n):
-        raise RuntimeError("trace normalization broke")
     return symbol
-
-
-def rank_obstruction_threshold(tables: GrowthTables, m: int, n: int) -> int:
-    """Trivial rank needed to absorb the origin-n symbol at level m."""
-    if not 0 <= n <= m <= tables.depth:
-        raise ValueError(f"need 0 <= n <= m <= depth, got n={n} m={m}")
-    return tables.h(n) * tables.s(n) * tables.r(m) + tables.h(n) * tables.s(m)
-
-
-def rank_obstruction_check(tables: GrowthTables, m: int, n: int,
-                           trivial_rank: int) -> bool:
-    """Whether a trivial projection of the given rank absorbs the symbol."""
-    return trivial_rank >= rank_obstruction_threshold(tables, m, n)
-
-
-def stage_rc_upper(tables: GrowthTables, n: int) -> Fraction:
-    """Dimension-over-size bound for stage n: the larger row ratio."""
-    return max(Fraction(tables.h(n) * tables.s(n), tables.r(n)),
-               Fraction(tables.h_prime(n) * tables.s_prime(n), tables.r(n)))
-
-
-def find_witness(tables: GrowthTables, rho: Fraction) -> WitnessReport:
-    """Canonical certificate that rho bounds the tower's radius from below."""
-    return search_witness(tables, rho, crossed=False)

@@ -1,4 +1,4 @@
-"""The tower transformed by its shift action: shapes, bounds, witnesses.
+"""The tower transformed by its shift action: shapes, bounds, trace pairing.
 
 Absorbing the lattice shift enlarges the C row of stage n to matrix size
 r(n) * 2^(nd) over the same base, adjoins a d-torus factor to both rows,
@@ -12,7 +12,8 @@ is the plain size recursion r(n+1) = r(n) l(n+1) times one extra 2^d.
 
 The distinguished projection pair swaps sides here: the patterned member
 lives on the small row (the one carrying the bundle data of the torus
-factor), while the big row contributes the entirely trivial companion.
+factor), while the big row contributes the entirely trivial companion
+(``comparison.projection_pair`` with ``crossed=True``).
 Upper bounds gain a d/(2r(n)) torus term on the small row and a
 d/(2^(nd+1) r(n)) term on the big row, so the big-row part is crushed by
 2^(nd) while the small-row part exceeds the target radius r' by exactly
@@ -25,10 +26,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificates import WitnessReport, search_witness
 from .report import Checker, CheckReport
 from .sequences import GrowthTables
-from .tower import ConnectingMap, build_connecting_map, multiplicity_matrix
+from .tower import ARROW_CAP, build_connecting_map, multiplicity_matrix
 
 
 # ----------------------------------------------------------------------
@@ -63,17 +63,13 @@ def build_crossed_stage(tables: GrowthTables, n: int) -> CrossedStageSpec:
             torus_rank=d))
 
 
-def crossed_connecting_map(tables: GrowthTables, n: int) -> ConnectingMap:
-    """Same census as the tower map; point evaluations lose their labels."""
-    return build_connecting_map(tables, n, crossed=True)
-
-
 def check_crossed_sizes(tables: GrowthTables,
-                        arrow_cap: int = 1 << 16) -> CheckReport:
+                        arrow_cap: int = ARROW_CAP) -> CheckReport:
     """Size recursion and census agreement for every transformed level.
 
-    Levels whose lattice exceeds ``arrow_cap`` points compare block
-    multiplicities only, and the skip is recorded in the report.
+    Levels whose lattice exceeds ``arrow_cap`` points check the size
+    recursion only; no map is built there, and the skip is recorded in the
+    report.
     """
     c = Checker()
     d = tables.params.d
@@ -83,12 +79,12 @@ def check_crossed_sizes(tables: GrowthTables,
         c.check(f"size recursion at level {n}",
                 big_next == big_now * tables.l(n + 1) * 2 ** d,
                 f"{big_next} vs {big_now}*{tables.l(n + 1)}*{2 ** d}")
-        cross = crossed_connecting_map(tables, n)
-        c.check(f"multiplicity matches the plain tower at level {n}",
-                cross.multiplicity == multiplicity_matrix(tables, n))
         if tables.torus_points(n) > arrow_cap:
             c.check(f"arrow census skipped at level {n} (above cap)", True)
             continue
+        cross = build_connecting_map(tables, n, crossed=True)
+        c.check(f"multiplicity matches the plain tower at level {n}",
+                cross.multiplicity == multiplicity_matrix(tables, n))
         plain = build_connecting_map(tables, n, crossed=False)
         strip = Counter((a.source, a.target, a.kind, a.slot)
                         for a in cross.arrows)
@@ -99,55 +95,6 @@ def check_crossed_sizes(tables: GrowthTables,
         c.check(f"lattice labels folded away at level {n}",
                 all(a.eval_point is None for a in cross.arrows))
     return c.report()
-
-
-# ----------------------------------------------------------------------
-# the swapped projection pair
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CrossedProjectionSymbol:
-    """Origin-n pair at level m with the patterned member on the small row."""
-
-    origin: int
-    stage: int
-    b_nontrivial_rank: int
-    b_trivial_rank: int
-    c_trivial_rank: int
-
-    @property
-    def b_total_rank(self) -> int:
-        return self.b_nontrivial_rank + self.b_trivial_rank
-
-
-def crossed_projection_pair(tables: GrowthTables, m: int,
-                            n: int) -> CrossedProjectionSymbol:
-    if not 0 <= n <= m <= tables.depth:
-        raise ValueError(f"need 0 <= n <= m <= depth, got n={n} m={m}")
-    hp = tables.h_prime(n)
-    small_total = hp * tables.s_prime(n) * tables.r(m)
-    patterned = hp * tables.s_prime(m)
-    symbol = CrossedProjectionSymbol(
-        origin=n, stage=m,
-        b_nontrivial_rank=patterned,
-        b_trivial_rank=small_total - patterned,
-        c_trivial_rank=small_total * tables.torus_points(m))
-    if symbol.b_trivial_rank < 0:
-        raise RuntimeError("patterned rank exceeded the small-row total")
-    small_trace = Fraction(symbol.b_total_rank, tables.r(m))
-    big_trace = Fraction(symbol.c_trivial_rank,
-                         tables.r(m) * tables.torus_points(m))
-    if small_trace != big_trace:
-        raise RuntimeError("the two rows disagree on the normalized trace")
-    return symbol
-
-
-def crossed_rank_threshold(tables: GrowthTables, m: int, n: int) -> int:
-    """Trivial small-row rank needed to absorb the origin-n pattern at m."""
-    if not 0 <= n <= m <= tables.depth:
-        raise ValueError(f"need 0 <= n <= m <= depth, got n={n} m={m}")
-    hp = tables.h_prime(n)
-    return hp * tables.s_prime(n) * tables.r(m) + hp * tables.s_prime(m)
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +165,7 @@ def check_upper_bound_gap(tables: GrowthTables, depth: int | None = None
 
 
 # ----------------------------------------------------------------------
-# trace pairing and witnesses
+# trace pairing
 # ----------------------------------------------------------------------
 
 def crossed_trace_check(tables: GrowthTables, n: int, M: int,
@@ -255,8 +202,3 @@ def crossed_trace_check(tables: GrowthTables, n: int, M: int,
             c.check(f"weighted trace lambda={lam} (m={m})",
                     mixed == expected, f"{mixed} vs {expected}")
     return c.report()
-
-
-def crossed_find_witness(tables: GrowthTables, rho: Fraction) -> WitnessReport:
-    """Canonical certificate that rho bounds the transformed radius."""
-    return search_witness(tables, rho, crossed=True)

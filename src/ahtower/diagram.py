@@ -260,10 +260,10 @@ def render_dot(doc: DiagramDocument) -> str:
         n = stage.level
         out.append(f"  subgraph cluster_L{n}_C {{")
         out.append(f'    label="level {n} C row";')
+        size_label = f"M={stage.c_matrix_size}"
         for k, z in enumerate(torus_lattice(d, n)):
             zs = ",".join(str(c) for c in z)
-            out.append(f'    C_{n}_{k} [label="z=({zs})\\n'
-                       f'M={stage.c_matrix_size}"];')
+            out.append(f'    C_{n}_{k} [label="z=({zs})\\n{size_label}"];')
         out.append("  }")
         out.append(f"  subgraph cluster_L{n}_B {{")
         out.append(f'    label="level {n} B row";')
@@ -308,8 +308,6 @@ def render_dot(doc: DiagramDocument) -> str:
 def export_diagram(tables: GrowthTables, lo: int = 0, hi: int | None = None,
                    fmt: str = "json") -> str:
     """Serialize a band of the tower as JSON text or a DOT drawing."""
-    import json
-
     doc = build_diagram_document(tables, lo, hi)
     if fmt == "json":
         return json.dumps(diagram_to_json_obj(doc), sort_keys=True, indent=2)

@@ -1,9 +1,7 @@
 """Uniform pass/fail reporting for the verification suites.
 
 Checks never raise on a failed comparison; they accumulate named entries so
-a caller (or the CLI) can print one line per identity and name the first
-violation.  ``require`` converts a failed report into an exception for
-contexts where continuing makes no sense.
+a caller (or the CLI) can count them and name the first violation.
 """
 
 from __future__ import annotations
@@ -16,10 +14,6 @@ class CheckEntry:
     name: str
     ok: bool
     detail: str = ""
-
-    def line(self) -> str:
-        mark = "ok  " if self.ok else "FAIL"
-        return f"{mark} {self.name}" + (f" ({self.detail})" if self.detail else "")
 
 
 @dataclass(frozen=True)
@@ -36,16 +30,6 @@ class CheckReport:
             if not e.ok:
                 return e
         return None
-
-    def require(self) -> "CheckReport":
-        bad = self.first_failure
-        if bad is not None:
-            raise RuntimeError(f"invariant violated: {bad.name}"
-                               + (f" ({bad.detail})" if bad.detail else ""))
-        return self
-
-    def lines(self) -> list[str]:
-        return [e.line() for e in self.entries]
 
 
 @dataclass

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .rational import (ExtendedRational, fraction_from_json, fraction_to_json,
                        ints_from_json, ints_to_json, parse_fraction)
@@ -324,6 +324,18 @@ FORMAT_VERSION = "1"
 
 
 @dataclass(frozen=True)
+class Side:
+    """What one side of the construction reads: the radius, the ratio
+    target and the h and s sequences.  The tower reads (r, kappa, h, s),
+    its transform by the shift action (r', kappa', h', s')."""
+
+    radius: ExtendedRational
+    kappa: Fraction
+    h: Callable[[int], int]
+    s: Callable[[int], int]
+
+
+@dataclass(frozen=True)
 class GrowthTables:
     """Every governing sequence of one construction, to a finite depth.
 
@@ -384,6 +396,13 @@ class GrowthTables:
 
     def h_prime(self, n: int) -> int:
         return self.h_prime_seq[self._level(n)]
+
+    def side(self, crossed: bool = False) -> Side:
+        """The tower's sequences, or its transform's when ``crossed``."""
+        if crossed:
+            return Side(self.params.r_prime, self.kappa_prime, self.h_prime,
+                        self.s_prime)
+        return Side(self.params.r, self.kappa, self.h, self.s)
 
     def torus_points(self, n: int) -> int:
         """2^(nd), the number of order-2^n lattice points indexing one row."""

@@ -48,6 +48,9 @@ KIND_COORD_PROJECTION = "coordProjection"
 
 EXPAND_LIMIT = 1 << 20
 
+# largest lattice (points per row) whose maps the check suites build
+ARROW_CAP = 1 << 16
+
 
 # ----------------------------------------------------------------------
 # slots and arrows
@@ -324,7 +327,8 @@ def check_unital(tables: GrowthTables, cmap: ConnectingMap) -> CheckReport:
     return c.report()
 
 
-def verify_tower(tables: GrowthTables, arrow_cap: int = 1 << 16) -> CheckReport:
+def verify_tower(tables: GrowthTables,
+                 arrow_cap: int = ARROW_CAP) -> CheckReport:
     """Stage shapes, every connecting map, and all composed multiplicities.
 
     Maps whose lattice census exceeds ``arrow_cap`` points are checked on

@@ -21,7 +21,6 @@ from ahtower import (
     check_equivariance,
     check_upper_bound_gap,
     chern_min_embedding_rank,
-    crossed_find_witness,
     crossed_rc_upper,
     crossed_trace_check,
     diagram_from_json_obj,
@@ -298,7 +297,7 @@ def test_c08_crossed_upper_bound_convergence():
 def test_c09_crossed_witness_certificate():
     failures = []
     t = finite_tables("1/2", "1/3", depth=4)
-    w = crossed_find_witness(t, Fraction(1, 4))
+    w = search_witness(t, Fraction(1, 4), crossed=True)
     need(failures, (w.n, w.M) == (2, 119), f"witness is ({w.n}, {w.M})")
     need(failures, all(row.holds for row in w.ledger),
          "some ledger row fails")

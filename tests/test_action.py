@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahtower.action import (LevelPermutation, check_equivariance,
-                            level_permutation, outerness_witness,
-                            tower_permutations, two_adic_valuation)
+from ahtower.action import (check_equivariance, level_permutation,
+                            outerness_witness, two_adic_valuation)
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, build_tables
 from ahtower.tower import TorusSlot, build_connecting_map
@@ -19,14 +18,14 @@ def tables_for(r, rp, d=1, depth=4):
         depth)
 
 
-def test_level_one_is_identity():
-    perm = level_permutation((5,), 1)
+def test_level_zero_is_identity():
+    perm = level_permutation((5,), 0)
     assert perm.is_identity
     assert perm.apply(TorusSlot((0,))) == TorusSlot((0,))
 
 
 def test_permutation_moves_lattice_only():
-    perm = level_permutation((1, 6), 3)       # modulus 4
+    perm = level_permutation((1, 6), 2)       # modulus 4
     assert perm.shift == (1, 2)
     assert perm.apply(TorusSlot((3, 3))) == TorusSlot((0, 1))
     from ahtower.tower import STAR, ProjSlot
@@ -35,18 +34,21 @@ def test_permutation_moves_lattice_only():
 
 
 def test_tower_permutations_shape():
-    perms = tower_permutations((3,), 4)
-    assert [p.level for p in perms] == [1, 2, 3, 4]
+    perms = [level_permutation((3,), level) for level in range(4)]
+    assert [p.level for p in perms] == [0, 1, 2, 3]
     assert [p.modulus for p in perms] == [1, 2, 4, 8]
     assert perms[2].shift == (3,)
 
 
-@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 6))
+@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(0, 5),
+       st.integers(-40, 40))
 @settings(max_examples=60)
-def test_action_law(a, b, level):
+def test_action_law(a, b, level, z):
     one = level_permutation((a,), level)
     other = level_permutation((b,), level)
-    assert one.then(other) == level_permutation((a + b,), level)
+    both = level_permutation((a + b,), level)
+    point = (z % 2 ** level,)
+    assert other.apply_point(one.apply_point(point)) == both.apply_point(point)
 
 
 def test_equivariance_green_small():
@@ -115,6 +117,23 @@ def test_outerness_examples():
     assert outerness_witness((3, 8)).level == 1
     w = outerness_witness((2, 4))
     assert w.level == 2 and w.moved_slot == (2, 0) and w.separated
+
+
+def test_outerness_level_moves_the_map_slots():
+    # the witness level names a stage: the permutation there moves the
+    # origin slot of the map out of that stage, and every lower level is
+    # the identity
+    line = tables_for("1/2", "1/3", depth=4)
+    plane = tables_for("3/4", "1/4", d=2, depth=3)
+    for g in [(1,), (2,), (3,), (4,), (6,), (1, 2), (2, 4)]:
+        w = outerness_witness(g)
+        cmap = build_connecting_map(line if len(g) == 1 else plane, w.level)
+        slots = {a.slot for a in cmap.arrows if isinstance(a.slot, TorusSlot)}
+        perm = level_permutation(g, cmap.level)
+        assert perm.apply(TorusSlot(w.base_slot)) == TorusSlot(w.moved_slot)
+        assert TorusSlot(w.moved_slot) in slots and w.separated
+        for level in range(w.level):
+            assert level_permutation(g, level).is_identity
 
 
 def test_outerness_rejects_zero():

@@ -222,12 +222,25 @@ def test_verify_corrupted_diagram_file(capsys, tmp_path):
     path = tmp_path / "diagram.json"
     main(["export", "--depth", "2", "--out", str(path)])
     capsys.readouterr()
-    obj = json.loads(path.read_text())
-    obj["maps"][0]["multiplicity"]["cc"] = "9"
-    path.write_text(json.dumps(obj))
-    code, out, _ = run(capsys, "verify", str(path))
-    assert code == 3
-    assert "invariant violated" in out
+    clean = path.read_text()
+
+    def multiplicity(obj):
+        obj["maps"][0]["multiplicity"]["cc"] = "9"
+
+    # the next two change only fields the DOT drawing reads
+    def arrow_point(obj):
+        obj["maps"][1]["into"]["C"]["arrows"][1]["point"] = ["0"]
+
+    def span_hi(obj):
+        obj["maps"][1]["into"]["B"]["spans"][0]["hi"] = "15"
+
+    for corrupt in (multiplicity, arrow_point, span_hi):
+        obj = json.loads(clean)
+        corrupt(obj)
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 3, corrupt.__name__
+        assert "invariant violated" in out
 
 
 def test_verify_unparseable_file(capsys, tmp_path):

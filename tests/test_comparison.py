@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahtower.certificates import search_witness
 from ahtower.comparison import (ProjectionSymbol, SquareZeroPoly,
-                                chern_min_embedding_rank, find_witness,
-                                projection_pair, rank_obstruction_check,
-                                rank_obstruction_threshold, stage_rc_upper)
+                                chern_min_embedding_rank, projection_pair)
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, build_tables
 
@@ -113,18 +112,18 @@ def test_inverse_class_top_coefficient():
 
 def test_projection_pair_example(half_third):
     sym = projection_pair(half_third, m=2, n=0)
-    assert sym == ProjectionSymbol(origin=0, stage=2, c_nontrivial_rank=48,
-                                   c_trivial_rank=47, b_trivial_rank=95)
+    assert sym == ProjectionSymbol(origin=0, stage=2, patterned_rank=48,
+                                   padding_rank=47, companion_rank=95)
     assert sym.total_rank == 95
-    assert sym.trace_value(half_third.r(2)) == 1
+    assert Fraction(sym.total_rank, half_third.r(2)) == 1
 
 
 def test_projection_pair_deeper_origin(half_third):
     sym = projection_pair(half_third, m=3, n=1)
     # h(1) s(1) r(3) = 3 * 45695, patterned part h(1) s(3) = 22848
     assert sym.total_rank == 3 * 45695
-    assert sym.c_nontrivial_rank == 22848
-    assert sym.b_trivial_rank == sym.total_rank
+    assert sym.patterned_rank == 22848
+    assert sym.companion_rank == sym.total_rank
 
 
 def test_projection_pair_range_errors(half_third):
@@ -135,48 +134,27 @@ def test_projection_pair_range_errors(half_third):
 
 
 def test_rank_threshold_example(half_third):
-    assert rank_obstruction_threshold(half_third, m=2, n=0) == 143
-    assert rank_obstruction_check(half_third, 2, 0, 143)
-    assert not rank_obstruction_check(half_third, 2, 0, 142)
+    assert projection_pair(half_third, m=2, n=0).threshold == 143
 
 
 def test_threshold_exceeds_total_rank(half_third):
     # absorbing the pattern always costs strictly more than the pair rank
-    for n in range(half_third.depth + 1):
-        for m in range(n, half_third.depth + 1):
-            sym = projection_pair(half_third, m, n)
-            assert rank_obstruction_threshold(half_third, m, n) \
-                == sym.total_rank + sym.c_nontrivial_rank
+    for crossed in (False, True):
+        side = half_third.side(crossed)
+        for n in range(half_third.depth + 1):
+            for m in range(n, half_third.depth + 1):
+                sym = projection_pair(half_third, m, n, crossed)
+                assert sym.threshold == side.h(n) * side.s(n) \
+                    * half_third.r(m) + side.h(n) * side.s(m)
+                assert sym.threshold > sym.total_rank
 
 
 # ----------------------------------------------------------------------
-# stage bounds and the witness wrapper
+# the witness search
 # ----------------------------------------------------------------------
-
-def test_stage_upper_is_h_times_ratio(half_third):
-    for n in range(half_third.depth + 1):
-        assert stage_rc_upper(half_third, n) == half_third.ratio(n)
-    assert stage_rc_upper(half_third, 1) == Fraction(3, 5)
-
-
-def test_stage_upper_decreases_to_target(half_third):
-    r = half_third.params.r.finite_value
-    values = [stage_rc_upper(half_third, n)
-              for n in range(half_third.depth + 1)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-    assert all(v > r for v in values)
-
-
-def test_stage_upper_uses_larger_row():
-    t = tables_for("inf", "5/2", depth=3)
-    for n in range(t.depth + 1):
-        c_row = Fraction(t.h(n) * t.s(n), t.r(n))
-        b_row = Fraction(t.h_prime(n) * t.s_prime(n), t.r(n))
-        assert stage_rc_upper(t, n) == max(c_row, b_row)
-
 
 def test_find_witness_wraps_search(half_third):
-    rep = find_witness(half_third, Fraction(1, 4))
+    rep = search_witness(half_third, Fraction(1, 4), crossed=False)
     assert (rep.n, rep.M) == (1, 7)
     assert rep.crossed is False
     assert rep.all_hold

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahtower.crossed import (CrossedProjectionSymbol, build_crossed_stage,
-                             check_crossed_sizes, check_upper_bound_gap,
-                             crossed_connecting_map, crossed_find_witness,
-                             crossed_projection_pair, crossed_rank_threshold,
-                             crossed_rc_upper, crossed_trace_check)
+import ahtower.crossed
+from ahtower.certificates import search_witness
+from ahtower.comparison import ProjectionSymbol, projection_pair
+from ahtower.crossed import (build_crossed_stage, check_crossed_sizes,
+                             check_upper_bound_gap, crossed_rc_upper,
+                             crossed_trace_check)
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, build_tables
 from ahtower.tower import build_connecting_map, multiplicity_matrix
@@ -51,7 +52,7 @@ def test_size_recursion_direct(half_third):
 
 def test_crossed_map_matches_tower_census(half_third):
     for n in range(half_third.depth):
-        cross = crossed_connecting_map(half_third, n)
+        cross = build_connecting_map(half_third, n, crossed=True)
         plain = build_connecting_map(half_third, n)
         assert cross.multiplicity == plain.multiplicity \
             == multiplicity_matrix(half_third, n)
@@ -68,12 +69,21 @@ def test_check_crossed_sizes_green(half_third):
     assert "arrow census matches the plain tower at level 3" in names
 
 
-def test_check_crossed_sizes_respects_cap(half_third):
+def test_check_crossed_sizes_respects_cap(half_third, monkeypatch):
+    built = []
+
+    def counting(tables, n, crossed=False):
+        built.append(n)
+        return build_connecting_map(tables, n, crossed)
+
+    monkeypatch.setattr(ahtower.crossed, "build_connecting_map", counting)
     report = check_crossed_sizes(half_third, arrow_cap=2)
     assert report.ok
     skipped = [e for e in report.entries if "skipped" in e.name]
     # levels 2 and 3 have 4 and 8 lattice points
     assert len(skipped) == 2
+    # and no map is built for them
+    assert [n for n in built if n >= 2] == []
 
 
 def test_check_crossed_sizes_other_regimes():
@@ -89,30 +99,30 @@ def test_check_crossed_sizes_other_regimes():
 # ----------------------------------------------------------------------
 
 def test_crossed_projection_pair_example(half_third):
-    sym = crossed_projection_pair(half_third, m=2, n=1)
-    assert sym == CrossedProjectionSymbol(origin=1, stage=2,
-                                          b_nontrivial_rank=32,
-                                          b_trivial_rank=158,
-                                          c_trivial_rank=760)
-    assert sym.b_total_rank == 190
-    assert crossed_rank_threshold(half_third, 2, 1) == 190 + 32
+    sym = projection_pair(half_third, m=2, n=1, crossed=True)
+    assert sym == ProjectionSymbol(origin=1, stage=2,
+                                   patterned_rank=32,
+                                   padding_rank=158,
+                                   companion_rank=760)
+    assert sym.total_rank == 190
+    assert sym.threshold == 190 + 32
 
 
 def test_crossed_pair_trace_agreement(half_third):
     for n in range(half_third.depth + 1):
         for m in range(n, half_third.depth + 1):
-            sym = crossed_projection_pair(half_third, m, n)
-            small = Fraction(sym.b_total_rank, half_third.r(m))
-            big = Fraction(sym.c_trivial_rank,
+            sym = projection_pair(half_third, m, n, crossed=True)
+            small = Fraction(sym.total_rank, half_third.r(m))
+            big = Fraction(sym.companion_rank,
                            half_third.r(m) * 2 ** (m * half_third.params.d))
             assert small == big
 
 
 def test_crossed_pair_range_errors(half_third):
     with pytest.raises(ValueError):
-        crossed_projection_pair(half_third, m=0, n=1)
+        projection_pair(half_third, m=0, n=1, crossed=True)
     with pytest.raises(ValueError):
-        crossed_rank_threshold(half_third, m=7, n=0)
+        projection_pair(half_third, m=7, n=0, crossed=True)
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +230,7 @@ def test_trace_check_holds_for_any_block(half_third, n, M):
 # ----------------------------------------------------------------------
 
 def test_crossed_witness_values(half_third):
-    rep = crossed_find_witness(half_third, Fraction(1, 4))
+    rep = search_witness(half_third, Fraction(1, 4), crossed=True)
     assert (rep.n, rep.M) == (2, 119)
     assert rep.crossed is True
     assert rep.all_hold
@@ -230,4 +240,4 @@ def test_crossed_witness_values(half_third):
 
 def test_crossed_witness_precondition(half_third):
     with pytest.raises(ValueError, match="below the target radius"):
-        crossed_find_witness(half_third, Fraction(2, 5))
+        search_witness(half_third, Fraction(2, 5), crossed=True)

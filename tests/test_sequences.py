@@ -254,8 +254,6 @@ def test_verify_tables_catches_corruption():
     rep = verify_tables(bad)
     assert not rep.ok
     assert "d(2) minimal" == rep.first_failure.name
-    with pytest.raises(RuntimeError, match="invariant violated"):
-        rep.require()
 
 
 def test_tables_json_round_trip():
