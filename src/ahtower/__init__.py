@@ -19,7 +19,7 @@ from .sequences import (GrowthTables, TargetParams, build_tables, choose_h,
                         tables_from_cli, verify_tables)
 from .tower import (ConnectingMap, StageSpec, build_connecting_map,
                     build_stage, check_unital, compose_multiplicities,
-                    multiplicity_matrix, verify_tower)
+                    lattice_maps, multiplicity_matrix, verify_tower)
 
 __all__ = [
     "ConnectingMap",
@@ -53,6 +53,7 @@ __all__ = [
     "export_diagram",
     "generate_d",
     "generate_d_prime",
+    "lattice_maps",
     "level_permutation",
     "multiplicity_matrix",
     "outerness_witness",

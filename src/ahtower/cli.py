@@ -15,7 +15,8 @@ import sys
 from typing import Sequence
 
 from .action import check_equivariance
-from .certificates import search_witness, verify_witness_json
+from .certificates import (first_difference, search_witness,
+                           verify_witness_json)
 from .comparison import chern_min_embedding_rank
 from .crossed import check_crossed_sizes, check_upper_bound_gap
 from .diagram import (build_diagram_document, diagram_from_json_obj,
@@ -24,7 +25,7 @@ from .rational import parse_fraction
 from .report import Checker, CheckReport
 from .sequences import (GrowthTables, build_tables, tables_from_cli,
                         verify_tables)
-from .tower import ARROW_CAP, build_connecting_map, verify_tower
+from .tower import ConnectingMap, lattice_maps, verify_tower
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,13 +153,13 @@ def standard_generators(d: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def equivariance_report(tables: GrowthTables) -> CheckReport:
+def equivariance_report(tables: GrowthTables,
+                        maps: tuple[ConnectingMap | None, ...]) -> CheckReport:
     c = Checker()
-    for n in range(tables.depth):
-        if tables.torus_points(n) > ARROW_CAP:
+    for n, cmap in enumerate(maps):
+        if cmap is None:
             c.check(f"map {n} equivariance skipped (census above cap)", True)
             continue
-        cmap = build_connecting_map(tables, n)
         for g in standard_generators(tables.params.d):
             c.merge(check_equivariance(cmap, g), prefix=f"g={g} ")
     return c.report()
@@ -173,10 +174,11 @@ def chern_report(max_k: int = 6) -> CheckReport:
 
 
 def run_suites(tables: GrowthTables) -> list[tuple[str, CheckReport]]:
+    maps = lattice_maps(tables)
     suites = [
         ("tables", verify_tables(tables)),
-        ("tower", verify_tower(tables)),
-        ("action", equivariance_report(tables)),
+        ("tower", verify_tower(tables, maps)),
+        ("action", equivariance_report(tables, maps)),
         ("crossed sizes", check_crossed_sizes(tables)),
     ]
     if not tables.params.r_prime.is_infinite:
@@ -245,8 +247,10 @@ def verify_tables_document(obj: dict, out: str | None) -> int:
     if not ok:
         emit(line, out)
         return 3
-    if tables.to_json_obj() != rebuilt.to_json_obj():
-        emit("invariant violated: tables match canonical regeneration", out)
+    canonical = rebuilt.to_json_obj()
+    if obj != canonical:
+        emit("invariant violated: tables match canonical regeneration "
+             f"({first_difference(obj, canonical)})", out)
         return 3
     emit(line + "\ntables match canonical regeneration", out)
     return 0
@@ -260,9 +264,10 @@ def verify_diagram_document(obj: dict, out: str | None) -> int:
     except (KeyError, ValueError, TypeError) as exc:
         emit(f"invariant violated: diagram document well formed ({exc})", out)
         return 3
-    if diagram_to_json_obj(doc) != diagram_to_json_obj(rebuilt):
-        emit("invariant violated: diagram matches canonical regeneration",
-             out)
+    canonical = diagram_to_json_obj(rebuilt)
+    if obj != canonical:
+        emit("invariant violated: diagram matches canonical regeneration "
+             f"({first_difference(obj, canonical)})", out)
         return 3
     emit("diagram matches canonical regeneration", out)
     return 0

@@ -112,8 +112,7 @@ def _arrow_to_json(arrow: Arrow) -> dict[str, Any]:
     obj: dict[str, Any] = {"source": arrow.source, "kind": arrow.kind}
     if arrow.kind == KIND_POINT_EVAL_X:
         obj["point"] = ints_to_json(arrow.slot.point)
-        if arrow.eval_point is not None:
-            obj["eval"] = ints_to_json(arrow.eval_point)
+        obj["eval"] = ints_to_json(arrow.eval_point)
     elif arrow.kind != KIND_STAR_EVAL:
         raise ValueError(f"cannot serialize single arrow of kind {arrow.kind}")
     return obj
@@ -126,9 +125,9 @@ def _arrow_from_json(obj: Any, target: str) -> Arrow:
     if kind == KIND_STAR_EVAL:
         return Arrow(obj["source"], target, kind, STAR)
     if kind == KIND_POINT_EVAL_X:
-        point = tuple(ints_from_json(obj["point"]))
-        label = tuple(ints_from_json(obj["eval"])) if "eval" in obj else None
-        return Arrow(obj["source"], target, kind, TorusSlot(point), label)
+        return Arrow(obj["source"], target, kind,
+                     TorusSlot(tuple(ints_from_json(obj["point"]))),
+                     tuple(ints_from_json(obj["eval"])))
     raise ValueError(f"unknown arrow kind {kind!r}")
 
 

@@ -27,6 +27,10 @@ when the census is small enough to enumerate.
 Multiplicity bookkeeping is a 2x2 integer matrix of (source, target) path
 counts whose per-target totals are l(n+1); composing the matrices along
 levels m..n gives per-target totals r(n)/r(m).
+
+Each lattice point costs one arrow per target row, so the check suites
+share one build of each map: ``lattice_maps`` builds the map out of every
+level whose lattice is within the cap.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ KIND_COORD_PROJECTION = "coordProjection"
 
 EXPAND_LIMIT = 1 << 20
 
-# largest lattice (points per row) whose maps the check suites build
+# largest lattice (points per row) whose map ``lattice_maps`` builds
 ARROW_CAP = 1 << 16
 
 
@@ -80,9 +84,8 @@ class ProjSlot:
 class Arrow:
     """One slot of a connecting map: source block, target block, kind.
 
-    ``eval_point`` is the lattice label of a point evaluation of the C row;
-    it is None for the crossed-product transform, whose fiber evaluations
-    happen at the base point alone.
+    ``eval_point`` is the lattice label of a point evaluation of the C row
+    and None for every other kind.
     """
 
     source: str
@@ -138,11 +141,6 @@ class BlockMatrix:
 
     def as_nested(self) -> list[list[int]]:
         return [[self.cc, self.cb], [self.bc, self.bb]]
-
-    @classmethod
-    def from_nested(cls, rows) -> "BlockMatrix":
-        (cc, cb), (bc, bb) = rows
-        return cls(int(cc), int(cb), int(bc), int(bb))
 
 
 def multiplicity_matrix(tables: GrowthTables, level: int) -> BlockMatrix:
@@ -202,7 +200,6 @@ class ConnectingMap:
     arrows: tuple[Arrow, ...]
     spans: tuple[ArrowSpan, ...]
     multiplicity: BlockMatrix
-    crossed: bool = False
 
     def arrows_into(self, target: str):
         return [a for a in self.arrows if a.target == target]
@@ -216,8 +213,7 @@ def torus_lattice(d: int, n: int):
     return itertools.product(range(2 ** n), repeat=d)
 
 
-def build_connecting_map(tables: GrowthTables, n: int,
-                         crossed: bool = False) -> ConnectingMap:
+def build_connecting_map(tables: GrowthTables, n: int) -> ConnectingMap:
     if not 0 <= n < tables.depth:
         raise ValueError(f"no connecting map out of level {n}")
     d = tables.params.d
@@ -227,7 +223,7 @@ def build_connecting_map(tables: GrowthTables, n: int,
     for target in (BLOCK_C, BLOCK_B):
         for z in torus_lattice(d, n):
             arrows.append(Arrow(BLOCK_C, target, KIND_POINT_EVAL_X,
-                                TorusSlot(z), None if crossed else z))
+                                TorusSlot(z), z))
         arrows.append(Arrow(BLOCK_B, target, KIND_STAR_EVAL, STAR))
     spans.append(ArrowSpan(BLOCK_C, BLOCK_C, KIND_COORD_PROJECTION, 1, d_next))
     if dp_next < d_next:
@@ -236,8 +232,15 @@ def build_connecting_map(tables: GrowthTables, n: int,
     spans.append(ArrowSpan(BLOCK_B, BLOCK_B, KIND_COORD_PROJECTION, 1, dp_next))
     return ConnectingMap(level=n, d=d, arrows=tuple(arrows),
                          spans=tuple(spans),
-                         multiplicity=multiplicity_matrix(tables, n),
-                         crossed=crossed)
+                         multiplicity=multiplicity_matrix(tables, n))
+
+
+def lattice_maps(tables: GrowthTables) -> tuple[ConnectingMap | None, ...]:
+    """The map out of each level, or None where the lattice of that level
+    is above the cap."""
+    return tuple(build_connecting_map(tables, n)
+                 if tables.torus_points(n) <= ARROW_CAP else None
+                 for n in range(tables.depth))
 
 
 def expand_arrows(cmap: ConnectingMap, target: str) -> list[Arrow]:
@@ -314,10 +317,9 @@ def check_unital(tables: GrowthTables, cmap: ConnectingMap) -> CheckReport:
                         for s in spans if s.kind == KIND_COORD_PROJECTION)
                 and all(s.source == BLOCK_B for s in spans
                         if s.kind == KIND_POINT_EVAL_Y))
-        if not cmap.crossed:
-            c.check(f"{target}-target evaluation labels",
-                    all(a.eval_point == a.slot.point for a in singles
-                        if a.kind == KIND_POINT_EVAL_X))
+        c.check(f"{target}-target evaluation labels",
+                all(a.eval_point == a.slot.point for a in singles
+                    if a.kind == KIND_POINT_EVAL_X))
 
     want_mult = multiplicity_matrix(tables, n)
     c.check("multiplicity matrix matches census",
@@ -328,11 +330,11 @@ def check_unital(tables: GrowthTables, cmap: ConnectingMap) -> CheckReport:
 
 
 def verify_tower(tables: GrowthTables,
-                 arrow_cap: int = ARROW_CAP) -> CheckReport:
+                 maps: tuple[ConnectingMap | None, ...]) -> CheckReport:
     """Stage shapes, every connecting map, and all composed multiplicities.
 
-    Maps whose lattice census exceeds ``arrow_cap`` points are checked on
-    multiplicities only, and the skip is recorded in the report.
+    ``maps`` comes from ``lattice_maps``; a level without a map is checked
+    on multiplicities only, and the skip is recorded in the report.
     """
     c = Checker()
     for n in range(tables.depth + 1):
@@ -344,15 +346,14 @@ def verify_tower(tables: GrowthTables,
                 == tables.r(n)
                 and stage.c_block.base_dimension % 2 == 0
                 and stage.b_block.base_dimension % 2 == 0)
-    for n in range(tables.depth):
-        if tables.torus_points(n) > arrow_cap:
+    for n, cmap in enumerate(maps):
+        if cmap is None:
             c.check(f"map {n} slot checks skipped (census above cap)", True)
             want = multiplicity_matrix(tables, n)
             c.check(f"map {n} multiplicity totals",
                     set(want.into_totals().values()) == {tables.l(n + 1)})
             continue
-        c.merge(check_unital(tables, build_connecting_map(tables, n)),
-                prefix=f"map {n}: ")
+        c.merge(check_unital(tables, cmap), prefix=f"map {n}: ")
     for m in range(tables.depth + 1):
         for n in range(m, tables.depth + 1):
             totals = compose_multiplicities(tables, m, n).into_totals()

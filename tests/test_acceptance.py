@@ -27,6 +27,7 @@ from ahtower import (
     diagram_to_json_obj,
     export_diagram,
     generate_d,
+    lattice_maps,
     outerness_witness,
     render_dot,
     search_witness,
@@ -128,7 +129,8 @@ def test_c02_growth_invariants_depth_8():
 def test_c03_tower_soundness_depth_8():
     failures = []
     for r, rp in (("1/2", "1/3"), ("3/4", "1/4")):
-        rep = verify_tower(finite_tables(r, rp, depth=8))
+        t = finite_tables(r, rp, depth=8)
+        rep = verify_tower(t, lattice_maps(t))
         need(failures, rep.ok,
              f"targets {r}, {rp}: {rep.first_failure}")
         need(failures,
@@ -340,7 +342,7 @@ def test_c10_infinite_growth_regimes():
             need(failures, b <= a, f"{tag}: h over lattice size grew")
         need(failures, shrink[6] < Fraction(1, 4),
              f"{tag}: ratio at depth 6 is {shrink[6]}")
-        rep = verify_tower(t)
+        rep = verify_tower(t, lattice_maps(t))
         need(failures, rep.ok, f"{tag}: {rep.first_failure}")
         for crossed in (False, True):
             for rho in (1, 2):

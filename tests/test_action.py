@@ -68,12 +68,6 @@ def test_equivariance_green_rank_two():
             assert check_equivariance(cmap, g).ok
 
 
-def test_equivariance_crossed_map():
-    t = tables_for("1/2", "1/3", depth=3)
-    cmap = build_connecting_map(t, 2, crossed=True)
-    assert check_equivariance(cmap, (1,)).ok
-
-
 def test_equivariance_negative_control():
     # crossing the evaluation labels of two arrows breaks the replay
     t = tables_for("1/2", "1/3", depth=3)

@@ -1,8 +1,13 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
-from ahtower.cli import main
+import ahtower.tower
+from ahtower.cli import equivariance_report, main
+from ahtower.sequences import tables_from_cli
+from ahtower.tower import lattice_maps, verify_tower
 
 
 def run(capsys, *argv):
@@ -15,6 +20,24 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def count_builds(monkeypatch) -> Counter:
+    """Count connecting-map builds by level, wherever ahtower names the
+    builder."""
+    original = ahtower.tower.build_connecting_map
+    built = Counter()
+
+    def counting(tables, n):
+        built[n] += 1
+        return original(tables, n)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ahtower" or name.startswith("ahtower."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return built
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +180,27 @@ def test_verify_depth_zero_is_vacuous(capsys):
     assert "all checks pass" in out
 
 
+def test_verify_builds_each_map_once(capsys, monkeypatch):
+    built = count_builds(monkeypatch)
+    code, _, err = run(capsys, "verify", "--r", "1/2", "--r-prime", "1/3",
+                       "--d", "2", "--depth", "4")
+    assert code == 0, err
+    assert built == Counter({0: 1, 1: 1, 2: 1, 3: 1})
+
+
+def test_arrow_cap_skips_large_levels(monkeypatch):
+    monkeypatch.setattr(ahtower.tower, "ARROW_CAP", 4)
+    built = count_builds(monkeypatch)
+    t = tables_from_cli("1/2", "1/3", d=2, depth=4)   # 1, 4, 16, 64 points
+    maps = lattice_maps(t)
+    assert [cmap is None for cmap in maps] == [False, False, True, True]
+    assert sorted(built) == [0, 1]
+    for report in (verify_tower(t, maps), equivariance_report(t, maps)):
+        assert report.ok, report.first_failure
+        skipped = [e.name for e in report.entries if "skipped" in e.name]
+        assert [name.split()[1] for name in skipped] == ["2", "3"]
+
+
 def test_verify_infinite_regime(capsys):
     code, out, _ = run(capsys, "verify", "--r", "inf", "--r-prime", "inf",
                        "--depth", "3")
@@ -178,13 +222,32 @@ def test_verify_corrupted_tables_file(capsys, tmp_path):
     main(["plan", "--r", "1/2", "--r-prime", "1/3", "--depth", "3",
           "--out", str(path)])
     capsys.readouterr()
-    obj = json.loads(path.read_text())
+    clean = path.read_text()
+    obj = json.loads(clean)
     obj["d"][2] = "477"
     path.write_text(json.dumps(obj))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 3
     assert "invariant violated" in out
     assert "d(3)" in out
+
+    # the next two change only what the parser does not keep
+    def bit_length(obj):
+        obj["bitLengths"]["r"][1] = "999"
+
+    def extra_key(obj):
+        obj["extra"] = "1"
+
+    for corrupt, where in ((bit_length, "$.bitLengths.r[1]"),
+                           (extra_key, "$.extra")):
+        obj = json.loads(clean)
+        corrupt(obj)
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 3, corrupt.__name__
+        assert out.startswith("invariant violated: tables match canonical "
+                              "regeneration")
+        assert where in out
 
 
 def test_verify_witness_file(capsys, tmp_path):
@@ -234,13 +297,22 @@ def test_verify_corrupted_diagram_file(capsys, tmp_path):
     def span_hi(obj):
         obj["maps"][1]["into"]["B"]["spans"][0]["hi"] = "15"
 
-    for corrupt in (multiplicity, arrow_point, span_hi):
+    # the next two change only what the parser does not keep
+    def extra_key(obj):
+        obj["extra"] = "1"
+
+    def extra_map_key(obj):
+        obj["maps"][0]["extra"] = "1"
+
+    for corrupt in (multiplicity, arrow_point, span_hi, extra_key,
+                    extra_map_key):
         obj = json.loads(clean)
         corrupt(obj)
         path.write_text(json.dumps(obj))
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 3, corrupt.__name__
         assert "invariant violated" in out
+    assert "$.maps[0].extra" in out
 
 
 def test_verify_unparseable_file(capsys, tmp_path):

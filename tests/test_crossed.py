@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ahtower.crossed
+import ahtower.tower
 from ahtower.certificates import search_witness
 from ahtower.comparison import ProjectionSymbol, projection_pair
 from ahtower.crossed import (build_crossed_stage, check_crossed_sizes,
@@ -12,7 +12,6 @@ from ahtower.crossed import (build_crossed_stage, check_crossed_sizes,
                              crossed_trace_check)
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, build_tables
-from ahtower.tower import build_connecting_map, multiplicity_matrix
 
 
 def tables_for(r, rp, d=1, depth=4, c=None):
@@ -50,40 +49,30 @@ def test_size_recursion_direct(half_third):
             == half_third.r(n) * 2 ** (n * d) * half_third.l(n + 1) * 2 ** d
 
 
-def test_crossed_map_matches_tower_census(half_third):
-    for n in range(half_third.depth):
-        cross = build_connecting_map(half_third, n, crossed=True)
-        plain = build_connecting_map(half_third, n)
-        assert cross.multiplicity == plain.multiplicity \
-            == multiplicity_matrix(half_third, n)
-        assert cross.spans == plain.spans
-        assert len(cross.arrows) == len(plain.arrows)
-        assert all(a.eval_point is None for a in cross.arrows)
-
-
 def test_check_crossed_sizes_green(half_third):
     report = check_crossed_sizes(half_third)
     assert report.ok, report.first_failure
     names = {e.name for e in report.entries}
     assert "size recursion at level 0" in names
-    assert "arrow census matches the plain tower at level 3" in names
 
 
 def test_check_crossed_sizes_respects_cap(half_third, monkeypatch):
     built = []
+    original = ahtower.tower.build_connecting_map
 
-    def counting(tables, n, crossed=False):
+    def counting(tables, n):
         built.append(n)
-        return build_connecting_map(tables, n, crossed)
+        return original(tables, n)
 
-    monkeypatch.setattr(ahtower.crossed, "build_connecting_map", counting)
-    report = check_crossed_sizes(half_third, arrow_cap=2)
-    assert report.ok
-    skipped = [e for e in report.entries if "skipped" in e.name]
-    # levels 2 and 3 have 4 and 8 lattice points
-    assert len(skipped) == 2
-    # and no map is built for them
-    assert [n for n in built if n >= 2] == []
+    monkeypatch.setattr(ahtower.tower, "ARROW_CAP", 2)
+    monkeypatch.setattr(ahtower.tower, "build_connecting_map", counting)
+    report = check_crossed_sizes(half_third)
+    assert report.ok, report.first_failure
+    # the size recursion needs no map, so a level above the cap
+    # (levels 2 and 3 have 4 and 8 lattice points) is checked, not skipped
+    assert [e.name for e in report.entries] \
+        == [f"size recursion at level {n}" for n in range(half_third.depth)]
+    assert built == []
 
 
 def test_check_crossed_sizes_other_regimes():

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ahtower.tower
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, build_tables
 from ahtower.tower import (STAR, Arrow, ArrowSpan, BlockMatrix, ProjSlot,
                            TorusSlot, build_connecting_map, build_stage,
                            check_unital, compose_multiplicities, expand_arrows,
-                           multiplicity_matrix, verify_tower)
+                           lattice_maps, multiplicity_matrix, verify_tower)
 
 
 def tables_for(r, rp, d=1, depth=5):
@@ -144,15 +145,19 @@ def test_verify_tower_across_regimes():
         build_tables(TargetParams(inf, inf, 2), 3),
     ]
     for t in cases:
-        rep = verify_tower(t)
+        rep = verify_tower(t, lattice_maps(t))
         assert rep.ok, rep.first_failure
 
 
-def test_verify_tower_cap_skips_large_levels():
-    t = tables_for("1/2", "1/2", d=2, depth=3)
-    rep = verify_tower(t, arrow_cap=4)
-    assert rep.ok
-    assert any("skipped" in e.name for e in rep.entries)
+def test_verify_tower_cap_skips_large_levels(monkeypatch):
+    monkeypatch.setattr(ahtower.tower, "ARROW_CAP", 4)
+    t = tables_for("1/2", "1/2", d=2, depth=3)     # 1, 4, 16 points
+    maps = lattice_maps(t)
+    assert [cmap is None for cmap in maps] == [False, False, True]
+    rep = verify_tower(t, maps)
+    assert rep.ok, rep.first_failure
+    skipped = [e.name for e in rep.entries if "skipped" in e.name]
+    assert [name.split()[1] for name in skipped] == ["2"]
 
 
 @given(st.fractions(min_value="1/10", max_value="9/10"),
