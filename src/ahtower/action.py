@@ -10,7 +10,12 @@ permutations, one per level.
 ``check_equivariance`` replays the compatibility between one connecting
 map and the shift: pushing every slot and every evaluation label of the
 map out of stage n forward by the level-n permutation must reproduce the
-map's own census exactly.
+map's own census exactly.  The replay runs on plain tuples: each arrow is
+keyed as (source, kind, slot key, evaluation label), where a lattice
+slot's key is its point and any other slot is its own key.  The
+translation of stage n's lattice is tabulated once per call, so pushing a
+key forward is a dictionary lookup; a point outside the lattice (only a
+tampered map holds one) is reduced mod 2^n by ``apply_point``.
 
 ``outerness_witness`` returns the first level at which g visibly moves a
 slot, which is 1 + min over coordinates of the 2-adic valuation of g; at
@@ -20,12 +25,12 @@ two matrix units supported there are orthogonal.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
 from .report import Checker, CheckReport
-from .tower import (KIND_POINT_EVAL_X, STAR, Arrow, ConnectingMap, StarSlot,
-                    TorusSlot)
+from .tower import KIND_POINT_EVAL_X, ConnectingMap, TorusSlot, torus_lattice
 
 
 @dataclass(frozen=True)
@@ -46,11 +51,6 @@ class LevelPermutation:
 
     def apply_point(self, point: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((p + s) % self.modulus for p, s in zip(point, self.shift))
-
-    def apply(self, slot):
-        if isinstance(slot, TorusSlot):
-            return TorusSlot(self.apply_point(slot.point))
-        return slot
 
 
 def level_permutation(g: tuple[int, ...], level: int) -> LevelPermutation:
@@ -75,29 +75,40 @@ def check_equivariance(cmap: ConnectingMap, g: tuple[int, ...]) -> CheckReport:
     if len(g) != cmap.d:
         raise ValueError(f"g has {len(g)} coordinates, map expects {cmap.d}")
     perm = level_permutation(g, cmap.level)
+    rotated = [[(x + s) % perm.modulus for x in range(perm.modulus)]
+               for s in perm.shift]
+    translate = dict(zip(torus_lattice(cmap.d, cmap.level),
+                         itertools.product(*rotated))).get
+
+    def push(point: tuple[int, ...]) -> tuple[int, ...]:
+        return translate(point) or perm.apply_point(point)
+
     c = Checker()
 
-    def image(arrow: Arrow) -> Arrow:
-        eval_point = arrow.eval_point
-        if arrow.kind == KIND_POINT_EVAL_X and eval_point is not None:
-            eval_point = perm.apply_point(eval_point)
-        return Arrow(arrow.source, arrow.target, arrow.kind,
-                     perm.apply(arrow.slot), eval_point)
-
     for target in ("C", "B"):
-        original = cmap.arrows_into(target)
-        pushed = [image(a) for a in original]
+        original = [(a.source, a.kind,
+                     a.slot.point if isinstance(a.slot, TorusSlot) else a.slot,
+                     a.eval_point)
+                    for a in cmap.arrows if a.target == target]
+        pushed = [(source, kind,
+                   push(slot) if isinstance(slot, tuple) else slot,
+                   push(label)
+                   if kind == KIND_POINT_EVAL_X and label is not None
+                   else label)
+                  for source, kind, slot, label in original]
         missing = Counter(pushed) - Counter(original)
         detail = ""
         if missing:
-            a = next(iter(missing))
-            detail = (f"pushed arrow has no partner: {a.kind} at slot "
-                      f"{a.slot} label {a.eval_point}")
+            _, kind, slot, label = next(iter(missing))
+            if isinstance(slot, tuple):
+                slot = TorusSlot(slot)
+            detail = (f"pushed arrow has no partner: {kind} at slot "
+                      f"{slot} label {label}")
         c.check(f"{target}-target census invariant under shift",
                 not missing and len(pushed) == len(original), detail)
         c.check(f"{target}-target non-lattice arrows fixed pointwise",
-                all(image(a) == a for a in original
-                    if not isinstance(a.slot, TorusSlot)))
+                all(image == key for key, image in zip(original, pushed)
+                    if not isinstance(key[2], tuple)))
     # translation never touches projection slots, so any span census is
     # simply carried along; record that no span hides lattice content
     c.check("projection spans carry no lattice slots",

@@ -67,6 +67,16 @@ class SquareZeroPoly:
                 out[m1 | m2] = out.get(m1 | m2, 0) + c1 * c2
         return SquareZeroPoly.from_dict(self.variables, out)
 
+    def times_one_plus(self, index: int, coefficient: int = 1
+                       ) -> "SquareZeroPoly":
+        """self * (1 + coefficient * x_index), in one pass over the terms."""
+        bit = 1 << (index - 1)
+        out = dict(self.terms)
+        for m, c in self.terms:
+            if not m & bit:
+                out[m | bit] = out.get(m | bit, 0) + coefficient * c
+        return SquareZeroPoly.from_dict(self.variables, out)
+
     @property
     def is_one(self) -> bool:
         return self.terms == ((0, 1),)
@@ -84,21 +94,23 @@ class SquareZeroPoly:
 def chern_min_embedding_rank(k: int) -> int:
     """Least trivial rank into which the k-fold line-bundle product embeds.
 
-    Builds the total class prod(1 + x_i) and its inverse prod(1 - x_i),
-    certifies their product is exactly 1, and reads off that the inverse
-    survives in top degree k with coefficient (-1)^k; a complement inside
-    trivial rank N would need the inverse to vanish above degree N - k,
-    so N = 2k is the least possibility.
+    Builds the inverse prod(1 - x_i) of the total class prod(1 + x_i)
+    one linear factor at a time, and certifies the identity by folding the
+    factors (1 + x_i) into it the same way: the exact product must be 1.
+    The inverse survives in top degree k with coefficient (-1)^k; a
+    complement inside trivial rank N would need the inverse to vanish
+    above degree N - k, so N = 2k is the least possibility.  Each factor
+    costs one pass over at most 2^k terms, so the whole is O(k 2^k).
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    total = SquareZeroPoly.one(k)
     inverse = SquareZeroPoly.one(k)
     for i in range(1, k + 1):
-        total = total.mul(SquareZeroPoly.one(k).add(SquareZeroPoly.linear(k, i)))
-        inverse = inverse.mul(SquareZeroPoly.one(k).add(
-            SquareZeroPoly.linear(k, i, -1)))
-    if not total.mul(inverse).is_one:
+        inverse = inverse.times_one_plus(i, -1)
+    product = inverse
+    for i in range(1, k + 1):
+        product = product.times_one_plus(i)
+    if not product.is_one:
         raise RuntimeError("class inverse failed its defining identity")
     top = inverse.top_degree()
     full_mask = (1 << k) - 1

@@ -21,16 +21,18 @@ def tables_for(r, rp, d=1, depth=4):
 def test_level_zero_is_identity():
     perm = level_permutation((5,), 0)
     assert perm.is_identity
-    assert perm.apply(TorusSlot((0,))) == TorusSlot((0,))
+    assert perm.apply_point((0,)) == (0,)
 
 
 def test_permutation_moves_lattice_only():
     perm = level_permutation((1, 6), 2)       # modulus 4
     assert perm.shift == (1, 2)
-    assert perm.apply(TorusSlot((3, 3))) == TorusSlot((0, 1))
-    from ahtower.tower import STAR, ProjSlot
-    assert perm.apply(STAR) == STAR
-    assert perm.apply(ProjSlot(7)) == ProjSlot(7)
+    assert perm.apply_point((3, 3)) == (0, 1)
+    # the star and projection slots of a map stay put under the shift
+    cmap = build_connecting_map(tables_for("3/4", "1/4", d=2, depth=3), 2)
+    rep = check_equivariance(cmap, (1, 6))
+    fixed = [e for e in rep.entries if "non-lattice" in e.name]
+    assert len(fixed) == 2 and all(e.ok for e in fixed)
 
 
 def test_tower_permutations_shape():
@@ -124,7 +126,7 @@ def test_outerness_level_moves_the_map_slots():
         cmap = build_connecting_map(line if len(g) == 1 else plane, w.level)
         slots = {a.slot for a in cmap.arrows if isinstance(a.slot, TorusSlot)}
         perm = level_permutation(g, cmap.level)
-        assert perm.apply(TorusSlot(w.base_slot)) == TorusSlot(w.moved_slot)
+        assert perm.apply_point(w.base_slot) == w.moved_slot
         assert TorusSlot(w.moved_slot) in slots and w.separated
         for level in range(w.level):
             assert level_permutation(g, level).is_identity

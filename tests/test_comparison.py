@@ -72,6 +72,25 @@ def test_ring_multiplication_commutes(k, data):
     assert a.mul(b) == b.mul(a)
 
 
+@given(st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_times_one_plus_is_the_linear_factor_product(k, data):
+    poly = SquareZeroPoly.from_dict(k, data.draw(st.dictionaries(
+        st.integers(min_value=0, max_value=(1 << k) - 1),
+        st.integers(min_value=-9, max_value=9), max_size=1 << k)))
+    i = data.draw(st.integers(min_value=1, max_value=k))
+    c = data.draw(st.integers(min_value=-5, max_value=5))
+    factor = SquareZeroPoly.one(k).add(SquareZeroPoly.linear(k, i, c))
+    assert poly.times_one_plus(i, c) == poly.mul(factor)
+
+
+def test_chern_needs_no_general_product(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("general product called")
+    monkeypatch.setattr(SquareZeroPoly, "mul", refuse)
+    assert chern_min_embedding_rank(12) == 24
+
+
 def test_chern_rank_doubles():
     for k in range(1, 11):
         assert chern_min_embedding_rank(k) == 2 * k
