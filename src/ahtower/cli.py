@@ -101,7 +101,8 @@ def emit(text: str, out: str | None) -> None:
         print(text)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+            handle.write(text)
+            handle.write("\n")
 
 
 # ----------------------------------------------------------------------

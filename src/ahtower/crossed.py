@@ -70,7 +70,7 @@ def check_crossed_sizes(tables: GrowthTables) -> CheckReport:
         big_next = tables.r(n + 1) * tables.torus_points(n + 1)
         c.check(f"size recursion at level {n}",
                 big_next == big_now * tables.l(n + 1) * 2 ** d,
-                f"{big_next} vs {big_now}*{tables.l(n + 1)}*{2 ** d}")
+                lambda: f"{big_next} vs {big_now}*{tables.l(n + 1)}*{2 ** d}")
     return c.report()
 
 
@@ -122,10 +122,10 @@ def check_upper_bound_gap(tables: GrowthTables, depth: int | None = None
         gamma_gap = tables.gamma(n) - tables.kappa_prime
         torus_term = Fraction(d, 2 * tables.r(n))
         c.check(f"small-row excess nonnegative (n={n})", excess >= 0,
-                f"excess={excess}")
+                lambda: f"excess={excess}")
         c.check(f"small-row excess identity (n={n})",
                 excess == tables.h_prime(n) * gamma_gap + torus_term,
-                f"{excess} vs h'*{gamma_gap} + {torus_term}")
+                lambda: f"{excess} vs h'*{gamma_gap} + {torus_term}")
         window = (tables.gamma(n) * tables.rho(n) - tables.kappa_prime
                   < Fraction(1, tables.l(n)))
         c.check(f"gamma gap inside its window (n={n})",
@@ -136,7 +136,7 @@ def check_upper_bound_gap(tables: GrowthTables, depth: int | None = None
         if previous_c_part is not None:
             c.check(f"big-row part strictly decreasing (n={n})",
                     bound.c_part < previous_c_part,
-                    f"{bound.c_part} vs {previous_c_part}")
+                    lambda: f"{bound.c_part} vs {previous_c_part}")
         previous_c_part = bound.c_part
     return c.report()
 
@@ -173,9 +173,9 @@ def crossed_trace_check(tables: GrowthTables, n: int, M: int,
         big_trace = Fraction(big_rank, tables.r(m) * tables.torus_points(m))
         small_trace = Fraction(small_rank, tables.r(m))
         c.check(f"row traces agree (m={m})", big_trace == small_trace,
-                f"{big_trace} vs {small_trace}")
+                lambda: f"{big_trace} vs {small_trace}")
         for lam in lambdas:
             mixed = lam * big_trace + (1 - lam) * small_trace
             c.check(f"weighted trace lambda={lam} (m={m})",
-                    mixed == expected, f"{mixed} vs {expected}")
+                    mixed == expected, lambda: f"{mixed} vs {expected}")
     return c.report()

@@ -236,7 +236,11 @@ def diagram_from_json_obj(obj: Any) -> DiagramDocument:
 # ----------------------------------------------------------------------
 
 def lattice_index(point: tuple[int, ...], size: int) -> int:
-    """Position of a lattice point in lexicographic enumeration order."""
+    """Position of a lattice point in lexicographic enumeration order.
+
+    >>> lattice_index((1, 2), 4)
+    6
+    """
     index = 0
     for coordinate in point:
         if not 0 <= coordinate < size:
@@ -249,8 +253,22 @@ PROJECTION_STYLE = 'color="black:invis:black"'
 EVAL_STYLE = "style=dotted"
 
 
+def _edge_sources(arrows: tuple[Arrow, ...], n: int) -> list[str]:
+    """The ``"  SOURCE -> "`` prefix of each arrow's edge out of level n."""
+    size = 2 ** n
+    return [f"  C_{n}_{lattice_index(a.slot.point, size)} -> "
+            if a.kind == KIND_POINT_EVAL_X else f"  B_{n} -> "
+            for a in arrows]
+
+
 def render_dot(doc: DiagramDocument) -> str:
-    """Draw the document; deterministic line order, stable node ids."""
+    """Draw the document; deterministic line order, stable node ids.
+
+    A map into level n + 1 gives each of its 2^((n+1)d) C nodes one edge
+    per lattice point of level n, so the drawing has O(4^(nd)) edges.
+    Source ids depend only on the map: they are formatted once per map,
+    and each target node's evaluation edges are written by one join.
+    """
     d = doc.params.d
     out = ["digraph tower {",
            "  rankdir=LR;",
@@ -271,33 +289,27 @@ def render_dot(doc: DiagramDocument) -> str:
     for dmap in doc.maps:
         n = dmap.level
         size = 2 ** n
+        sources = _edge_sources(dmap.into_c.arrows, n)
+        span_tails = [f' [{PROJECTION_STYLE}, label="x{span.count}"];'
+                      for span in dmap.into_c.spans]
         for k_t, w in enumerate(torus_lattice(d, n + 1)):
+            node = f"C_{n + 1}_{k_t}"
             parent = lattice_index(tuple(c % size for c in w), size)
-            for span in dmap.into_c.spans:
-                out.append(f"  C_{n}_{parent} -> C_{n + 1}_{k_t} "
-                           f'[{PROJECTION_STYLE}, label="x{span.count}"];')
-            for arrow in dmap.into_c.arrows:
-                if arrow.kind == KIND_POINT_EVAL_X:
-                    k_s = lattice_index(arrow.slot.point, size)
-                    out.append(f"  C_{n}_{k_s} -> C_{n + 1}_{k_t} "
-                               f"[{EVAL_STYLE}];")
-                else:
-                    out.append(f"  B_{n} -> C_{n + 1}_{k_t} [{EVAL_STYLE}];")
-        for arrow in dmap.into_b.arrows:
-            if arrow.kind == KIND_POINT_EVAL_X:
-                k_s = lattice_index(arrow.slot.point, size)
-                out.append(f"  C_{n}_{k_s} -> B_{n + 1} [{EVAL_STYLE}];")
-            else:
-                out.append(f"  B_{n} -> B_{n + 1} [{EVAL_STYLE}];")
+            out.extend(f"  C_{n}_{parent} -> {node}{tail}"
+                       for tail in span_tails)
+            if sources:
+                tail = f"{node} [{EVAL_STYLE}];"
+                out.append((tail + "\n").join(sources) + tail)
+        tail = f"B_{n + 1} [{EVAL_STYLE}];"
+        out.extend(source + tail
+                   for source in _edge_sources(dmap.into_b.arrows, n))
         for span in dmap.into_b.spans:
-            if span.kind == KIND_COORD_PROJECTION:
-                out.append(f"  B_{n} -> B_{n + 1} "
-                           f'[{PROJECTION_STYLE}, label="x{span.count}"];')
-            else:
-                out.append(f"  B_{n} -> B_{n + 1} "
-                           f'[{EVAL_STYLE}, label="x{span.count}"];')
-    out.append("}")
-    return "\n".join(out) + "\n"
+            style = (PROJECTION_STYLE if span.kind == KIND_COORD_PROJECTION
+                     else EVAL_STYLE)
+            out.append(f"  B_{n} -> B_{n + 1} "
+                       f'[{style}, label="x{span.count}"];')
+    out.append("}\n")
+    return "\n".join(out)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Uniform pass/fail reporting for the verification suites.
 
 Checks never raise on a failed comparison; they accumulate named entries so
-a caller (or the CLI) can count them and name the first violation.
+a caller (or the CLI) can count them and name the first violation.  A
+detail can be passed as a zero-argument callable, so the decimal text of a
+deep table's integers is built only for a check that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -38,9 +41,17 @@ class Checker:
 
     entries: list[CheckEntry] = field(default_factory=list)
 
-    def check(self, name: str, ok: bool, detail: str = "") -> bool:
-        self.entries.append(CheckEntry(name, bool(ok), detail))
-        return bool(ok)
+    def check(self, name: str, ok: bool,
+              detail: str | Callable[[], str] = "") -> bool:
+        """Record one entry; a passing entry keeps no detail, and a
+        callable detail is called only when the check fails."""
+        ok = bool(ok)
+        if ok:
+            detail = ""
+        elif callable(detail):
+            detail = detail()
+        self.entries.append(CheckEntry(name, ok, detail))
+        return ok
 
     def merge(self, other: CheckReport, prefix: str = "") -> None:
         for e in other.entries:

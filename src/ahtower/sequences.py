@@ -519,7 +519,8 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
     t = tables
     rate = derive_kappa(t.params)
     c.check("regime matches params", t.regime == rate.regime)
-    c.check("kappa matches params", t.kappa == rate.kappa, f"kappa={t.kappa}")
+    c.check("kappa matches params", t.kappa == rate.kappa,
+            lambda: f"kappa={t.kappa}")
     c.check("kappa' matches params", t.kappa_prime == rate.kappa_prime)
     c.check("kappa in (0,1)", 0 < t.kappa < 1)
     c.check("kappa' in (0, kappa]", 0 < t.kappa_prime <= t.kappa)
@@ -551,7 +552,7 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
                 Fraction(t.d(n), t.d(n) + pad) > target
                 and (t.d(n) == 1
                      or not Fraction(t.d(n) - 1, t.d(n) - 1 + pad) > target),
-                f"d({n}) has {t.d(n).bit_length()} bits")
+                lambda: f"d({n}) has {t.d(n).bit_length()} bits")
         c.check(f"l({n}) = d({n}) + 1 + 2^(dn-d)", t.l(n) == t.d(n) + pad)
         c.check(f"r({n}) multiplicative", t.r(n) == t.r(n - 1) * t.l(n))
         c.check(f"s({n}) multiplicative", t.s(n) == t.s(n - 1) * t.d(n))
@@ -580,7 +581,7 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
                 t.gamma(n) == Fraction(t.s_prime(n), t.r(n)))
         gap = t.gamma(n) * t.rho(n) - t.kappa_prime
         c.check(f"gamma*rho window at {n}",
-                0 <= gap < Fraction(1, t.l(n)), f"gap={gap}")
+                0 <= gap < Fraction(1, t.l(n)), lambda: f"gap={gap}")
 
     c.check("d nondecreasing",
             all(t.d(n) <= t.d(n + 1) for n in range(1, t.depth)))

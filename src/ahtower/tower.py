@@ -269,7 +269,7 @@ def check_unital(tables: GrowthTables, cmap: ConnectingMap) -> CheckReport:
     pts = tables.torus_points(n)
     c.check(f"r({n})*l({n + 1}) = r({n + 1})",
             tables.r(n) * l_next == tables.r(n + 1),
-            f"{tables.r(n)}*{l_next}")
+            lambda: f"{tables.r(n)}*{l_next}")
 
     lattice = set(torus_lattice(cmap.d, n))
     for target in (BLOCK_C, BLOCK_B):
@@ -277,7 +277,7 @@ def check_unital(tables: GrowthTables, cmap: ConnectingMap) -> CheckReport:
         spans = cmap.spans_into(target)
         total = len(singles) + sum(s.count for s in spans)
         c.check(f"{target}-target total l({n + 1})", total == l_next,
-                f"total {total} vs l({n + 1}) = {l_next}")
+                lambda: f"total {total} vs l({n + 1}) = {l_next}")
 
         torus_slots = [a.slot.point for a in singles
                        if isinstance(a.slot, TorusSlot)]
@@ -307,7 +307,7 @@ def check_unital(tables: GrowthTables, cmap: ConnectingMap) -> CheckReport:
             if d_next > dp_next:
                 want[KIND_POINT_EVAL_Y] = d_next - dp_next
         c.check(f"{target}-target census", by_kind == want,
-                f"{by_kind} vs {want}")
+                lambda: f"{by_kind} vs {want}")
         c.check(f"{target}-target sources",
                 all(a.source == BLOCK_C for a in singles
                     if a.kind == KIND_POINT_EVAL_X)
@@ -318,8 +318,9 @@ def check_unital(tables: GrowthTables, cmap: ConnectingMap) -> CheckReport:
                 and all(s.source == BLOCK_B for s in spans
                         if s.kind == KIND_POINT_EVAL_Y))
         c.check(f"{target}-target evaluation labels",
-                all(a.eval_point == a.slot.point for a in singles
-                    if a.kind == KIND_POINT_EVAL_X))
+                all(a.eval_point == a.slot.point
+                    if a.kind == KIND_POINT_EVAL_X else a.eval_point is None
+                    for a in singles))
 
     want_mult = multiplicity_matrix(tables, n)
     c.check("multiplicity matrix matches census",

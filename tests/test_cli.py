@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from collections import Counter
 
@@ -199,6 +200,16 @@ def test_arrow_cap_skips_large_levels(monkeypatch):
         assert report.ok, report.first_failure
         skipped = [e.name for e in report.entries if "skipped" in e.name]
         assert [name.split()[1] for name in skipped] == ["2", "3"]
+
+
+def test_verify_runs_past_the_digit_limit(capsys):
+    # r(14) has about 12,000 decimal digits, past CPython's default
+    # int->str limit; a passing check must not format it
+    r = tables_from_cli("1/2", "1/3", d=1, depth=14).r(14)
+    assert r.bit_length() * math.log10(2) > sys.get_int_max_str_digits() > 0
+    code, out, err = run(capsys, "verify", "--d", "1", "--depth", "14")
+    assert (code, err) == (0, "")
+    assert out.endswith("all checks pass\n")
 
 
 def test_verify_infinite_regime(capsys):

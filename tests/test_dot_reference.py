@@ -1,0 +1,151 @@
+"""Differential test: ``render_dot`` against the per-edge renderer it
+replaced, byte for byte, on clean, reparsed and rearranged documents."""
+
+import dataclasses
+import functools
+import json
+
+import pytest
+
+from ahtower.diagram import (EVAL_STYLE, PROJECTION_STYLE,
+                             build_diagram_document, diagram_from_json_obj,
+                             diagram_to_json_obj, lattice_index, render_dot)
+from ahtower.sequences import tables_from_cli
+from ahtower.tower import (KIND_COORD_PROJECTION, KIND_POINT_EVAL_X,
+                           KIND_STAR_EVAL, TorusSlot, torus_lattice)
+
+
+def reference_render_dot(doc):
+    """The per-edge renderer: one f-string and one lookup per edge."""
+    d = doc.params.d
+    out = ["digraph tower {",
+           "  rankdir=LR;",
+           "  node [shape=box, fontsize=10];"]
+    for stage in doc.stages:
+        n = stage.level
+        out.append(f"  subgraph cluster_L{n}_C {{")
+        out.append(f'    label="level {n} C row";')
+        size_label = f"M={stage.c_matrix_size}"
+        for k, z in enumerate(torus_lattice(d, n)):
+            zs = ",".join(str(c) for c in z)
+            out.append(f'    C_{n}_{k} [label="z=({zs})\\n{size_label}"];')
+        out.append("  }")
+        out.append(f"  subgraph cluster_L{n}_B {{")
+        out.append(f'    label="level {n} B row";')
+        out.append(f'    B_{n} [label="M={stage.b_matrix_size}"];')
+        out.append("  }")
+    for dmap in doc.maps:
+        n = dmap.level
+        size = 2 ** n
+        for k_t, w in enumerate(torus_lattice(d, n + 1)):
+            parent = lattice_index(tuple(c % size for c in w), size)
+            for span in dmap.into_c.spans:
+                out.append(f"  C_{n}_{parent} -> C_{n + 1}_{k_t} "
+                           f'[{PROJECTION_STYLE}, label="x{span.count}"];')
+            for arrow in dmap.into_c.arrows:
+                if arrow.kind == KIND_POINT_EVAL_X:
+                    k_s = lattice_index(arrow.slot.point, size)
+                    out.append(f"  C_{n}_{k_s} -> C_{n + 1}_{k_t} "
+                               f"[{EVAL_STYLE}];")
+                else:
+                    out.append(f"  B_{n} -> C_{n + 1}_{k_t} [{EVAL_STYLE}];")
+        for arrow in dmap.into_b.arrows:
+            if arrow.kind == KIND_POINT_EVAL_X:
+                k_s = lattice_index(arrow.slot.point, size)
+                out.append(f"  C_{n}_{k_s} -> B_{n + 1} [{EVAL_STYLE}];")
+            else:
+                out.append(f"  B_{n} -> B_{n + 1} [{EVAL_STYLE}];")
+        for span in dmap.into_b.spans:
+            if span.kind == KIND_COORD_PROJECTION:
+                out.append(f"  B_{n} -> B_{n + 1} "
+                           f'[{PROJECTION_STYLE}, label="x{span.count}"];')
+            else:
+                out.append(f"  B_{n} -> B_{n + 1} "
+                           f'[{EVAL_STYLE}, label="x{span.count}"];')
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+REGIMES = [("1/2", "1/3"), ("inf", "1/3"), ("inf", "inf")]
+SETTINGS = [(1, 5), (2, 3), (3, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def tables(r, r_prime, d, depth):
+    return tables_from_cli(r, r_prime, d, depth)
+
+
+def bands(depth):
+    return [(lo, hi) for lo in range(depth + 1) for hi in range(lo, depth + 1)]
+
+
+def assert_same(doc):
+    assert render_dot(doc) == reference_render_dot(doc)
+
+
+@pytest.mark.parametrize("r, r_prime", REGIMES)
+@pytest.mark.parametrize("d, depth", SETTINGS)
+def test_every_band_matches_reference(r, r_prime, d, depth):
+    t = tables(r, r_prime, d, depth)
+    for lo, hi in bands(depth):
+        assert_same(build_diagram_document(t, lo, hi))
+
+
+@pytest.mark.parametrize("d, depth", SETTINGS)
+def test_reparsed_document_matches_reference(d, depth):
+    doc = build_diagram_document(tables("1/2", "1/3", d, depth), 1, depth)
+    parsed = diagram_from_json_obj(
+        json.loads(json.dumps(diagram_to_json_obj(doc))))
+    assert parsed == doc
+    assert_same(parsed)
+
+
+def rearranged(doc, order):
+    """``doc`` with every map's C-target arrows put in another order."""
+    maps = tuple(dataclasses.replace(
+        m, into_c=dataclasses.replace(m.into_c,
+                                      arrows=tuple(order(m.into_c.arrows))))
+        for m in doc.maps)
+    return dataclasses.replace(doc, maps=maps)
+
+
+def star_first(arrows):
+    return sorted(arrows, key=lambda a: a.kind != KIND_STAR_EVAL)
+
+
+@pytest.mark.parametrize("order", [star_first, lambda a: a[::-1],
+                                   lambda a: ()],
+                         ids=["star first", "reversed", "empty"])
+@pytest.mark.parametrize("d, depth", SETTINGS)
+def test_rearranged_arrows_match_reference(order, d, depth):
+    doc = rearranged(
+        build_diagram_document(tables("1/2", "1/3", d, depth)), order)
+    assert_same(doc)
+
+
+def test_rearrangements_change_the_drawing():
+    # the cases above exercise other line orders, not the default one again
+    doc = build_diagram_document(tables("1/2", "1/3", 1, 3))
+    drawings = {render_dot(rearranged(doc, order))
+                for order in (tuple, star_first, lambda a: a[::-1],
+                              lambda a: ())}
+    assert len(drawings) == 4
+
+
+@pytest.mark.parametrize("target", ["into_c", "into_b"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_point_outside_the_lattice_raises_in_both(target, d):
+    doc = build_diagram_document(tables("1/2", "1/3", d, 3))
+    m = doc.maps[2]
+    bucket = getattr(m, target)
+    i = next(i for i, a in enumerate(bucket.arrows)
+             if a.kind == KIND_POINT_EVAL_X)
+    arrows = list(bucket.arrows)
+    arrows[i] = dataclasses.replace(arrows[i],
+                                    slot=TorusSlot((2 ** m.level,) * d))
+    bad = dataclasses.replace(m, **{target: dataclasses.replace(
+        bucket, arrows=tuple(arrows))})
+    doc = dataclasses.replace(doc, maps=doc.maps[:2] + (bad,))
+    for renderer in (render_dot, reference_render_dot):
+        with pytest.raises(ValueError, match="outside"):
+            renderer(doc)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahtower.rational import ExtendedRational
+from ahtower.report import Checker
 from ahtower.sequences import (GrowthTables, TargetParams, build_tables,
                                choose_h, derive_kappa, generate_d,
                                generate_d_prime, least_k_ratio_exceeds,
@@ -254,6 +255,29 @@ def test_verify_tables_catches_corruption():
     rep = verify_tables(bad)
     assert not rep.ok
     assert "d(2) minimal" == rep.first_failure.name
+
+
+def test_failing_check_carries_its_detail():
+    t = build_tables(ff("1/2", "1/3"), 3)
+    rep = verify_tables(dataclasses.replace(t, kappa=Fraction(1, 3)))
+    bad = rep.first_failure
+    assert (bad.name, bad.detail) == ("kappa matches params", "kappa=1/3")
+
+
+def test_checker_formats_details_only_on_failure():
+    calls = []
+
+    def detail():
+        calls.append(1)
+        return "formatted"
+
+    c = Checker()
+    assert c.check("passes", True, detail)
+    assert not c.check("fails", False, detail)
+    assert not c.check("plain", False, "as given")
+    assert calls == [1]
+    assert [(e.name, e.detail) for e in c.report().entries] \
+        == [("passes", ""), ("fails", "formatted"), ("plain", "as given")]
 
 
 def test_tables_json_round_trip():

@@ -85,6 +85,19 @@ def test_check_unital_catches_deleted_arrow(half_third):
     assert "18" in bad.detail and "19" in bad.detail
 
 
+@pytest.mark.parametrize("target", ["C", "B"])
+def test_check_unital_catches_label_on_star_arrow(half_third, target):
+    cmap = build_connecting_map(half_third, 2)
+    arrows = list(cmap.arrows)
+    i = next(i for i, a in enumerate(arrows)
+             if a.kind == "starEval" and a.target == target)
+    arrows[i] = dataclasses.replace(arrows[i], eval_point=(3,))
+    rep = check_unital(half_third,
+                       dataclasses.replace(cmap, arrows=tuple(arrows)))
+    assert [e.name for e in rep.entries if not e.ok] \
+        == [f"{target}-target evaluation labels"]
+
+
 def test_check_unital_catches_span_gap(half_third):
     cmap = build_connecting_map(half_third, 1)
     spans = tuple(dataclasses.replace(s, lo=2) if s.target == "C" else s
