@@ -97,12 +97,15 @@ def tables_from_args(args: argparse.Namespace) -> GrowthTables:
 
 
 def emit(text: str, out: str | None) -> None:
+    """Write ``text`` to ``out`` (stdout if None), ending in one newline
+    that is added only when the text lacks it."""
+    end = "" if text.endswith("\n") else "\n"
     if out is None:
-        print(text)
+        print(text, end=end)
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-            handle.write("\n")
+            handle.write(end)
 
 
 # ----------------------------------------------------------------------
@@ -137,8 +140,7 @@ def cmd_chern(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     tables = tables_from_args(args)
-    emit(export_diagram(tables, 0, tables.depth, args.format).rstrip("\n"),
-         args.out)
+    emit(export_diagram(tables, 0, tables.depth, args.format), args.out)
     return 0
 
 
@@ -155,12 +157,9 @@ def standard_generators(d: int) -> list[tuple[int, ...]]:
 
 
 def equivariance_report(tables: GrowthTables,
-                        maps: tuple[ConnectingMap | None, ...]) -> CheckReport:
+                        maps: tuple[ConnectingMap, ...]) -> CheckReport:
     c = Checker()
-    for n, cmap in enumerate(maps):
-        if cmap is None:
-            c.check(f"map {n} equivariance skipped (census above cap)", True)
-            continue
+    for cmap in maps:
         for g in standard_generators(tables.params.d):
             c.merge(check_equivariance(cmap, g), prefix=f"g={g} ")
     return c.report()

@@ -19,23 +19,33 @@ coordinate projections or further point evaluations of the B row:
 d(n+1) projections into the C row; into the B row, projections on slots
 1..d'(n+1) and point evaluations on the remaining d(n+1)-d'(n+1) slots.
 
-Projection-slot arrows are stored as index spans (lo..hi), never expanded
-by default: d(n+1) reaches 10^23 within six levels, so a per-slot list is
-representable only at toy depth.  ``expand_arrows`` materializes the slots
-when the census is small enough to enumerate.
+Projection-slot arrows are stored as index spans (lo..hi), never expanded:
+d(n+1) reaches 10^23 within six levels, so a per-slot list is
+representable only at toy depth.
+
+The lattice and star arrows are a pure function of (d, n), so a built map
+holds them as a description, ``LatticeArrows(d, n)``: it reads as the
+sequence of 2 * (2^(nd) + 1) ``Arrow``s, one full diagonal run of
+labelled ``pointEvalX`` arrows and one star arrow per target row, and
+makes each ``Arrow`` only when it is read.  ``check_unital`` checks a map
+whose description matches its own (d, level) from the description, in
+time independent of 2^(nd): such a run covers every lattice slot once,
+with its own label, from the C row.  Any other arrow sequence (an explicit
+tuple, which only an edited map holds, or a description of another
+lattice) is checked arrow by arrow.
 
 Multiplicity bookkeeping is a 2x2 integer matrix of (source, target) path
 counts whose per-target totals are l(n+1); composing the matrices along
 levels m..n gives per-target totals r(n)/r(m).
 
-Each lattice point costs one arrow per target row, so the check suites
-share one build of each map: ``lattice_maps`` builds the map out of every
-level whose lattice is within the cap.
+The check suites share one build of each map: ``lattice_maps`` builds the
+map out of every level once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,11 +59,6 @@ KIND_POINT_EVAL_X = "pointEvalX"
 KIND_POINT_EVAL_Y = "pointEvalY"
 KIND_STAR_EVAL = "starEval"
 KIND_COORD_PROJECTION = "coordProjection"
-
-EXPAND_LIMIT = 1 << 20
-
-# largest lattice (points per row) whose map ``lattice_maps`` builds
-ARROW_CAP = 1 << 16
 
 
 # ----------------------------------------------------------------------
@@ -76,11 +81,6 @@ STAR = StarSlot()
 
 
 @dataclass(frozen=True)
-class ProjSlot:
-    index: int
-
-
-@dataclass(frozen=True)
 class Arrow:
     """One slot of a connecting map: source block, target block, kind.
 
@@ -91,7 +91,7 @@ class Arrow:
     source: str
     target: str
     kind: str
-    slot: TorusSlot | StarSlot | ProjSlot
+    slot: TorusSlot | StarSlot
     eval_point: tuple[int, ...] | None = None
 
 
@@ -108,6 +108,63 @@ class ArrowSpan:
     @property
     def count(self) -> int:
         return self.hi - self.lo + 1
+
+
+@dataclass(frozen=True)
+class LatticeArrows(Sequence):
+    """The lattice and star arrows of the map out of stage ``level``.
+
+    It reads as a sequence of ``Arrow``: into the C row and then into the
+    B row, the ``pointEvalX`` arrow of every z in Z_{2^level}^d, in
+    lexicographic order and labelled z, followed by the star arrow.  An
+    ``Arrow`` is made only when it is read; slicing and ``+`` give tuples.
+
+    >>> arrows = LatticeArrows(d=1, level=1)
+    >>> len(arrows), arrows[1].eval_point, arrows[-1].target
+    (6, (1,), 'B')
+    >>> [a.kind for a in arrows[:3]]
+    ['pointEvalX', 'pointEvalX', 'starEval']
+    """
+
+    d: int
+    level: int
+
+    @property
+    def points(self) -> int:
+        """Lattice points per target row."""
+        return 2 ** (self.d * self.level)
+
+    def into(self, target: str) -> list[Arrow]:
+        """The arrows into ``target``, in sequence order."""
+        if target not in (BLOCK_C, BLOCK_B):
+            return []
+        arrows = [Arrow(BLOCK_C, target, KIND_POINT_EVAL_X, TorusSlot(z), z)
+                  for z in torus_lattice(self.d, self.level)]
+        arrows.append(Arrow(BLOCK_B, target, KIND_STAR_EVAL, STAR))
+        return arrows
+
+    def __len__(self) -> int:
+        return 2 * (self.points + 1)
+
+    def __iter__(self):
+        for target in (BLOCK_C, BLOCK_B):
+            yield from self.into(target)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        row, k = divmod(range(len(self))[index], self.points + 1)
+        target = (BLOCK_C, BLOCK_B)[row]
+        if k == self.points:
+            return Arrow(BLOCK_B, target, KIND_STAR_EVAL, STAR)
+        side = 2 ** self.level
+        z = tuple(k // side ** e % side for e in reversed(range(self.d)))
+        return Arrow(BLOCK_C, target, KIND_POINT_EVAL_X, TorusSlot(z), z)
+
+    def __add__(self, other):
+        if isinstance(other, (tuple, LatticeArrows)):
+            return tuple(self) + tuple(other)
+        return NotImplemented
 
 
 # ----------------------------------------------------------------------
@@ -197,11 +254,19 @@ class ConnectingMap:
 
     level: int
     d: int
-    arrows: tuple[Arrow, ...]
+    arrows: LatticeArrows | tuple[Arrow, ...]
     spans: tuple[ArrowSpan, ...]
     multiplicity: BlockMatrix
 
-    def arrows_into(self, target: str):
+    @property
+    def described(self) -> bool:
+        """Whether ``arrows`` is the description of this map's own lattice
+        (true of every built map; an edited map holds a tuple)."""
+        return self.arrows == LatticeArrows(self.d, self.level)
+
+    def arrows_into(self, target: str) -> list[Arrow]:
+        if isinstance(self.arrows, LatticeArrows):
+            return self.arrows.into(target)
         return [a for a in self.arrows if a.target == target]
 
     def spans_into(self, target: str):
@@ -218,42 +283,20 @@ def build_connecting_map(tables: GrowthTables, n: int) -> ConnectingMap:
         raise ValueError(f"no connecting map out of level {n}")
     d = tables.params.d
     d_next, dp_next = tables.d(n + 1), tables.d_prime(n + 1)
-    arrows: list[Arrow] = []
-    spans: list[ArrowSpan] = []
-    for target in (BLOCK_C, BLOCK_B):
-        for z in torus_lattice(d, n):
-            arrows.append(Arrow(BLOCK_C, target, KIND_POINT_EVAL_X,
-                                TorusSlot(z), z))
-        arrows.append(Arrow(BLOCK_B, target, KIND_STAR_EVAL, STAR))
-    spans.append(ArrowSpan(BLOCK_C, BLOCK_C, KIND_COORD_PROJECTION, 1, d_next))
+    spans = [ArrowSpan(BLOCK_C, BLOCK_C, KIND_COORD_PROJECTION, 1, d_next)]
     if dp_next < d_next:
         spans.append(ArrowSpan(BLOCK_B, BLOCK_B, KIND_POINT_EVAL_Y,
                                dp_next + 1, d_next))
     spans.append(ArrowSpan(BLOCK_B, BLOCK_B, KIND_COORD_PROJECTION, 1, dp_next))
-    return ConnectingMap(level=n, d=d, arrows=tuple(arrows),
+    return ConnectingMap(level=n, d=d, arrows=LatticeArrows(d, n),
                          spans=tuple(spans),
                          multiplicity=multiplicity_matrix(tables, n))
 
 
-def lattice_maps(tables: GrowthTables) -> tuple[ConnectingMap | None, ...]:
-    """The map out of each level, or None where the lattice of that level
-    is above the cap."""
-    return tuple(build_connecting_map(tables, n)
-                 if tables.torus_points(n) <= ARROW_CAP else None
-                 for n in range(tables.depth))
-
-
-def expand_arrows(cmap: ConnectingMap, target: str) -> list[Arrow]:
-    """Materialize every slot arrow into ``target``, spans included."""
-    total = len(cmap.arrows_into(target)) + \
-        sum(s.count for s in cmap.spans_into(target))
-    if total > EXPAND_LIMIT:
-        raise ValueError(f"{total} slots will not be expanded (limit {EXPAND_LIMIT})")
-    out = list(cmap.arrows_into(target))
-    for span in cmap.spans_into(target):
-        out.extend(Arrow(span.source, span.target, span.kind, ProjSlot(j))
-                   for j in range(span.lo, span.hi + 1))
-    return out
+def lattice_maps(tables: GrowthTables) -> tuple[ConnectingMap, ...]:
+    """The map out of each level, built once for the check suites to
+    share."""
+    return tuple(build_connecting_map(tables, n) for n in range(tables.depth))
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +304,13 @@ def expand_arrows(cmap: ConnectingMap, target: str) -> list[Arrow]:
 # ----------------------------------------------------------------------
 
 def check_unital(tables: GrowthTables, cmap: ConnectingMap) -> CheckReport:
-    """Slot totals, slot coverage, census, and the size recursion."""
+    """Slot totals, slot coverage, census, and the size recursion.
+
+    A described map's lattice and star arrows are read off its description
+    (one full labelled run from the C row and one star arrow from the B
+    row per target); any other map's are counted arrow by arrow.  Both
+    record the same entries.
+    """
     n = cmap.level
     c = Checker()
     l_next = tables.l(n + 1)
@@ -271,21 +320,39 @@ def check_unital(tables: GrowthTables, cmap: ConnectingMap) -> CheckReport:
             tables.r(n) * l_next == tables.r(n + 1),
             lambda: f"{tables.r(n)}*{l_next}")
 
-    lattice = set(torus_lattice(cmap.d, n))
+    described = cmap.described
+    lattice = None if described else set(torus_lattice(cmap.d, n))
     for target in (BLOCK_C, BLOCK_B):
-        singles = cmap.arrows_into(target)
         spans = cmap.spans_into(target)
-        total = len(singles) + sum(s.count for s in spans)
+        if described:
+            points = cmap.arrows.points
+            singles_count = points + 1
+            by_kind = {KIND_POINT_EVAL_X: points, KIND_STAR_EVAL: 1}
+            lattice_once = star_once = sources_ok = labels_ok = True
+        else:
+            singles = cmap.arrows_into(target)
+            singles_count = len(singles)
+            torus_slots = [a.slot.point for a in singles
+                           if isinstance(a.slot, TorusSlot)]
+            lattice_once = (sorted(torus_slots) == sorted(lattice)
+                            and len(torus_slots) == len(set(torus_slots)))
+            star_once = sum(1 for a in singles
+                            if isinstance(a.slot, StarSlot)) == 1
+            by_kind = {}
+            for a in singles:
+                by_kind[a.kind] = by_kind.get(a.kind, 0) + 1
+            sources_ok = (all(a.source == BLOCK_C for a in singles
+                              if a.kind == KIND_POINT_EVAL_X)
+                          and all(a.source == BLOCK_B for a in singles
+                                  if a.kind == KIND_STAR_EVAL))
+            labels_ok = all(a.eval_point == a.slot.point
+                            if a.kind == KIND_POINT_EVAL_X
+                            else a.eval_point is None for a in singles)
+        total = singles_count + sum(s.count for s in spans)
         c.check(f"{target}-target total l({n + 1})", total == l_next,
                 lambda: f"total {total} vs l({n + 1}) = {l_next}")
-
-        torus_slots = [a.slot.point for a in singles
-                       if isinstance(a.slot, TorusSlot)]
-        c.check(f"{target}-target lattice slots covered once",
-                sorted(torus_slots) == sorted(lattice)
-                and len(torus_slots) == len(set(torus_slots)))
-        c.check(f"{target}-target star slot covered once",
-                sum(1 for a in singles if isinstance(a.slot, StarSlot)) == 1)
+        c.check(f"{target}-target lattice slots covered once", lattice_once)
+        c.check(f"{target}-target star slot covered once", star_once)
         runs = sorted((s.lo, s.hi) for s in spans)
         disjoint = all(a[1] < b[0] for a, b in zip(runs, runs[1:]))
         complete = (not runs) if d_next == 0 else (
@@ -294,9 +361,6 @@ def check_unital(tables: GrowthTables, cmap: ConnectingMap) -> CheckReport:
         c.check(f"{target}-target projection slots covered once",
                 disjoint and complete and all(s.lo <= s.hi for s in spans))
 
-        by_kind: dict[str, int] = {}
-        for a in singles:
-            by_kind[a.kind] = by_kind.get(a.kind, 0) + 1
         for s in spans:
             by_kind[s.kind] = by_kind.get(s.kind, 0) + s.count
         want = {KIND_POINT_EVAL_X: pts, KIND_STAR_EVAL: 1}
@@ -309,18 +373,12 @@ def check_unital(tables: GrowthTables, cmap: ConnectingMap) -> CheckReport:
         c.check(f"{target}-target census", by_kind == want,
                 lambda: f"{by_kind} vs {want}")
         c.check(f"{target}-target sources",
-                all(a.source == BLOCK_C for a in singles
-                    if a.kind == KIND_POINT_EVAL_X)
-                and all(a.source == BLOCK_B for a in singles
-                        if a.kind == KIND_STAR_EVAL)
+                sources_ok
                 and all(s.source == (BLOCK_C if target == BLOCK_C else BLOCK_B)
                         for s in spans if s.kind == KIND_COORD_PROJECTION)
                 and all(s.source == BLOCK_B for s in spans
                         if s.kind == KIND_POINT_EVAL_Y))
-        c.check(f"{target}-target evaluation labels",
-                all(a.eval_point == a.slot.point
-                    if a.kind == KIND_POINT_EVAL_X else a.eval_point is None
-                    for a in singles))
+        c.check(f"{target}-target evaluation labels", labels_ok)
 
     want_mult = multiplicity_matrix(tables, n)
     c.check("multiplicity matrix matches census",
@@ -331,11 +389,10 @@ def check_unital(tables: GrowthTables, cmap: ConnectingMap) -> CheckReport:
 
 
 def verify_tower(tables: GrowthTables,
-                 maps: tuple[ConnectingMap | None, ...]) -> CheckReport:
+                 maps: tuple[ConnectingMap, ...]) -> CheckReport:
     """Stage shapes, every connecting map, and all composed multiplicities.
 
-    ``maps`` comes from ``lattice_maps``; a level without a map is checked
-    on multiplicities only, and the skip is recorded in the report.
+    ``maps`` comes from ``lattice_maps``.
     """
     c = Checker()
     for n in range(tables.depth + 1):
@@ -348,12 +405,6 @@ def verify_tower(tables: GrowthTables,
                 and stage.c_block.base_dimension % 2 == 0
                 and stage.b_block.base_dimension % 2 == 0)
     for n, cmap in enumerate(maps):
-        if cmap is None:
-            c.check(f"map {n} slot checks skipped (census above cap)", True)
-            want = multiplicity_matrix(tables, n)
-            c.check(f"map {n} multiplicity totals",
-                    set(want.into_totals().values()) == {tables.l(n + 1)})
-            continue
         c.merge(check_unital(tables, cmap), prefix=f"map {n}: ")
     for m in range(tables.depth + 1):
         for n in range(m, tables.depth + 1):

@@ -6,9 +6,10 @@ from collections import Counter
 import pytest
 
 import ahtower.tower
-from ahtower.cli import equivariance_report, main
+from ahtower.action import check_equivariance
+from ahtower.cli import main, run_suites, standard_generators
 from ahtower.sequences import tables_from_cli
-from ahtower.tower import lattice_maps, verify_tower
+from ahtower.tower import build_connecting_map
 
 
 def run(capsys, *argv):
@@ -189,17 +190,20 @@ def test_verify_builds_each_map_once(capsys, monkeypatch):
     assert built == Counter({0: 1, 1: 1, 2: 1, 3: 1})
 
 
-def test_arrow_cap_skips_large_levels(monkeypatch):
-    monkeypatch.setattr(ahtower.tower, "ARROW_CAP", 4)
-    built = count_builds(monkeypatch)
-    t = tables_from_cli("1/2", "1/3", d=2, depth=4)   # 1, 4, 16, 64 points
-    maps = lattice_maps(t)
-    assert [cmap is None for cmap in maps] == [False, False, True, True]
-    assert sorted(built) == [0, 1]
-    for report in (verify_tower(t, maps), equivariance_report(t, maps)):
-        assert report.ok, report.first_failure
-        skipped = [e.name for e in report.entries if "skipped" in e.name]
-        assert [name.split()[1] for name in skipped] == ["2", "3"]
+def test_verify_checks_every_level_in_full():
+    # level 6 at d=3 has 262,144 lattice points per row; it is checked
+    # in full, not skipped
+    t = tables_from_cli("1/2", "1/3", d=3, depth=7)
+    suites = dict(run_suites(t))
+    assert not [e.name for report in suites.values()
+                for e in report.entries if "skipped" in e.name]
+    assert all(report.ok for report in suites.values())
+    cmap = build_connecting_map(t, 6)
+    action = suites["action"]
+    per_map = [f"g={g} " + e.name for g in standard_generators(3)
+               for e in check_equivariance(cmap, g).entries]
+    assert len(action.entries) == 7 * len(per_map)
+    assert [e.name for e in action.entries[-len(per_map):]] == per_map
 
 
 def test_verify_runs_past_the_digit_limit(capsys):

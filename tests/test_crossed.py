@@ -64,12 +64,11 @@ def test_check_crossed_sizes_respects_cap(half_third, monkeypatch):
         built.append(n)
         return original(tables, n)
 
-    monkeypatch.setattr(ahtower.tower, "ARROW_CAP", 2)
     monkeypatch.setattr(ahtower.tower, "build_connecting_map", counting)
     report = check_crossed_sizes(half_third)
     assert report.ok, report.first_failure
-    # the size recursion needs no map, so a level above the cap
-    # (levels 2 and 3 have 4 and 8 lattice points) is checked, not skipped
+    # the size recursion needs no map, so every level is checked without
+    # building one
     assert [e.name for e in report.entries] \
         == [f"size recursion at level {n}" for n in range(half_third.depth)]
     assert built == []

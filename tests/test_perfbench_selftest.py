@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,3 +16,25 @@ def test_benchmark_selftest_passes():
                           cwd=ROOT, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+
+def load_perfbench_module(monkeypatch, name):
+    """Import ``perfbench/<name>.py`` under its own name for one test; the
+    tests' own ``oracle`` module shares that name, so it is set aside."""
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_moved_label_control_reports_no_problem(monkeypatch):
+    # the benchmark's tamper control edits a built map's arrows; for every
+    # generator and label it picks, the untouched map must pass and the
+    # edited one fail
+    load_perfbench_module(monkeypatch, "oracle")
+    controls = load_perfbench_module(monkeypatch, "controls")
+    for seed in range(20):
+        assert controls.moved_label(random.Random(seed)) == []

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ahtower.tower
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, build_tables
-from ahtower.tower import (STAR, Arrow, ArrowSpan, BlockMatrix, ProjSlot,
-                           TorusSlot, build_connecting_map, build_stage,
-                           check_unital, compose_multiplicities, expand_arrows,
-                           lattice_maps, multiplicity_matrix, verify_tower)
+from ahtower.tower import (STAR, ArrowSpan, BlockMatrix, TorusSlot,
+                           build_connecting_map, build_stage, check_unital,
+                           compose_multiplicities, lattice_maps,
+                           multiplicity_matrix, verify_tower)
 
 
 def tables_for(r, rp, d=1, depth=5):
@@ -117,15 +116,6 @@ def test_check_unital_catches_wrong_matrix(half_third):
                for e in rep.entries)
 
 
-def test_expand_arrows(half_third):
-    cmap = build_connecting_map(half_third, 0)
-    full = expand_arrows(cmap, "C")
-    assert len(full) == half_third.l(1) == 5
-    assert full[-1] == Arrow("C", "C", "coordProjection", ProjSlot(3))
-    with pytest.raises(ValueError):
-        expand_arrows(build_connecting_map(half_third, 4), "C")  # d(5) is huge
-
-
 def test_multiplicity_examples(half_third):
     assert multiplicity_matrix(half_third, 0).as_nested() == [[4, 1], [1, 4]]
     assert compose_multiplicities(half_third, 0, 1).as_nested() == [[4, 1], [1, 4]]
@@ -162,15 +152,17 @@ def test_verify_tower_across_regimes():
         assert rep.ok, rep.first_failure
 
 
-def test_verify_tower_cap_skips_large_levels(monkeypatch):
-    monkeypatch.setattr(ahtower.tower, "ARROW_CAP", 4)
-    t = tables_for("1/2", "1/2", d=2, depth=3)     # 1, 4, 16 points
+def test_verify_tower_checks_every_level_in_full():
+    # level 6 at d=3 has 262,144 lattice points per row; its slot checks
+    # run in full, not skipped
+    t = tables_for("1/2", "1/3", d=3, depth=7)
     maps = lattice_maps(t)
-    assert [cmap is None for cmap in maps] == [False, False, True]
+    assert [cmap.level for cmap in maps] == list(range(7))
     rep = verify_tower(t, maps)
     assert rep.ok, rep.first_failure
-    skipped = [e.name for e in rep.entries if "skipped" in e.name]
-    assert [name.split()[1] for name in skipped] == ["2"]
+    assert not [e.name for e in rep.entries if "skipped" in e.name]
+    assert [e.name for e in rep.entries if e.name.startswith("map 6: ")] \
+        == ["map 6: " + e.name for e in check_unital(t, maps[6]).entries]
 
 
 @given(st.fractions(min_value="1/10", max_value="9/10"),
