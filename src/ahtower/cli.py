@@ -247,10 +247,11 @@ def verify_tables_document(obj: dict, out: str | None) -> int:
     if not ok:
         emit(line, out)
         return 3
-    canonical = rebuilt.to_json_obj()
-    if obj != canonical:
+    # first_difference, unlike ==, tells true and 2.0 from 1 and 2
+    diff = first_difference(obj, rebuilt.to_json_obj())
+    if diff:
         emit("invariant violated: tables match canonical regeneration "
-             f"({first_difference(obj, canonical)})", out)
+             f"({diff})", out)
         return 3
     emit(line + "\ntables match canonical regeneration", out)
     return 0

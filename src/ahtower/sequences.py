@@ -10,18 +10,40 @@ The recursion, in exact arithmetic:
     r_n    = prod_{k<=n} d(k)/l(k)           (running ratio, decreases to kappa)
     d(n)   = least k with k/(k + 1 + 2^(d*n-d)) > kappa/r_{n-1}   for n >= 2
 
-and, when kappa' < kappa, with rho_n = kappa/r_n (exactly, never a truncated
-product) and gamma_0 = 1:
+and, when kappa' < kappa, with rho_n = kappa/r_n and gamma_0 = 1:
 
     d'(n)  = least m with m * gamma_{n-1} * rho_n / l(n) >= kappa'
     gamma_n = prod_{k<=n} d'(k)/l(k)
 
 The cumulative products r(n) = prod l(k), s(n) = prod d(k) and s'(n) =
-prod d'(k) are the matrix sizes and ranks used by every later module.  The
-"least k" steps are solved in closed form (the predicates are monotone
-linear comparisons), and each solution is certified by checking the
-predicate at k and at k-1; these integers reach hundreds of digits within a
-dozen levels, so unit-step scanning is not an option here.
+prod d'(k) are the matrix sizes and ranks used by every later module, and
+the running ratio is r_n = s(n)/r(n), gamma_n = s'(n)/r(n).  These integers
+reach hundreds of digits within a dozen levels, so the "least k" steps are
+solved in closed form (the predicates are monotone linear comparisons), and
+each solution is certified by checking the predicate at k and at k-1.
+
+The generator works on those integers alone.  With kappa = p/q, kappa' =
+p'/q' and pad = 1 + 2^(d*n-d), the target kappa/r_{n-1} is the unreduced
+pair P/Q = p*r(n-1) / (q*s(n-1)), so
+
+    d(n)   = max(1, pad*P // (Q - P) + 1),   certified by k*(Q-P) > pad*P.
+
+Since r(n) = r(n-1)*l(n), the d' step is gamma_{n-1}*rho_n/l(n) =
+(s'(n-1)/r(n-1)) * (kappa*r(n)/s(n)) / l(n) = kappa*s'(n-1)/s(n), so
+
+    d'(n)  = least m with m*(p*q'*s'(n-1)) >= p'*q*s(n)
+
+is one ceiling division, and the window gamma_n*rho_n in [kappa', kappa' +
+1/l(n)) reads, with g = p*q'*s'(n) - p'*q*s(n),
+
+    0 <= g   and   g*l(n) < q*q'*s(n).
+
+No Fraction is multiplied out in the recursion: the stored ratio(n) and
+gamma(n) are each one Fraction(s(n), r(n)) or Fraction(s'(n), r(n)).  The
+generator never forms rho_n; `GrowthTables.rho` gives it exactly as
+kappa/ratio(n) (never a truncated product), for `verify_tables`, which
+replays the recursion in Fractions as a check independent of the
+generator, and for the crossed side's window check.
 
 Targets come from a triple (r, r', d) of requested comparison radii where
 each radius may be "inf":
@@ -165,27 +187,32 @@ def derive_kappa(params: TargetParams) -> RateChoice:
 # certified least-k solvers
 # ----------------------------------------------------------------------
 
-def least_k_ratio_exceeds(c: int, target: Fraction) -> int:
-    """Least positive integer k with k/(k+c) > target, for 0 < target < 1.
+def least_k_ratio_exceeds(c: int, num: int, den: int) -> int:
+    """Least positive integer k with k/(k+c) > num/den, for 0 < num < den.
 
-    Solved in closed form from k*(q-p) > c*p and certified at the boundary.
+    The target is an integer pair, reduced or not.  Solved in closed form
+    from k*(den-num) > c*num and certified at the boundary.
     """
-    if not (0 < target < 1):
+    if not 0 < num < den:
         raise ValueError("target must lie strictly between 0 and 1")
-    p, q = target.numerator, target.denominator
-    k = max(1, (c * p) // (q - p) + 1)
-    if not Fraction(k, k + c) > target:
+    gap, bar = den - num, c * num
+    k = max(1, bar // gap + 1)
+    if not k * gap > bar:
         raise RuntimeError("least-k certificate failed high side")
-    if k > 1 and Fraction(k - 1, k - 1 + c) > target:
+    if k > 1 and (k - 1) * gap > bar:
         raise RuntimeError("least-k certificate failed low side")
     return k
 
 
-def least_m_product_reaches(step: Fraction, target: Fraction) -> int:
-    """Least positive integer m with m*step >= target, for positive step."""
+def least_m_product_reaches(step: int | Fraction,
+                            target: int | Fraction) -> int:
+    """Least positive integer m with m*step >= target, for positive step.
+
+    Takes ints or Fractions; the ceiling is one exact floor division.
+    """
     if step <= 0 or target <= 0:
         raise ValueError("step and target must be positive")
-    m = max(1, math.ceil(target / step))
+    m = -(-target // step)
     if not m * step >= target:
         raise RuntimeError("least-m certificate failed high side")
     if m > 1 and (m - 1) * step >= target:
@@ -225,18 +252,22 @@ def generate_d(kappa: Fraction, d: int, depth: int) -> PrimarySequences:
         raise ValueError("torus rank d must be a positive integer")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    p, q = kappa.numerator, kappa.denominator
     d_seq, l_seq = [0], [1]
     r_prod, s_prod, ratio = [1], [1], [Fraction(1)]
     for n in range(1, depth + 1):
         pad = slot_padding(d, n)
-        dn = least_k_ratio_exceeds(pad, kappa / ratio[n - 1])
+        # kappa/ratio(n-1) as the unreduced pair p*r(n-1) / (q*s(n-1))
+        dn = least_k_ratio_exceeds(pad, p * r_prod[n - 1], q * s_prod[n - 1])
         ln = dn + pad
+        rn, sn = r_prod[n - 1] * ln, s_prod[n - 1] * dn
         d_seq.append(dn)
         l_seq.append(ln)
-        r_prod.append(r_prod[n - 1] * ln)
-        s_prod.append(s_prod[n - 1] * dn)
-        ratio.append(ratio[n - 1] * Fraction(dn, ln))
-        if not kappa < ratio[n] < ratio[n - 1]:
+        r_prod.append(rn)
+        s_prod.append(sn)
+        ratio.append(Fraction(sn, rn))
+        # ratio(n) = ratio(n-1)*d(n)/l(n) falls exactly when d(n) < l(n)
+        if not (p * rn < q * sn and dn < ln):
             raise RuntimeError(f"ratio left (kappa, 1) at level {n}")
     return PrimarySequences(tuple(d_seq), tuple(l_seq), tuple(r_prod),
                             tuple(s_prod), tuple(ratio))
@@ -262,19 +293,23 @@ def generate_d_prime(kappa: Fraction, kappa_prime: Fraction,
     if kappa_prime == kappa:
         gamma = primary.ratio
         return SecondarySequences(primary.d_seq, primary.s_prod, gamma)
+    # kappa*s'/s against kappa' is a*s' against b*s, over den*s
+    a = kappa.numerator * kappa_prime.denominator
+    b = kappa_prime.numerator * kappa.denominator
+    den = kappa.denominator * kappa_prime.denominator
     d_prime, s_prime, gamma = [0], [1], [Fraction(1)]
     for n in range(1, depth + 1):
-        rho_n = kappa / primary.ratio[n]
-        ln = primary.l_seq[n]
-        step = gamma[n - 1] * rho_n / ln
-        m = least_m_product_reaches(step, kappa_prime)
+        ln, sn = primary.l_seq[n], primary.s_prod[n]
+        # the step gamma(n-1)*rho(n)/l(n) is kappa*s'(n-1)/s(n)
+        m = least_m_product_reaches(a * s_prime[n - 1], b * sn)
         if not 1 <= m <= primary.d_seq[n]:
             raise RuntimeError(f"d'({n}) = {m} escapes [1, d({n})]")
         d_prime.append(m)
         s_prime.append(s_prime[n - 1] * m)
-        gamma.append(gamma[n - 1] * Fraction(m, ln))
-        gap = gamma[n] * rho_n - kappa_prime
-        if not (0 <= gap < Fraction(1, ln)):
+        gamma.append(Fraction(s_prime[n], primary.r_prod[n]))
+        # gamma(n)*rho(n) - kappa' is gap/(den*s(n))
+        gap = a * s_prime[n] - b * sn
+        if not (0 <= gap and gap * ln < den * sn):
             raise RuntimeError(f"gamma*rho window missed at level {n}")
     return SecondarySequences(tuple(d_prime), tuple(s_prime), tuple(gamma))
 

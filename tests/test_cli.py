@@ -265,6 +265,46 @@ def test_verify_corrupted_tables_file(capsys, tmp_path):
         assert where in out
 
 
+def test_verify_tables_file_is_strict_about_types(capsys, tmp_path):
+    # JSON true and 2.0 equal 1 and 2 under ==; they are not the canonical
+    # integers, so the comparison must tell them apart
+    path = tmp_path / "tables.json"
+    main(["plan", "--d", "1", "--depth", "3", "--out", str(path)])
+    capsys.readouterr()
+    clean = json.loads(path.read_text())
+    assert clean["bitLengths"]["r"][0] == 1
+    assert clean["bitLengths"]["d"][0] == 2
+    for key, value in (("r", True), ("d", 2.0)):
+        obj = json.loads(json.dumps(clean))
+        obj["bitLengths"][key][0] = value
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 3, key
+        assert out.startswith("invariant violated: tables match canonical "
+                              "regeneration")
+        assert f"$.bitLengths.{key}[0]" in out
+
+
+def json_leaves(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from json_leaves(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from json_leaves(item)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("d,depth", [(1, 4), (2, 2), (3, 1)])
+def test_diagram_document_leaves_are_strings(capsys, d, depth):
+    # verify FILE compares diagrams with ==, which is strict only because
+    # every leaf is a string: true == 1 == 1.0 cannot arise
+    obj = run_json(capsys, "export", "--d", str(d), "--depth", str(depth))
+    leaves = list(json_leaves(obj))
+    assert leaves and all(type(leaf) is str for leaf in leaves)
+
+
 def test_verify_witness_file(capsys, tmp_path):
     path = tmp_path / "cert.json"
     main(["witness", "--r", "1/2", "--r-prime", "1/3", "--rho", "1/4",

@@ -1,9 +1,12 @@
 import importlib.util
+import json
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,3 +41,21 @@ def test_moved_label_control_reports_no_problem(monkeypatch):
     controls = load_perfbench_module(monkeypatch, "controls")
     for seed in range(20):
         assert controls.moved_label(random.Random(seed)) == []
+
+
+def load_bench(monkeypatch):
+    for name in ("oracle", "workloads", "controls", "spans"):
+        load_perfbench_module(monkeypatch, name)
+    return load_perfbench_module(monkeypatch, "bench")
+
+
+@pytest.mark.parametrize("workload", ["certify-sweep", "lattice-enum",
+                                      "diagram-roundtrip"])
+def test_traced_run_reports_every_layer(monkeypatch, tmp_path, workload):
+    # a traced run rebinds the functions perfbench/spans.py names; one that
+    # was renamed or removed would silently drop its metric
+    bench = load_bench(monkeypatch)
+    result, _ = bench.run(workload, 7, 0, True, str(tmp_path), small=True)
+    assert result["correct"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(result["metrics"]) == {layer["name"] for layer in declared}

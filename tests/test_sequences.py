@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -77,7 +78,7 @@ def test_derive_kappa_infinite_cases():
 @given(st.integers(1, 10 ** 6), st.fractions(min_value="1/1000", max_value="999/1000"))
 @settings(max_examples=200, deadline=None)
 def test_least_k_matches_scan(c, target):
-    k = least_k_ratio_exceeds(c, target)
+    k = least_k_ratio_exceeds(c, target.numerator, target.denominator)
     assert k == oracle.least_true(lambda j: Fraction(j, j + c) > target,
                                   scan_cap=64)
 
@@ -88,6 +89,15 @@ def test_least_k_matches_scan(c, target):
 def test_least_m_matches_scan(step, target):
     m = least_m_product_reaches(step, target)
     assert m == oracle.least_true(lambda j: j * step >= target, scan_cap=64)
+
+
+def test_least_m_takes_big_ints():
+    # a quotient of about 1500 bits: a float ceiling would overflow
+    step, target = 3 ** 5678, 5 ** 4522 + 1
+    assert (step.bit_length(), target.bit_length()) == (9000, 10500)
+    m = least_m_product_reaches(step, target)
+    assert m == math.ceil(Fraction(target, step))
+    assert (m - 1) * step < target <= m * step
 
 
 # ----------------------------------------------------------------------
