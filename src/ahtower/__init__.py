@@ -18,8 +18,8 @@ from .sequences import (GrowthTables, TargetParams, build_tables, choose_h,
                         derive_kappa, generate_d, generate_d_prime,
                         tables_from_cli, verify_tables)
 from .tower import (ConnectingMap, StageSpec, build_connecting_map,
-                    build_stage, check_unital, compose_multiplicities,
-                    lattice_maps, multiplicity_matrix, verify_tower)
+                    build_stage, check_unital, lattice_maps,
+                    multiplicity_matrix, verify_tower)
 
 __all__ = [
     "ConnectingMap",
@@ -44,7 +44,6 @@ __all__ = [
     "check_upper_bound_gap",
     "chern_min_embedding_rank",
     "choose_h",
-    "compose_multiplicities",
     "crossed_rc_upper",
     "crossed_trace_check",
     "derive_kappa",

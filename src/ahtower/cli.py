@@ -212,11 +212,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def verify_document_file(path: str, out: str | None) -> int:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    # bad JSON, bytes that are not UTF-8 and a number past the int->str
+    # digit limit are all ValueErrors: the document does not parse.  A file
+    # that cannot be opened stays an OSError, a usage error.
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, "r", encoding="utf-8") as handle:
+            obj = json.loads(handle.read())
+    except ValueError as exc:
         emit(f"invariant violated: document parses ({exc})", out)
         return 3
     kind = obj.get("kind") if isinstance(obj, dict) else None

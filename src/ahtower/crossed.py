@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rational import cross_sign, quotient_sign
 from .report import Checker, CheckReport
-from .sequences import GrowthTables
+from .sequences import GrowthTables, gamma_rho_signs
 
 
 # ----------------------------------------------------------------------
@@ -100,45 +101,72 @@ def crossed_rc_upper(tables: GrowthTables, n: int) -> CrossedUpperBound:
     return CrossedUpperBound(level=n, c_part=c_part, b_part=b_part)
 
 
-def check_upper_bound_gap(tables: GrowthTables, depth: int | None = None
-                          ) -> CheckReport:
+def check_upper_bound_gap(tables: GrowthTables) -> CheckReport:
     """Exact control of the small-row excess over the target radius r'.
 
     Valid whenever r' is finite: the excess b_part - r' equals
     h'(n)(gamma_n - kappa') + d/(2 r(n)) on the nose, is nonnegative, and
     the gamma-gap obeys its sequence-level window; the big-row part is
     crushed below (h(n) + d/2)/2^(nd).
+
+    Every comparison is made on integers, over one common denominator: with
+    r' = u/v, gamma(n) = g/e and kappa' = p'/q',
+
+        excess >= 0           (2h's' + d)v - 2r(n)u against 0, over 2r(n)v;
+        excess identity       (h's'v - r(n)u) e q' = h'(g q' - p'e) r(n) v,
+                              the torus term d/(2r(n)) cancelling;
+        gamma gap window      g q' >= p'e, and the upper half of
+                              ``sequences.gamma_rho_signs``;
+        big row crushed       2hs + d against (2h + d) r(n), as
+                              c_part = (2hs + d)/(2^(nd+1) r(n));
+        big row decreasing    (2hs + d)(n) r(n-1) against
+                              (2hs + d)(n-1) 2^d r(n).
+
+    No gcd is taken.  ``crossed_rc_upper`` gives the same bounds as
+    Fractions.  A zero r(n), which only a corrupted table holds, fails the
+    entries that divide by it.
     """
     if tables.params.r_prime.is_infinite:
         raise ValueError("the gap identity needs a finite target radius r'")
     r_prime = tables.params.r_prime.finite_value
-    depth = tables.depth if depth is None else depth
+    u, v = r_prime.numerator, r_prime.denominator
+    kp = tables.kappa_prime
     d = tables.params.d
     c = Checker()
-    previous_c_part: Fraction | None = None
-    for n in range(1, depth + 1):
-        bound = crossed_rc_upper(tables, n)
-        excess = bound.b_part - r_prime
-        gamma_gap = tables.gamma(n) - tables.kappa_prime
-        torus_term = Fraction(d, 2 * tables.r(n))
-        c.check(f"small-row excess nonnegative (n={n})", excess >= 0,
-                lambda: f"excess={excess}")
+    previous: tuple[int, int] | None = None    # (2hs + d, 2^(nd) r) at n-1
+    for n in range(1, tables.depth + 1):
+        r, hp, gamma = tables.r(n), tables.h_prime(n), tables.gamma(n)
+        small = hp * tables.s_prime(n)
+        excess = (2 * small + d) * v - 2 * r * u          # over 2 r v
+        lift = (gamma.numerator * kp.denominator
+                - kp.numerator * gamma.denominator)    # gamma - kappa'
+        c.check(f"small-row excess nonnegative (n={n})",
+                quotient_sign(excess, r) in (0, 1),
+                lambda: f"excess={_quotient_text(excess, 2 * r * v)}")
         c.check(f"small-row excess identity (n={n})",
-                excess == tables.h_prime(n) * gamma_gap + torus_term,
-                lambda: f"{excess} vs h'*{gamma_gap} + {torus_term}")
-        window = (tables.gamma(n) * tables.rho(n) - tables.kappa_prime
-                  < Fraction(1, tables.l(n)))
+                r != 0 and ((small * v - r * u) * gamma.denominator
+                            * kp.denominator == hp * lift * r * v),
+                lambda: (f"{_quotient_text(excess, 2 * r * v)} vs "
+                         f"h'*{gamma - kp} + {_quotient_text(d, 2 * r)}"))
         c.check(f"gamma gap inside its window (n={n})",
-                gamma_gap >= 0 and window)
+                lift >= 0 and gamma_rho_signs(tables, n)[1] == -1)
+        h = tables.h(n)
+        big, pts = 2 * h * tables.s(n) + d, tables.torus_points(n)
         c.check(f"big-row part crushed (n={n})",
-                bound.c_part <= Fraction(tables.h(n) + Fraction(d, 2),
-                                         tables.torus_points(n)))
-        if previous_c_part is not None:
+                quotient_sign(big - (2 * h + d) * r, r) in (-1, 0))
+        if previous is not None:
+            before, below = previous
             c.check(f"big-row part strictly decreasing (n={n})",
-                    bound.c_part < previous_c_part,
-                    lambda: f"{bound.c_part} vs {previous_c_part}")
-        previous_c_part = bound.c_part
+                    cross_sign(big, pts * r, before, below) == -1,
+                    lambda: (f"{_quotient_text(big, 2 * pts * r)} vs "
+                             f"{_quotient_text(before, 2 * below)}"))
+        previous = (big, pts * r)
     return c.report()
+
+
+def _quotient_text(num: int, den: int) -> str:
+    """num/den as a reduced fraction, or num/0 where den is 0."""
+    return str(Fraction(num, den)) if den else f"{num}/0"
 
 
 # ----------------------------------------------------------------------

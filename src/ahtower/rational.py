@@ -36,6 +36,54 @@ def parse_fraction(text: str) -> Fraction:
     return value
 
 
+def quotient_sign(num: int, *dens: int) -> int | None:
+    """The sign of num divided by the product of ``dens``, read off the
+    signs alone (nothing is multiplied), or None when some den is 0.
+
+    >>> quotient_sign(-3, 2, -5), quotient_sign(0, 7), quotient_sign(1, 0)
+    (1, 0, None)
+    """
+    sign = (num > 0) - (num < 0)
+    for den in dens:
+        if not den:
+            return None
+        if den < 0:
+            sign = -sign
+    return sign
+
+
+def cross_sign(a: int, b: int, c: int, e: int) -> int | None:
+    """The sign of a/b - c/e by one cross-multiplication, with no gcd, or
+    None when b or e is 0 (the quotient is undefined).
+
+    The pairs need not be reduced, and their denominators may be negative.
+
+    >>> cross_sign(2, 4, 1, 2), cross_sign(1, 3, 1, -2), cross_sign(1, 0, 1, 2)
+    (0, 1, None)
+    """
+    return quotient_sign(a * e - c * b, b, e) if b and e else None
+
+
+def equals_quotient(value: Fraction, num: int, den: int) -> bool:
+    """Whether ``value`` equals num/den, False when den is 0.
+
+    ``value`` is in lowest terms, so this holds exactly when den is some
+    multiple k of its denominator and num the same multiple of its
+    numerator: one division finds k, and no two big integers are
+    multiplied while k is small.
+
+    >>> half = Fraction(1, 2)
+    >>> equals_quotient(half, 3, 6), equals_quotient(half, -2, -4)
+    (True, True)
+    >>> equals_quotient(half, 2, 3), equals_quotient(half, 1, 0)
+    (False, False)
+    """
+    if not den:
+        return False
+    k, rest = divmod(den, value.denominator)
+    return not rest and num == k * value.numerator
+
+
 def fraction_to_json(value: Fraction) -> dict[str, str]:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 

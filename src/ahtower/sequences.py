@@ -41,9 +41,14 @@ is one ceiling division, and the window gamma_n*rho_n in [kappa', kappa' +
 No Fraction is multiplied out in the recursion: the stored ratio(n) and
 gamma(n) are each one Fraction(s(n), r(n)) or Fraction(s'(n), r(n)).  The
 generator never forms rho_n; `GrowthTables.rho` gives it exactly as
-kappa/ratio(n) (never a truncated product), for `verify_tables`, which
-replays the recursion in Fractions as a check independent of the
-generator, and for the crossed side's window check.
+kappa/ratio(n) (never a truncated product), and `GrowthTables.rho_terms`
+as the unreduced integer pair (p*den, q*num) of ratio(n) = num/den.
+
+`verify_tables` re-checks every step independently of the generator, on
+integers too: it reads the stored fields, ratio(n) and gamma(n) included,
+and compares each Fraction of the recursion by cross-multiplying
+numerators and denominators, so it takes no gcd (its docstring lists the
+forms).  The crossed side's window check reads the same forms.
 
 Targets come from a triple (r, r', d) of requested comparison radii where
 each radius may be "inf":
@@ -66,8 +71,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .rational import (ExtendedRational, fraction_from_json, fraction_to_json,
-                       ints_from_json, ints_to_json, parse_fraction)
+from .rational import (ExtendedRational, cross_sign, equals_quotient,
+                       fraction_from_json, fraction_to_json, ints_from_json,
+                       ints_to_json, parse_fraction, quotient_sign)
 from .report import Checker, CheckReport
 
 REGIME_FINITE_FINITE = "finite-finite"
@@ -422,6 +428,13 @@ class GrowthTables:
         """kappa divided by the running ratio, computed exactly."""
         return self.kappa / self.ratio(self._level(n))
 
+    def rho_terms(self, n: int) -> tuple[int, int]:
+        """rho(n) as the unreduced pair (p*den, q*num) of kappa = p/q and
+        ratio(n) = num/den: no gcd, and 0 second where ratio(n) is 0."""
+        ratio = self.ratio(n)
+        return (self.kappa.numerator * ratio.denominator,
+                self.kappa.denominator * ratio.numerator)
+
     def gamma(self, n: int) -> Fraction:
         """s'(n)/r(n), the running product of d'(k)/l(k)."""
         return self.secondary.gamma[self._level(n)]
@@ -548,8 +561,54 @@ def tables_from_cli(r: str, r_prime: str, d: int, depth: int,
 # invariant suite
 # ----------------------------------------------------------------------
 
+def gamma_rho_signs(tables: GrowthTables, n: int
+                    ) -> tuple[int | None, int | None]:
+    """The signs of gamma(n)*rho(n) - kappa' and of gamma(n)*rho(n) -
+    (kappa' + 1/l(n)): the window 0 <= gap < 1/l(n) holds exactly when
+    they are (0 or 1, -1).  None where a quotient is undefined.
+
+    Read from the stored gamma(n) = g/e and ratio(n) = num/den by
+    cross-multiplication: gamma(n)*rho(n) = p*g*den / (q*num*e), where
+    den cancels e when the two are equal.
+    """
+    ratio, gamma = tables.ratio(n), tables.gamma(n)
+    kappa, kp, ln = tables.kappa, tables.kappa_prime, tables.l(n)
+    top = kappa.numerator * gamma.numerator
+    bottom = kappa.denominator * ratio.numerator
+    if gamma.denominator != ratio.denominator:
+        top, bottom = top * ratio.denominator, bottom * gamma.denominator
+    gap = top * kp.denominator - kp.numerator * bottom    # over bottom*q'
+    return (quotient_sign(gap, bottom),
+            quotient_sign(gap * ln - kp.denominator * bottom, bottom, ln))
+
+
 def verify_tables(tables: GrowthTables) -> CheckReport:
-    """Replay every defining identity and window of the table, exactly."""
+    """Replay every defining identity and window of the table, exactly.
+
+    Each entry reads the stored fields and compares integers: a stored
+    ratio(n) = num/den or gamma(n) is cross-multiplied by its numerator and
+    denominator, and rho(n) = kappa/ratio(n) is the pair (p*den, q*num), so
+    no gcd is taken.  With kappa = p/q, kappa' = p'/q' and pad = 1 +
+    2^(dn-d), the entries compare
+
+        d(n) minimal          k/(k + pad) against rho(n-1) at k = d(n) and
+                              k = d(n) - 1, as k*(Q - P) - pad*P for
+                              rho(n-1) = P/Q;
+        ratio(n) = s/r        (s(n), r(n)) = k*(num, den) for one integer
+                              k, and likewise for (num(n-1)*d(n),
+                              den(n-1)*l(n)) (``equals_quotient``);
+        ratio window          d(n)*(q*num - p*den) <= q*num, which is
+                              ratio(n) - kappa <= kappa/(d(n) - 1);
+        d'(n) minimal         m*step against kappa' at m = d'(n) and
+                              d'(n) - 1, step = gamma(n-1)*rho(n)/l(n) as
+                              one unreduced pair;
+        gamma*rho window      gamma(n)*rho(n) against kappa' and
+                              kappa' + 1/l(n) (``gamma_rho_signs``).
+
+    Nothing here calls the generator, so it checks the closed forms there
+    rather than restating them.  A quotient with a zero denominator, which
+    only a corrupted table holds, fails the entries that read it.
+    """
     c = Checker()
     t = tables
     rate = derive_kappa(t.params)
@@ -572,51 +631,67 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
     else:
         c.check("h' constant", set(t.h_prime_seq) == {rate.h_prime_base})
     c.check("h(n)/2^(nd) nonincreasing",
-            all(Fraction(t.h(n + 1), t.torus_points(n + 1))
-                <= Fraction(t.h(n), t.torus_points(n))
+            all(t.h(n + 1) <= t.h(n) * 2 ** t.params.d
                 for n in range(t.depth)))
 
     c.check("empty products", t.l(0) == t.r(0) == t.s(0) == t.s_prime(0) == 1
             and t.ratio(0) == t.gamma(0) == 1)
 
+    p, q = t.kappa.numerator, t.kappa.denominator
+    pp, qp = t.kappa_prime.numerator, t.kappa_prime.denominator
     prime_collapses = t.kappa_prime == t.kappa
     for n in range(1, t.depth + 1):
         pad = slot_padding(t.params.d, n)
-        target = t.kappa / t.ratio(n - 1)
+        dn, ln = t.d(n), t.l(n)
+        # the target kappa/ratio(n-1) is rho(n-1) = P/Q
+        big_p, big_q = t.rho_terms(n - 1)
+        gain = big_q - big_p
         c.check(f"d({n}) minimal",
-                Fraction(t.d(n), t.d(n) + pad) > target
-                and (t.d(n) == 1
-                     or not Fraction(t.d(n) - 1, t.d(n) - 1 + pad) > target),
+                quotient_sign(dn * gain - pad * big_p, dn + pad, big_q) == 1
+                and (dn == 1
+                     or quotient_sign((dn - 1) * gain - pad * big_p,
+                                      dn - 1 + pad, big_q) != 1),
                 lambda: f"d({n}) has {t.d(n).bit_length()} bits")
-        c.check(f"l({n}) = d({n}) + 1 + 2^(dn-d)", t.l(n) == t.d(n) + pad)
-        c.check(f"r({n}) multiplicative", t.r(n) == t.r(n - 1) * t.l(n))
-        c.check(f"s({n}) multiplicative", t.s(n) == t.s(n - 1) * t.d(n))
+        c.check(f"l({n}) = d({n}) + 1 + 2^(dn-d)", ln == dn + pad)
+        c.check(f"r({n}) multiplicative", t.r(n) == t.r(n - 1) * ln)
+        c.check(f"s({n}) multiplicative", t.s(n) == t.s(n - 1) * dn)
+        ratio, before = t.ratio(n), t.ratio(n - 1)
+        num, den = ratio.numerator, ratio.denominator
         c.check(f"ratio({n}) = s/r",
-                t.ratio(n) == Fraction(t.s(n), t.r(n))
-                and t.ratio(n) == t.ratio(n - 1) * Fraction(t.d(n), t.l(n)))
+                equals_quotient(ratio, t.s(n), t.r(n))
+                and equals_quotient(ratio, before.numerator * dn,
+                                    before.denominator * ln))
         c.check(f"kappa < ratio({n}) < ratio({n - 1})",
-                t.kappa < t.ratio(n) < t.ratio(n - 1))
-        if t.d(n) >= 2:
+                p * den < q * num
+                and num * before.denominator < before.numerator * den)
+        if dn >= 2:
             c.check(f"ratio({n}) - kappa <= kappa/(d({n})-1)",
-                    t.ratio(n) - t.kappa <= t.kappa / (t.d(n) - 1))
-        c.check(f"rho({n}) in (kappa, 1)", t.kappa < t.rho(n) < 1)
+                    dn * (q * num - p * den) <= q * num)
+        top, bottom = t.rho_terms(n)
+        c.check(f"rho({n}) in (kappa, 1)",
+                cross_sign(top, bottom, p, q) == 1
+                and cross_sign(top, bottom, 1, 1) == -1)
 
         if prime_collapses:
-            c.check(f"d'({n}) = d({n})", t.d_prime(n) == t.d(n))
+            c.check(f"d'({n}) = d({n})", t.d_prime(n) == dn)
         else:
-            step = t.gamma(n - 1) * t.rho(n) / t.l(n)
+            m, gamma = t.d_prime(n), t.gamma(n - 1)
+            step_num = gamma.numerator * top
+            step_den = gamma.denominator * bottom * ln
+            reach = m * step_num
             c.check(f"d'({n}) minimal",
-                    t.d_prime(n) * step >= t.kappa_prime
-                    and (t.d_prime(n) == 1
-                         or not (t.d_prime(n) - 1) * step >= t.kappa_prime))
-        c.check(f"1 <= d'({n}) <= d({n})", 1 <= t.d_prime(n) <= t.d(n))
+                    cross_sign(reach, step_den, pp, qp) in (0, 1)
+                    and (m == 1 or cross_sign(reach - step_num, step_den,
+                                              pp, qp) == -1))
+        c.check(f"1 <= d'({n}) <= d({n})", 1 <= t.d_prime(n) <= dn)
         c.check(f"s'({n}) multiplicative",
                 t.s_prime(n) == t.s_prime(n - 1) * t.d_prime(n))
         c.check(f"gamma({n}) = s'/r",
-                t.gamma(n) == Fraction(t.s_prime(n), t.r(n)))
-        gap = t.gamma(n) * t.rho(n) - t.kappa_prime
-        c.check(f"gamma*rho window at {n}",
-                0 <= gap < Fraction(1, t.l(n)), lambda: f"gap={gap}")
+                equals_quotient(t.gamma(n), t.s_prime(n), t.r(n)))
+        low, high = gamma_rho_signs(t, n)
+        c.check(f"gamma*rho window at {n}", low in (0, 1) and high == -1,
+                lambda: (f"gap={t.gamma(n) * t.rho(n) - t.kappa_prime}"
+                         if t.ratio(n) else f"gap undefined: ratio({n}) = 0"))
 
     c.check("d nondecreasing",
             all(t.d(n) <= t.d(n + 1) for n in range(1, t.depth)))

@@ -378,6 +378,26 @@ def test_verify_unparseable_file(capsys, tmp_path):
     assert "document parses" in out
 
 
+def test_verify_file_that_is_not_utf8(capsys, tmp_path):
+    # a UTF-16 byte-order mark: the file exists but does not decode
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (3, "")
+    assert out.startswith("invariant violated: document parses (")
+    assert "utf-8" in out
+
+
+def test_verify_file_with_a_number_past_the_digit_limit(capsys, tmp_path):
+    digits = sys.get_int_max_str_digits() + 700
+    path = tmp_path / "long.json"
+    path.write_text('{"kind": "tables", "depth": ' + "7" * digits + "}")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (3, "")
+    assert out.startswith("invariant violated: document parses (")
+    assert sys.get_int_max_str_digits() == digits - 700
+
+
 def test_verify_unknown_kind(capsys, tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"kind": "mystery"}))

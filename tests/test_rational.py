@@ -79,3 +79,23 @@ def test_round_trip_property(p, q):
     x = ExtendedRational.finite(Fraction(p, q))
     assert ExtendedRational.parse(str(x)) == x
     assert ExtendedRational.from_json(x.to_json()) == x
+
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+small_ints = st.integers(min_value=-40, max_value=40)
+
+
+@given(small_ints, small_ints, small_ints, small_ints)
+def test_integer_comparisons_match_fractions(a, b, c, e):
+    # the integer forms the verify suites compare with, against Fraction
+    defined = b != 0 and e != 0
+    assert rational.quotient_sign(a, b, e) == (
+        sign(Fraction(a, b * e)) if defined else None)
+    assert rational.cross_sign(a, b, c, e) == (
+        sign(Fraction(a, b) - Fraction(c, e)) if defined else None)
+    if b:
+        assert rational.equals_quotient(Fraction(a, b), c, e) == (
+            e != 0 and Fraction(a, b) == Fraction(c, e))
