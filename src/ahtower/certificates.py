@@ -37,8 +37,8 @@ from typing import Any
 from .comparison import projection_pair
 from .rational import fraction_from_json, fraction_to_json
 from .report import Checker, CheckReport
-from .sequences import (FORMAT_VERSION, GrowthTables, TargetParams,
-                        build_tables)
+from .sequences import (FORMAT_VERSION, DocumentKind, GrowthTables,
+                        TargetParams, h_override_from_json, verify_document)
 
 RELATIONS = {
     "<": lambda a, b: a < b,
@@ -207,31 +207,29 @@ def search_witness(tables: GrowthTables, rho: Fraction,
 # re-verification
 # ----------------------------------------------------------------------
 
-def first_difference(a: Any, b: Any, path: str = "$") -> str | None:
-    """Path of the first structural difference between two JSON values."""
-    if type(a) is not type(b):
-        return f"{path}: {type(a).__name__} vs {type(b).__name__}"
-    if isinstance(a, dict):
-        for key in sorted(set(a) | set(b)):
-            if key not in a:
-                return f"{path}.{key}: missing on the left"
-            if key not in b:
-                return f"{path}.{key}: unexpected key"
-            diff = first_difference(a[key], b[key], f"{path}.{key}")
-            if diff:
-                return diff
-        return None
-    if isinstance(a, list):
-        if len(a) != len(b):
-            return f"{path}: length {len(a)} vs {len(b)}"
-        for i, (x, y) in enumerate(zip(a, b)):
-            diff = first_difference(x, y, f"{path}[{i}]")
-            if diff:
-                return diff
-        return None
-    if a != b:
-        return f"{path}: {a!r} vs {b!r}"
-    return None
+def _read_witness(doc: dict) -> tuple:
+    if not isinstance(doc.get("crossed"), bool):
+        raise ValueError("crossed flag must be a boolean")
+    params_obj = doc["params"]
+    if isinstance(params_obj, dict) and "rPrime" not in params_obj:
+        params_obj = {**params_obj, "rPrime": params_obj.get("r")}
+    params = TargetParams.from_json_obj(params_obj)
+    depth, rho = int(doc["depth"]), fraction_from_json(doc["rho"])
+    return params, depth, h_override_from_json(doc), rho, doc["crossed"]
+
+
+def _regenerate_witness(tables: GrowthTables, rho: Fraction, crossed: bool
+                        ) -> tuple[dict[str, Any], CheckReport]:
+    canonical = search_witness(tables, rho, crossed)
+    c = Checker()
+    c.check("all ledger rows hold", canonical.all_hold)
+    return canonical.to_json_obj(), c.report()
+
+
+WITNESS_DOCUMENT = DocumentKind(
+    tag="witness", parsed="document parses and recomputes",
+    matches="matches canonical recomputation", strict=True,
+    read=_read_witness, regenerate=_regenerate_witness)
 
 
 def verify_witness_json(doc: Any) -> CheckReport:
@@ -240,32 +238,4 @@ def verify_witness_json(doc: Any) -> CheckReport:
     The presented document must match the canonical recomputation key for
     key, value for value; nothing in it is trusted.
     """
-    c = Checker()
-    try:
-        if not isinstance(doc, dict):
-            raise ValueError("certificate must be an object")
-        if doc.get("formatVersion") != FORMAT_VERSION:
-            raise ValueError(f"unknown formatVersion {doc.get('formatVersion')!r}")
-        if doc.get("kind") != "witness":
-            raise ValueError(f"not a witness document: kind={doc.get('kind')!r}")
-        if not isinstance(doc.get("crossed"), bool):
-            raise ValueError("crossed flag must be a boolean")
-        params_obj = doc["params"]
-        if isinstance(params_obj, dict) and "rPrime" not in params_obj:
-            params_obj = {**params_obj, "rPrime": params_obj.get("r")}
-        params = TargetParams.from_json_obj(params_obj)
-        depth = int(doc["depth"])
-        rho = fraction_from_json(doc["rho"])
-        override = None
-        if "hSeqOverride" in doc:
-            override = tuple(int(x) for x in doc["hSeqOverride"])
-        tables = build_tables(params, depth, override)
-        canonical = search_witness(tables, rho, doc["crossed"])
-    except (KeyError, ValueError, TypeError, RuntimeError) as exc:
-        c.check("document parses and recomputes", False, str(exc))
-        return c.report()
-    c.check("document parses and recomputes", True)
-    diff = first_difference(doc, canonical.to_json_obj())
-    c.check("matches canonical recomputation", diff is None, diff or "")
-    c.check("all ledger rows hold", canonical.all_hold)
-    return c.report()
+    return verify_document(doc, WITNESS_DOCUMENT)

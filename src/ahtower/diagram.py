@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from .rational import ints_from_json, ints_to_json
-from .sequences import FORMAT_VERSION, GrowthTables, TargetParams
+from .report import CheckReport
+from .sequences import (FORMAT_VERSION, DocumentKind, GrowthTables,
+                        TargetParams, h_override_from_json, require_document)
 from .tower import (BLOCK_B, BLOCK_C, KIND_COORD_PROJECTION,
                     KIND_POINT_EVAL_X, KIND_POINT_EVAL_Y, KIND_STAR_EVAL,
                     STAR, Arrow, ArrowSpan, BlockMatrix, TorusSlot,
@@ -190,16 +192,18 @@ def diagram_to_json_obj(doc: DiagramDocument) -> dict[str, Any]:
     return obj
 
 
+def _read_diagram(doc: dict) -> tuple:
+    """Params, hi, h override and lo: all that regeneration reads."""
+    params = TargetParams.from_json_obj(doc["params"])
+    lo, hi = int(doc["depthRange"]["lo"]), int(doc["depthRange"]["hi"])
+    # a band the document does not list is refused before it is built
+    if len(doc["stages"]) != hi - lo + 1:
+        raise ValueError("stage levels must run contiguously over the band")
+    return params, hi, h_override_from_json(doc), lo
+
+
 def diagram_from_json_obj(obj: Any) -> DiagramDocument:
-    if not isinstance(obj, dict):
-        raise ValueError("diagram document must be an object")
-    if obj.get("formatVersion") != FORMAT_VERSION:
-        raise ValueError(f"unknown formatVersion {obj.get('formatVersion')!r}")
-    if obj.get("kind") != "diagram":
-        raise ValueError(f"not a diagram document: kind={obj.get('kind')!r}")
-    params = TargetParams.from_json_obj(obj["params"])
-    rng = obj["depthRange"]
-    lo, hi = int(rng["lo"]), int(rng["hi"])
+    params, hi, override, lo = _read_diagram(require_document(obj, "diagram"))
     stages = tuple(DiagramStage(
         level=int(s["level"]),
         c_components=int(s["cComponents"]),
@@ -223,12 +227,17 @@ def diagram_from_json_obj(obj: Any) -> DiagramDocument:
         raise ValueError("stage levels must run contiguously over the band")
     if [m.level for m in maps] != list(range(lo, hi)):
         raise ValueError("map levels must run contiguously over the band")
-    override = None
-    if "hSeqOverride" in obj:
-        override = tuple(int(x) for x in obj["hSeqOverride"])
     return DiagramDocument(params=params, h_rule=obj["hRule"],
                            h_override=override, lo=lo, hi=hi,
                            stages=stages, maps=maps)
+
+
+DIAGRAM_DOCUMENT = DocumentKind(
+    tag="diagram", parsed="diagram document well formed",
+    matches="diagram matches canonical regeneration", strict=False,
+    read=_read_diagram, regenerate=lambda tables, lo: (
+        diagram_to_json_obj(build_diagram_document(tables, lo)),
+        CheckReport(())))
 
 
 # ----------------------------------------------------------------------

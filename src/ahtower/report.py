@@ -9,7 +9,7 @@ deep table's integers is built only for a check that fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 
 @dataclass(frozen=True)
@@ -59,3 +59,31 @@ class Checker:
 
     def report(self) -> CheckReport:
         return CheckReport(tuple(self.entries))
+
+
+def first_difference(a: Any, b: Any, path: str = "$") -> str | None:
+    """Path of the first difference between two JSON values; unlike ==,
+    it tells true and 2.0 from 1 and 2."""
+    if type(a) is not type(b):
+        return f"{path}: {type(a).__name__} vs {type(b).__name__}"
+    if isinstance(a, dict):
+        for key in sorted(set(a) | set(b)):
+            if key not in a:
+                return f"{path}.{key}: missing on the left"
+            if key not in b:
+                return f"{path}.{key}: unexpected key"
+            diff = first_difference(a[key], b[key], f"{path}.{key}")
+            if diff:
+                return diff
+        return None
+    if isinstance(a, list):
+        if len(a) != len(b):
+            return f"{path}: length {len(a)} vs {len(b)}"
+        for i, (x, y) in enumerate(zip(a, b)):
+            diff = first_difference(x, y, f"{path}[{i}]")
+            if diff:
+                return diff
+        return None
+    if a != b:
+        return f"{path}: {a!r} vs {b!r}"
+    return None

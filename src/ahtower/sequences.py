@@ -74,7 +74,7 @@ from typing import Any, Callable
 from .rational import (ExtendedRational, cross_sign, equals_quotient,
                        fraction_from_json, fraction_to_json, ints_from_json,
                        ints_to_json, parse_fraction, quotient_sign)
-from .report import Checker, CheckReport
+from .report import Checker, CheckReport, first_difference
 
 REGIME_FINITE_FINITE = "finite-finite"
 REGIME_INFINITE_FINITE = "infinite-finite"
@@ -364,6 +364,17 @@ def choose_h(params: TargetParams, depth: int,
 FORMAT_VERSION = "1"
 
 
+def require_document(doc: Any, tag: str) -> dict:
+    """``doc`` if it is a ``tag`` document of this format; else ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{tag} document must be an object")
+    if doc.get("formatVersion") != FORMAT_VERSION:
+        raise ValueError(f"unknown formatVersion {doc.get('formatVersion')!r}")
+    if doc.get("kind") != tag:
+        raise ValueError(f"not a {tag} document: kind={doc.get('kind')!r}")
+    return doc
+
+
 @dataclass(frozen=True)
 class Side:
     """What one side of the construction reads: the radius, the ratio
@@ -493,10 +504,7 @@ class GrowthTables:
 
     @classmethod
     def from_json_obj(cls, obj: Any) -> "GrowthTables":
-        if not isinstance(obj, dict) or obj.get("kind") != "tables":
-            raise ValueError("not a tables document")
-        if obj.get("formatVersion") != FORMAT_VERSION:
-            raise ValueError(f"unknown formatVersion {obj.get('formatVersion')!r}")
+        require_document(obj, "tables")
         depth = int(obj["depth"])
         d_seq = (0,) + ints_from_json(obj["d"])
         l_seq = (1,) + ints_from_json(obj["l"])
@@ -555,6 +563,73 @@ def tables_from_cli(r: str, r_prime: str, d: int, depth: int,
     if h_seq is not None:
         override = tuple(int(part) for part in h_seq.split(","))
     return build_tables(params, depth, override)
+
+
+# ----------------------------------------------------------------------
+# re-verifying a document
+# ----------------------------------------------------------------------
+
+def h_override_from_json(doc: dict) -> tuple[int, ...] | None:
+    """A document's ``hSeqOverride``, or None where it declares none."""
+    if "hSeqOverride" not in doc:
+        return None
+    return ints_from_json(doc["hSeqOverride"])
+
+
+@dataclass(frozen=True)
+class DocumentKind:
+    """``read`` returns a document's declared params, depth and h override,
+    then the kind's own inputs; ``regenerate`` takes the tables built from
+    the first three and the own inputs, and returns the canonical JSON and
+    a report of the kind's own checks."""
+
+    tag: str
+    parsed: str         # the entry that a read or regeneration error fails
+    matches: str        # the entry of the comparison
+    strict: bool        # has non-string leaves, where == takes true for 1
+    read: Callable[[dict], tuple]
+    regenerate: Callable[..., tuple[Any, CheckReport]]
+
+
+def verify_document(doc: Any, kind: DocumentKind) -> CheckReport:
+    """Re-verify ``doc``, trusting nothing in it.  A passing report holds
+    ``kind.parsed``, the kind's own checks, then ``kind.matches``."""
+    c = Checker()
+    try:
+        params, depth, override, *own = kind.read(
+            require_document(doc, kind.tag))
+        canonical, checks = kind.regenerate(
+            build_tables(params, depth, override), *own)
+    except (KeyError, ValueError, TypeError, OverflowError,
+            RuntimeError) as exc:
+        # a missing key, a bad value or type, a number no int can hold
+        # (JSON 1e400 reads as float infinity), or nesting too deep (a
+        # RecursionError is a RuntimeError): the document is not well formed
+        c.check(kind.parsed, False, str(exc))
+        return c.report()
+    c.check(kind.parsed, True)
+    c.merge(checks)
+    # == decides fast; the type-strict walk names the path, and runs on an
+    # equal document only where == cannot see a difference of type
+    diff = (first_difference(doc, canonical)
+            if kind.strict or doc != canonical else None)
+    c.check(kind.matches, diff is None, diff or "")
+    return c.report()
+
+
+def _read_tables(doc: dict) -> tuple:
+    tables = GrowthTables.from_json_obj(doc)
+    override = tables.h_seq if tables.h_rule == H_RULE_EXPLICIT else None
+    return tables.params, tables.depth, override, tables
+
+
+# verify_tables replays the presented tables, so that a corrupted field is
+# named by the identity it breaks
+TABLES_DOCUMENT = DocumentKind(
+    tag="tables", parsed="tables document well formed",
+    matches="tables match canonical regeneration", strict=True,
+    read=_read_tables, regenerate=lambda rebuilt, presented: (
+        rebuilt.to_json_obj(), verify_tables(presented)))
 
 
 # ----------------------------------------------------------------------

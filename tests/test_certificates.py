@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from ahtower.certificates import (LedgerRow, first_difference, search_witness,
+from ahtower.certificates import (LedgerRow, search_witness,
                                   verify_witness_json)
 from ahtower.rational import ExtendedRational
+from ahtower.report import first_difference
 from ahtower.sequences import TargetParams, build_tables
 
 

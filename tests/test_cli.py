@@ -7,6 +7,7 @@ import pytest
 
 import ahtower.tower
 from ahtower.action import check_equivariance
+from ahtower.certificates import verify_witness_json
 from ahtower.cli import main, run_suites, standard_generators
 from ahtower.sequences import tables_from_cli
 from ahtower.tower import build_connecting_map
@@ -298,8 +299,9 @@ def json_leaves(value):
 
 @pytest.mark.parametrize("d,depth", [(1, 4), (2, 2), (3, 1)])
 def test_diagram_document_leaves_are_strings(capsys, d, depth):
-    # verify FILE compares diagrams with ==, which is strict only because
-    # every leaf is a string: true == 1 == 1.0 cannot arise
+    # verify FILE lets == decide a diagram, and walks it type-strictly only
+    # to name the path of a difference; that is strict only because every
+    # leaf is a string: true == 1 == 1.0 cannot arise
     obj = run_json(capsys, "export", "--d", str(d), "--depth", str(depth))
     leaves = list(json_leaves(obj))
     assert leaves and all(type(leaf) is str for leaf in leaves)
@@ -312,6 +314,27 @@ def test_verify_witness_file(capsys, tmp_path):
     capsys.readouterr()
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
+
+
+def test_verify_witness_file_is_strict_about_types(capsys, tmp_path):
+    # a holds bit of 1 equals true under ==; it is not the canonical
+    # boolean, so both verify FILE and the library re-verifier reject it
+    path = tmp_path / "cert.json"
+    main(["witness", "--r", "1/2", "--rho", "1/4", "--out", str(path)])
+    capsys.readouterr()
+    obj = json.loads(path.read_text())
+    i = len(obj["ledger"]) - 1
+    assert obj["ledger"][i]["holds"] is True
+    obj["ledger"][i]["holds"] = 1
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 3
+    assert out.startswith("invariant violated: matches canonical "
+                          "recomputation")
+    assert f"$.ledger[{i}].holds" in out
+    failure = verify_witness_json(obj).first_failure
+    assert failure.name == "matches canonical recomputation"
+    assert f"$.ledger[{i}].holds" in failure.detail
 
 
 def test_verify_corrupted_witness_file(capsys, tmp_path):
@@ -396,6 +419,42 @@ def test_verify_file_with_a_number_past_the_digit_limit(capsys, tmp_path):
     assert (code, err) == (3, "")
     assert out.startswith("invariant violated: document parses (")
     assert sys.get_int_max_str_digits() == digits - 700
+
+
+@pytest.mark.parametrize("depth", [5000, 100000])
+def test_verify_file_nested_too_deep_to_decode(capsys, tmp_path, depth):
+    # the decoder gives up with a RecursionError, not a ValueError; the
+    # document still only fails to parse
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (3, "")
+    assert out.startswith("invariant violated: document parses (")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["plan"], ("depth",)),
+    (["witness", "--rho", "1/4"], ("depth",)),
+    (["export"], ("depthRange", "hi")),
+])
+def test_verify_file_with_an_infinite_integer_field(capsys, tmp_path, argv,
+                                                    field):
+    # JSON 1e400 decodes to float infinity, which int() refuses with an
+    # OverflowError: the document is malformed, not a crash
+    path = tmp_path / "doc.json"
+    main([*argv, "--out", str(path)])
+    capsys.readouterr()
+    text = path.read_text()
+    obj = json.loads(text)
+    target = obj
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = "INFINITE"
+    path.write_text(json.dumps(obj).replace('"INFINITE"', "1e400"))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (3, "")
+    assert out.startswith("invariant violated: ")
+    assert out.endswith("(cannot convert float infinity to integer)\n")
 
 
 def test_verify_unknown_kind(capsys, tmp_path):

@@ -1,0 +1,356 @@
+"""Differential test: `verify FILE` through the one document sequence
+against the three paths it replaced.
+
+``verify_document_file``, ``verify_tables_document`` and
+``verify_diagram_document`` (from ``cli``) and ``verify_witness_json``
+(from ``certificates``) are copied below as they were.  The inputs are
+small ``plan``, ``witness``, ``witness --crossed`` and ``export`` documents
+in all three regimes, every single-leaf edit of each (another value of the
+leaf's JSON type, and a value of another type), and documents that no
+kind accepts.  On each, the new sequence must exit with the same code and
+print the same text as the old paths, except in these cases, each asserted
+exactly:
+
+  * a diagram the old parser rejected as ``diagram document well formed
+    (...)`` may now be rejected by the comparison, whose line names the
+    JSON path of the first difference;
+  * a document nested too deep to decode raised RecursionError out of the
+    old path; it is now refused as a document that does not parse;
+  * a document whose canonical regeneration passes the int->str digit
+    limit raised ValueError out of the old path, and one with a number no
+    int can hold (JSON 1e400) raised OverflowError; the sequence refuses
+    both at the parse entry.
+
+For witness documents, ``verify_witness_json`` must also agree with the
+old one on whether the document passes and on its first failure.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from typing import Any
+
+import pytest
+
+from ahtower import certificates, cli
+from ahtower.certificates import search_witness
+from ahtower.cli import emit, main, report_lines
+from ahtower.diagram import (build_diagram_document, diagram_from_json_obj,
+                             diagram_to_json_obj)
+from ahtower.rational import fraction_from_json
+from ahtower.report import Checker, CheckReport, first_difference
+from ahtower.sequences import (FORMAT_VERSION, GrowthTables, TargetParams,
+                               build_tables, verify_tables)
+
+
+# -- the three paths, as they were --------------------------------------------
+
+def verify_document_file(path: str, out: str | None) -> int:
+    # bad JSON, bytes that are not UTF-8 and a number past the int->str
+    # digit limit are all ValueErrors: the document does not parse.  A file
+    # that cannot be opened stays an OSError, a usage error.
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            obj = json.loads(handle.read())
+    except ValueError as exc:
+        emit(f"invariant violated: document parses ({exc})", out)
+        return 3
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind == "tables":
+        return verify_tables_document(obj, out)
+    if kind == "witness":
+        report = verify_witness_json(obj)
+        ok, line = report_lines("witness certificate", report)
+        emit(line, out)
+        return 0 if ok else 3
+    if kind == "diagram":
+        return verify_diagram_document(obj, out)
+    emit(f"invariant violated: recognized document kind (got {kind!r})", out)
+    return 3
+
+
+def verify_tables_document(obj: dict, out: str | None) -> int:
+    try:
+        tables = GrowthTables.from_json_obj(obj)
+        rebuilt = build_tables(
+            tables.params, tables.depth,
+            tables.h_seq if tables.h_rule == "explicit" else None)
+    except (KeyError, ValueError, TypeError) as exc:
+        emit(f"invariant violated: tables document well formed ({exc})", out)
+        return 3
+    report = verify_tables(tables)
+    ok, line = report_lines("tables", report)
+    if not ok:
+        emit(line, out)
+        return 3
+    # first_difference, unlike ==, tells true and 2.0 from 1 and 2
+    diff = first_difference(obj, rebuilt.to_json_obj())
+    if diff:
+        emit("invariant violated: tables match canonical regeneration "
+             f"({diff})", out)
+        return 3
+    emit(line + "\ntables match canonical regeneration", out)
+    return 0
+
+
+def verify_diagram_document(obj: dict, out: str | None) -> int:
+    try:
+        doc = diagram_from_json_obj(obj)
+        tables = build_tables(doc.params, doc.hi, doc.h_override)
+        rebuilt = build_diagram_document(tables, doc.lo, doc.hi)
+    except (KeyError, ValueError, TypeError) as exc:
+        emit(f"invariant violated: diagram document well formed ({exc})", out)
+        return 3
+    canonical = diagram_to_json_obj(rebuilt)
+    if obj != canonical:
+        emit("invariant violated: diagram matches canonical regeneration "
+             f"({first_difference(obj, canonical)})", out)
+        return 3
+    emit("diagram matches canonical regeneration", out)
+    return 0
+
+
+def verify_witness_json(doc: Any) -> CheckReport:
+    """Rebuild the certificate from its inputs and require equality.
+
+    The presented document must match the canonical recomputation key for
+    key, value for value; nothing in it is trusted.
+    """
+    c = Checker()
+    try:
+        if not isinstance(doc, dict):
+            raise ValueError("certificate must be an object")
+        if doc.get("formatVersion") != FORMAT_VERSION:
+            raise ValueError(f"unknown formatVersion {doc.get('formatVersion')!r}")
+        if doc.get("kind") != "witness":
+            raise ValueError(f"not a witness document: kind={doc.get('kind')!r}")
+        if not isinstance(doc.get("crossed"), bool):
+            raise ValueError("crossed flag must be a boolean")
+        params_obj = doc["params"]
+        if isinstance(params_obj, dict) and "rPrime" not in params_obj:
+            params_obj = {**params_obj, "rPrime": params_obj.get("r")}
+        params = TargetParams.from_json_obj(params_obj)
+        depth = int(doc["depth"])
+        rho = fraction_from_json(doc["rho"])
+        override = None
+        if "hSeqOverride" in doc:
+            override = tuple(int(x) for x in doc["hSeqOverride"])
+        tables = build_tables(params, depth, override)
+        canonical = search_witness(tables, rho, doc["crossed"])
+    except (KeyError, ValueError, TypeError, RuntimeError) as exc:
+        c.check("document parses and recomputes", False, str(exc))
+        return c.report()
+    c.check("document parses and recomputes", True)
+    diff = first_difference(doc, canonical.to_json_obj())
+    c.check("matches canonical recomputation", diff is None, diff or "")
+    c.check("all ledger rows hold", canonical.all_hold)
+    return c.report()
+
+
+# -- inputs -------------------------------------------------------------------
+
+REGIMES = [("1/2", "1/3", "1/4"), ("inf", "5/2", "1"), ("inf", "inf", "1")]
+
+
+def emitted(tmp_path, *argv):
+    path = tmp_path / "emitted.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def documents(tmp_path):
+    """(name, document) for every small document the tests edit."""
+    docs = []
+    for r, r_prime, rho in REGIMES:
+        flags = ("--r", r, "--r-prime", r_prime)
+        docs += [
+            (f"plan {r} {r_prime}", emitted(tmp_path, "plan", *flags,
+                                            "--depth", "3")),
+            (f"witness {r} {r_prime}", emitted(
+                tmp_path, "witness", *flags, "--depth", "3", "--rho", rho)),
+            (f"crossed witness {r} {r_prime}", emitted(
+                tmp_path, "witness", *flags, "--depth", "3", "--rho", rho,
+                "--crossed")),
+            (f"export {r} {r_prime}", emitted(tmp_path, "export", *flags,
+                                              "--depth", "2")),
+        ]
+    explicit = ("--r", "inf", "--r-prime", "inf", "--depth", "4",
+                "--h-seq", "1,2,2,4,4")
+    docs += [
+        ("plan explicit h", emitted(tmp_path, "plan", *explicit)),
+        ("witness explicit h", emitted(tmp_path, "witness", *explicit,
+                                       "--rho", "1")),
+        ("export explicit h", emitted(tmp_path, "export", *explicit)),
+        ("export d=2", emitted(tmp_path, "export", "--d", "2",
+                               "--depth", "2")),
+    ]
+    return docs
+
+
+def leaf_edits(node, path=()):
+    """(path, value) pairs: each scalar leaf with another value of its JSON
+    type, then with a value of another type."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_edits(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaf_edits(value, path + (i,))
+    elif isinstance(node, bool):
+        yield path, not node
+        yield path, int(node)
+    elif isinstance(node, int):
+        yield path, node + 1
+        yield path, float(node)
+    elif node.lstrip("-").isdigit():
+        yield path, str(int(node) + 1)
+        yield path, int(node)
+    else:
+        yield path, node + " x"
+        yield path, None
+
+
+def edited(doc, path, value):
+    copy = json.loads(json.dumps(doc))
+    target = copy
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return copy
+
+
+# -- comparison ---------------------------------------------------------------
+
+def outcome(verify, path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = verify(str(path), None)
+    return code, out.getvalue()
+
+
+def assert_same_outcome(path):
+    """The new outcome equals the old, or differs by the one diagram line
+    class; returns whether it differed."""
+    new, old = outcome(cli.verify_document_file, path), \
+        outcome(verify_document_file, path)
+    if new == old:
+        return False
+    assert new[0] == old[0] == 3, (new, old)
+    assert old[1].startswith(
+        "invariant violated: diagram document well formed ("), (new, old)
+    assert new[1].startswith(
+        "invariant violated: diagram matches canonical regeneration ($."), \
+        (new, old)
+    return True
+
+
+def assert_same_witness_report(doc):
+    new, old = certificates.verify_witness_json(doc), verify_witness_json(doc)
+    assert (new.ok, new.first_failure) == (old.ok, old.first_failure)
+
+
+def test_every_single_leaf_edit_matches_the_old_paths(tmp_path):
+    path = tmp_path / "document.json"
+    edits = differed = 0
+    for name, doc in documents(tmp_path):
+        path.write_text(json.dumps(doc))
+        assert outcome(cli.verify_document_file, path)[0] == 0, name
+        assert not assert_same_outcome(path), name
+        for leaf, value in leaf_edits(doc):
+            mutated = edited(doc, leaf, value)
+            path.write_text(json.dumps(mutated))
+            differed += assert_same_outcome(path)
+            if doc["kind"] == "witness":
+                assert_same_witness_report(mutated)
+            edits += 1
+    assert edits > 2000
+    # the diagram line class is exercised, and stays a minority
+    assert 0 < differed < edits // 4
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    "null",
+    json.dumps({"kind": "mystery"}),
+    json.dumps({"kind": ["tables"]}),
+    json.dumps({"formatVersion": "1"}),
+    "{not json",
+])
+def test_documents_of_no_kind_match_the_old_paths(tmp_path, text):
+    path = tmp_path / "document.json"
+    path.write_text(text)
+    assert not assert_same_outcome(path)
+
+
+@pytest.mark.parametrize("kind", ["plan", "witness", "export"])
+def test_wrong_format_version_matches_the_old_paths(tmp_path, kind):
+    argv = [kind] + (["--rho", "1/4"] if kind == "witness" else [])
+    doc = emitted(tmp_path, *argv)
+    for version in ("2", 1, None):
+        path = tmp_path / "document.json"
+        path.write_text(json.dumps({**doc, "formatVersion": version}))
+        assert not assert_same_outcome(path)
+        if kind == "witness":
+            assert_same_witness_report({**doc, "formatVersion": version})
+
+
+def test_witness_reports_differ_only_on_a_non_object():
+    for doc in ([], "witness", None):
+        new = certificates.verify_witness_json(doc).first_failure
+        old = verify_witness_json(doc).first_failure
+        assert (new.name, old.name) == ("document parses and recomputes",) * 2
+        assert (old.detail, new.detail) == (
+            "certificate must be an object",
+            "witness document must be an object")
+
+
+def test_regeneration_past_the_digit_limit_is_refused_in_the_sequence(
+        tmp_path):
+    # at d=1 the canonical certificate of depth 13 has integers past the
+    # int->str digit limit: the old path let that ValueError out of
+    # verify_document_file (exit 2 from main), the sequence refuses the
+    # document at its parse entry
+    if not 0 < sys.get_int_max_str_digits() <= 5000:
+        pytest.skip("needs an int->str digit limit near the default")
+    doc = emitted(tmp_path, "witness", "--rho", "1/4", "--depth", "12")
+    path = tmp_path / "deep-witness.json"
+    path.write_text(json.dumps({**doc, "depth": "13"}))
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        outcome(verify_document_file, path)
+    code, out = outcome(cli.verify_document_file, path)
+    assert code == 3
+    assert out.startswith("invariant violated: document parses and "
+                          "recomputes (Exceeds the limit")
+
+
+@pytest.mark.parametrize("argv, field, entry", [
+    (["plan"], ("depth",), "tables document well formed"),
+    (["witness", "--rho", "1/4"], ("depth",),
+     "document parses and recomputes"),
+    (["export"], ("depthRange", "lo"), "diagram document well formed"),
+])
+def test_an_integer_field_of_1e400_is_refused_in_the_sequence(
+        tmp_path, argv, field, entry):
+    doc = emitted(tmp_path, *argv)
+    doc = edited(doc, field, "INFINITE")
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(doc).replace('"INFINITE"', "1e400"))
+    with pytest.raises(OverflowError):
+        outcome(verify_document_file, path)
+    assert outcome(cli.verify_document_file, path) == (
+        3, f"invariant violated: {entry} "
+           "(cannot convert float infinity to integer)\n")
+
+
+def test_nesting_too_deep_to_decode_is_a_document_that_does_not_parse(
+        tmp_path):
+    path = tmp_path / "deep.json"
+    for depth in (5000, 100000):
+        path.write_text("[" * depth + "]" * depth)
+        with pytest.raises(RecursionError):
+            outcome(verify_document_file, path)
+        code, out = outcome(cli.verify_document_file, path)
+        assert code == 3
+        assert out.startswith("invariant violated: document parses (")

@@ -49,6 +49,17 @@ def load_bench(monkeypatch):
     return load_perfbench_module(monkeypatch, "bench")
 
 
+# per workload, the layers its calls must reach: a span whose function is
+# no longer called on that path would read 0 without dropping its metric
+REACHED = {
+    "certify-sweep": ["certificates.verify_witness_json_s",
+                      "sequences.verify_tables_s", "sequences.tables_json_s"],
+    "lattice-enum": [],
+    "diagram-roundtrip": ["diagram.json_s",
+                          "diagram.build_diagram_document_s"],
+}
+
+
 @pytest.mark.parametrize("workload", ["certify-sweep", "lattice-enum",
                                       "diagram-roundtrip"])
 def test_traced_run_reports_every_layer(monkeypatch, tmp_path, workload):
@@ -59,3 +70,5 @@ def test_traced_run_reports_every_layer(monkeypatch, tmp_path, workload):
     assert result["correct"]
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(result["metrics"]) == {layer["name"] for layer in declared}
+    for name in REACHED[workload]:
+        assert result["metrics"][name]["value"] > 0, name
