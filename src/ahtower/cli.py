@@ -10,15 +10,17 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .action import check_equivariance
 from .certificates import search_witness, verify_witness_json
 from .comparison import chern_min_embedding_rank
 from .crossed import check_crossed_sizes, check_upper_bound_gap
-from .diagram import DIAGRAM_DOCUMENT, export_diagram
+from .diagram import (DIAGRAM_DOCUMENT, build_diagram_document, dot_blocks,
+                      export_diagram)
 from .rational import parse_fraction
 from .report import Checker, CheckReport
 from .sequences import (TABLES_DOCUMENT, GrowthTables, tables_from_cli,
@@ -94,16 +96,18 @@ def tables_from_args(args: argparse.Namespace) -> GrowthTables:
                            c=args.c, h_seq=args.h_seq)
 
 
-def emit(text: str, out: str | None) -> None:
-    """Write ``text`` to ``out`` (stdout if None), ending in one newline
-    that is added only when the text lacks it."""
-    end = "" if text.endswith("\n") else "\n"
-    if out is None:
-        print(text, end=end)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write(end)
+def emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, or each of its chunks as it is made, to ``out``
+    (stdout if None; opened once the first chunk exists), ending in one
+    newline that is added only when the text lacks it."""
+    chunks = iter((text,) if isinstance(text, str) else text)
+    last = next(chunks, "")
+    with (open(out, "w", encoding="utf-8") if out is not None
+          else contextlib.nullcontext(sys.stdout)) as handle:
+        handle.write(last)
+        for last in chunks:
+            handle.write(last)
+        handle.write("" if last.endswith("\n") else "\n")
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +142,8 @@ def cmd_chern(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     tables = tables_from_args(args)
-    emit(export_diagram(tables, 0, tables.depth, args.format), args.out)
+    emit(dot_blocks(build_diagram_document(tables)) if args.format == "dot"
+         else export_diagram(tables), args.out)
     return 0
 
 

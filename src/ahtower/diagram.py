@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from .rational import ints_from_json, ints_to_json
 from .report import CheckReport
@@ -270,55 +270,57 @@ def _edge_sources(arrows: tuple[Arrow, ...], n: int) -> list[str]:
             for a in arrows]
 
 
-def render_dot(doc: DiagramDocument) -> str:
-    """Draw the document; deterministic line order, stable node ids.
-
-    A map into level n + 1 gives each of its 2^((n+1)d) C nodes one edge
-    per lattice point of level n, so the drawing has O(4^(nd)) edges.
-    Source ids depend only on the map: they are formatted once per map,
-    and each target node's evaluation edges are written by one join.
+def dot_blocks(doc: DiagramDocument) -> Iterator[str]:
+    """Draw the document in blocks of whole lines, with stable node ids: the
+    header and stage clusters; per map, one block per target node and one
+    of B-row edges; the closing ``}``.  The drawing has O(4^(nd)) edges,
+    but a writer that takes the blocks as they come holds one node's.  All
+    other lines, large integer labels included, are made before the first
+    block is yielded, so a drawing refused at the int->str digit limit
+    yields nothing.
     """
     d = doc.params.d
-    out = ["digraph tower {",
-           "  rankdir=LR;",
+    out = ["digraph tower {", "  rankdir=LR;",
            "  node [shape=box, fontsize=10];"]
     for stage in doc.stages:
-        n = stage.level
-        out.append(f"  subgraph cluster_L{n}_C {{")
-        out.append(f'    label="level {n} C row";')
-        size_label = f"M={stage.c_matrix_size}"
+        n, size_label = stage.level, f"M={stage.c_matrix_size}"
+        out += [f"  subgraph cluster_L{n}_C {{",
+                f'    label="level {n} C row";']
         for k, z in enumerate(torus_lattice(d, n)):
             zs = ",".join(str(c) for c in z)
             out.append(f'    C_{n}_{k} [label="z=({zs})\\n{size_label}"];')
-        out.append("  }")
-        out.append(f"  subgraph cluster_L{n}_B {{")
-        out.append(f'    label="level {n} B row";')
-        out.append(f'    B_{n} [label="M={stage.b_matrix_size}"];')
-        out.append("  }")
-    for dmap in doc.maps:
-        n = dmap.level
+        out += ["  }", f"  subgraph cluster_L{n}_B {{",
+                f'    label="level {n} B row";',
+                f'    B_{n} [label="M={stage.b_matrix_size}"];', "  }"]
+    maps = []
+    for m in doc.maps:
+        n = m.level
+        # a trailing "" ends a target's join in its last edge's tail
+        b_rows = f"B_{n + 1} [{EVAL_STYLE}];\n".join(
+            _edge_sources(m.into_b.arrows, n) + [""])
+        for s in m.into_b.spans:
+            style = (PROJECTION_STYLE if s.kind == KIND_COORD_PROJECTION
+                     else EVAL_STYLE)
+            b_rows += f'  B_{n} -> B_{n + 1} [{style}, label="x{s.count}"];\n'
+        maps.append((n, _edge_sources(m.into_c.arrows, n) + [""],
+                     [f' [{PROJECTION_STYLE}, label="x{s.count}"];\n'
+                      for s in m.into_c.spans], b_rows))
+    yield "\n".join(out) + "\n"
+    for n, sources, span_tails, b_rows in maps:
         size = 2 ** n
-        sources = _edge_sources(dmap.into_c.arrows, n)
-        span_tails = [f' [{PROJECTION_STYLE}, label="x{span.count}"];'
-                      for span in dmap.into_c.spans]
         for k_t, w in enumerate(torus_lattice(d, n + 1)):
             node = f"C_{n + 1}_{k_t}"
             parent = lattice_index(tuple(c % size for c in w), size)
-            out.extend(f"  C_{n}_{parent} -> {node}{tail}"
-                       for tail in span_tails)
-            if sources:
-                tail = f"{node} [{EVAL_STYLE}];"
-                out.append((tail + "\n").join(sources) + tail)
-        tail = f"B_{n + 1} [{EVAL_STYLE}];"
-        out.extend(source + tail
-                   for source in _edge_sources(dmap.into_b.arrows, n))
-        for span in dmap.into_b.spans:
-            style = (PROJECTION_STYLE if span.kind == KIND_COORD_PROJECTION
-                     else EVAL_STYLE)
-            out.append(f"  B_{n} -> B_{n + 1} "
-                       f'[{style}, label="x{span.count}"];')
-    out.append("}\n")
-    return "\n".join(out)
+            yield ("".join(f"  C_{n}_{parent} -> {node}{tail}"
+                           for tail in span_tails)
+                   + f"{node} [{EVAL_STYLE}];\n".join(sources))
+        yield b_rows
+    yield "}\n"
+
+
+def render_dot(doc: DiagramDocument) -> str:
+    """The whole drawing of ``dot_blocks`` as one string."""
+    return "".join(dot_blocks(doc))
 
 
 # ----------------------------------------------------------------------

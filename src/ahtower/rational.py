@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Any
 
 
@@ -108,6 +109,7 @@ def ints_from_json(values) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class ExtendedRational:
     """A nonnegative rational or infinity, totally ordered.
@@ -156,15 +158,6 @@ class ExtendedRational:
         if other._value is None:
             return True
         return self._value < other._value
-
-    def __le__(self, other: "ExtendedRational") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "ExtendedRational") -> bool:
-        return other < self
-
-    def __ge__(self, other: "ExtendedRational") -> bool:
-        return other <= self
 
     def to_json(self) -> Any:
         return "inf" if self._value is None else fraction_to_json(self._value)

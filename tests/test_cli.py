@@ -1,16 +1,21 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import ahtower.tower
 from ahtower.action import check_equivariance
 from ahtower.certificates import verify_witness_json
-from ahtower.cli import main, run_suites, standard_generators
+from ahtower.cli import emit, main, run_suites, standard_generators
 from ahtower.sequences import tables_from_cli
 from ahtower.tower import build_connecting_map
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -163,6 +168,65 @@ def test_export_rejects_unknown_format(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["export", "--format", "svg"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_refused_export_writes_nothing(capsys, tmp_path, fmt):
+    # at d=1 depth 13 the stage labels pass the int->str digit limit; the
+    # refusal comes before any output is opened or written
+    path = tmp_path / "diagram"
+    flags = ["export", "--format", fmt, "--d", "1", "--depth", "13"]
+    code, out, err = run(capsys, *flags, "--out", str(path))
+    assert (code, out) == (2, "") and "limit" in err
+    assert not path.exists()
+    code, out, err = run(capsys, *flags)
+    assert (code, out) == (2, "") and "limit" in err
+
+
+@pytest.mark.parametrize("text, written", [
+    ("a", "a\n"), ("a\n", "a\n"), ("", "\n"), ([], "\n"),
+    (["a", "b"], "ab\n"), (["a\n", "b\n"], "a\nb\n"),
+    (["a\n", "b"], "a\nb\n")])
+def test_emit_adds_a_final_newline_only_when_missing(capsys, tmp_path, text,
+                                                     written):
+    # one string, or chunks handed over one at a time
+    def fresh():
+        return text if isinstance(text, str) else iter(text)
+    emit(fresh(), None)
+    assert capsys.readouterr().out == written
+    path = tmp_path / "out"
+    emit(fresh(), str(path))
+    assert path.read_text(encoding="utf-8") == written
+
+
+def test_emit_opens_nothing_before_the_first_chunk(tmp_path):
+    def refused():
+        raise ValueError("refused")
+        yield "never"
+    path = tmp_path / "out"
+    with pytest.raises(ValueError, match="refused"):
+        emit(refused(), str(path))
+    assert not path.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux")
+def test_dot_export_streams_in_bounded_memory():
+    # d=1 depth 11 writes 115 MB of DOT; holding the drawing in memory took
+    # 347 MB, writing it block by block takes about 30 MB
+    script = ("import os, resource\n"
+              "from ahtower import cli\n"
+              "code = cli.main(['export', '--format', 'dot', '--d', '1', "
+              "'--depth', '11', '--out', os.devnull])\n"
+              "print(code, resource.getrusage("
+              "resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert peak_kib < 120 * 1024, f"peak {peak_kib / 1024:.0f} MB"
 
 
 # ----------------------------------------------------------------------

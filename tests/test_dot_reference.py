@@ -1,5 +1,7 @@
-"""Differential test: ``render_dot`` against the per-edge renderer it
-replaced, byte for byte, on clean, reparsed and rearranged documents."""
+"""Differential test: ``render_dot`` and the blocks of ``dot_blocks``
+against the per-edge renderer they replaced, byte for byte, on clean,
+reparsed and rearranged documents, and ``export --format dot`` against
+``render_dot``."""
 
 import dataclasses
 import functools
@@ -7,9 +9,11 @@ import json
 
 import pytest
 
+from ahtower.cli import main
 from ahtower.diagram import (EVAL_STYLE, PROJECTION_STYLE,
                              build_diagram_document, diagram_from_json_obj,
-                             diagram_to_json_obj, lattice_index, render_dot)
+                             diagram_to_json_obj, dot_blocks, lattice_index,
+                             render_dot)
 from ahtower.sequences import tables_from_cli
 from ahtower.tower import (KIND_COORD_PROJECTION, KIND_POINT_EVAL_X,
                            KIND_STAR_EVAL, TorusSlot, torus_lattice)
@@ -80,7 +84,16 @@ def bands(depth):
 
 
 def assert_same(doc):
-    assert render_dot(doc) == reference_render_dot(doc)
+    reference = reference_render_dot(doc)
+    assert render_dot(doc) == reference
+    # the stream: the header with the stage clusters, one block per target
+    # node of each map and one of its B-row edges, then the closing brace
+    blocks = list(dot_blocks(doc))
+    assert "".join(blocks) == reference
+    assert blocks[0].startswith("digraph tower {") and blocks[-1] == "}\n"
+    assert all(block.endswith("\n") for block in blocks)
+    assert len(blocks) == 2 + sum(2 ** ((m.level + 1) * doc.params.d) + 1
+                                  for m in doc.maps)
 
 
 @pytest.mark.parametrize("r, r_prime", REGIMES)
@@ -146,6 +159,24 @@ def test_point_outside_the_lattice_raises_in_both(target, d):
     bad = dataclasses.replace(m, **{target: dataclasses.replace(
         bucket, arrows=tuple(arrows))})
     doc = dataclasses.replace(doc, maps=doc.maps[:2] + (bad,))
-    for renderer in (render_dot, reference_render_dot):
+    # the stream refuses before it yields its first block
+    for renderer in (render_dot, reference_render_dot,
+                     lambda doc: next(dot_blocks(doc))):
         with pytest.raises(ValueError, match="outside"):
             renderer(doc)
+
+
+@pytest.mark.parametrize("d, depth", SETTINGS)
+def test_export_writes_render_dot_bytes(capsys, tmp_path, d, depth):
+    # the CLI streams the blocks; the bytes are render_dot's, through --out
+    # and through stdout
+    expected = render_dot(build_diagram_document(tables("1/2", "1/3", d,
+                                                        depth)))
+    flags = ["export", "--format", "dot", "--r", "1/2", "--r-prime", "1/3",
+             "--d", str(d), "--depth", str(depth)]
+    path = tmp_path / "tower.dot"
+    assert main([*flags, "--out", str(path)]) == 0
+    assert path.read_bytes() == expected.encode("utf-8")
+    capsys.readouterr()
+    assert main(flags) == 0
+    assert capsys.readouterr().out == expected
