@@ -7,9 +7,8 @@ from .certificates import (LedgerRow, WitnessReport, search_witness,
                            verify_witness_json)
 from .comparison import (ProjectionSymbol, SquareZeroPoly,
                          chern_min_embedding_rank, projection_pair)
-from .crossed import (build_crossed_stage, check_crossed_sizes,
-                      check_upper_bound_gap, crossed_rc_upper,
-                      crossed_trace_check)
+from .crossed import (check_crossed_sizes, check_upper_bound_gap,
+                      crossed_rc_upper, crossed_trace_check)
 from .diagram import (DiagramDocument, build_diagram_document,
                       diagram_from_json_obj, diagram_to_json_obj,
                       export_diagram, render_dot)
@@ -34,7 +33,6 @@ __all__ = [
     "TargetParams",
     "WitnessReport",
     "build_connecting_map",
-    "build_crossed_stage",
     "build_diagram_document",
     "build_stage",
     "build_tables",

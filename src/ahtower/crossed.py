@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import cross_sign, quotient_sign
+from .rational import cross_sign, quotient_sign, quotient_text
 from .report import Checker, CheckReport
 from .sequences import GrowthTables, gamma_rho_signs
 
@@ -33,34 +33,6 @@ from .sequences import GrowthTables, gamma_rho_signs
 # ----------------------------------------------------------------------
 # shapes
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CrossedBlockSpec:
-    matrix_size: int
-    base_dimension: int
-    torus_rank: int
-
-
-@dataclass(frozen=True)
-class CrossedStageSpec:
-    level: int
-    c_tilde: CrossedBlockSpec
-    b_tilde: CrossedBlockSpec
-
-
-def build_crossed_stage(tables: GrowthTables, n: int) -> CrossedStageSpec:
-    d = tables.params.d
-    return CrossedStageSpec(
-        level=n,
-        c_tilde=CrossedBlockSpec(
-            matrix_size=tables.r(n) * tables.torus_points(n),
-            base_dimension=2 * tables.h(n) * tables.s(n),
-            torus_rank=d),
-        b_tilde=CrossedBlockSpec(
-            matrix_size=tables.r(n),
-            base_dimension=2 * tables.h_prime(n) * tables.s_prime(n),
-            torus_rank=d))
-
 
 def check_crossed_sizes(tables: GrowthTables) -> CheckReport:
     """The size recursion of every transformed level."""
@@ -110,13 +82,14 @@ def check_upper_bound_gap(tables: GrowthTables) -> CheckReport:
     crushed below (h(n) + d/2)/2^(nd).
 
     Every comparison is made on integers, over one common denominator: with
-    r' = u/v, gamma(n) = g/e and kappa' = p'/q',
+    r' = u/v, gamma(n) = s'(n)/r(n) and kappa' = p'/q',
 
         excess >= 0           (2h's' + d)v - 2r(n)u against 0, over 2r(n)v;
-        excess identity       (h's'v - r(n)u) e q' = h'(g q' - p'e) r(n) v,
-                              the torus term d/(2r(n)) cancelling;
-        gamma gap window      g q' >= p'e, and the upper half of
-                              ``sequences.gamma_rho_signs``;
+        excess identity       (h's'v - r(n)u) q' = h'(s'q' - p'r(n)) v for
+                              r(n) != 0, the torus term d/(2r(n)) and one
+                              factor r(n) cancelling;
+        gamma gap window      s'q' - p'r(n) >= 0 over r(n), and the upper
+                              half of ``sequences.gamma_rho_signs``;
         big row crushed       2hs + d against (2h + d) r(n), as
                               c_part = (2hs + d)/(2^(nd+1) r(n));
         big row decreasing    (2hs + d)(n) r(n-1) against
@@ -135,21 +108,22 @@ def check_upper_bound_gap(tables: GrowthTables) -> CheckReport:
     c = Checker()
     previous: tuple[int, int] | None = None    # (2hs + d, 2^(nd) r) at n-1
     for n in range(1, tables.depth + 1):
-        r, hp, gamma = tables.r(n), tables.h_prime(n), tables.gamma(n)
-        small = hp * tables.s_prime(n)
+        r, hp, s_prime = tables.r(n), tables.h_prime(n), tables.s_prime(n)
+        small = hp * s_prime
         excess = (2 * small + d) * v - 2 * r * u          # over 2 r v
-        lift = (gamma.numerator * kp.denominator
-                - kp.numerator * gamma.denominator)    # gamma - kappa'
+        lift = s_prime * kp.denominator - kp.numerator * r    # over r q'
         c.check(f"small-row excess nonnegative (n={n})",
                 quotient_sign(excess, r) in (0, 1),
-                lambda: f"excess={_quotient_text(excess, 2 * r * v)}")
+                lambda: f"excess={quotient_text(excess, 2 * r * v)}")
         c.check(f"small-row excess identity (n={n})",
-                r != 0 and ((small * v - r * u) * gamma.denominator
-                            * kp.denominator == hp * lift * r * v),
-                lambda: (f"{_quotient_text(excess, 2 * r * v)} vs "
-                         f"h'*{gamma - kp} + {_quotient_text(d, 2 * r)}"))
+                r != 0 and ((small * v - r * u) * kp.denominator
+                            == hp * lift * v),
+                lambda: (f"{quotient_text(excess, 2 * r * v)} vs "
+                         f"h'*{quotient_text(lift, r * kp.denominator)} + "
+                         f"{quotient_text(d, 2 * r)}"))
         c.check(f"gamma gap inside its window (n={n})",
-                lift >= 0 and gamma_rho_signs(tables, n)[1] == -1)
+                quotient_sign(lift, r) in (0, 1)
+                and gamma_rho_signs(tables, n)[1] == -1)
         h = tables.h(n)
         big, pts = 2 * h * tables.s(n) + d, tables.torus_points(n)
         c.check(f"big-row part crushed (n={n})",
@@ -158,15 +132,10 @@ def check_upper_bound_gap(tables: GrowthTables) -> CheckReport:
             before, below = previous
             c.check(f"big-row part strictly decreasing (n={n})",
                     cross_sign(big, pts * r, before, below) == -1,
-                    lambda: (f"{_quotient_text(big, 2 * pts * r)} vs "
-                             f"{_quotient_text(before, 2 * below)}"))
+                    lambda: (f"{quotient_text(big, 2 * pts * r)} vs "
+                             f"{quotient_text(before, 2 * below)}"))
         previous = (big, pts * r)
     return c.report()
-
-
-def _quotient_text(num: int, den: int) -> str:
-    """num/den as a reduced fraction, or num/0 where den is 0."""
-    return str(Fraction(num, den)) if den else f"{num}/0"
 
 
 # ----------------------------------------------------------------------

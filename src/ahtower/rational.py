@@ -65,24 +65,14 @@ def cross_sign(a: int, b: int, c: int, e: int) -> int | None:
     return quotient_sign(a * e - c * b, b, e) if b and e else None
 
 
-def equals_quotient(value: Fraction, num: int, den: int) -> bool:
-    """Whether ``value`` equals num/den, False when den is 0.
+def quotient_text(num: int, den: int) -> str:
+    """num/den as a reduced fraction, or num/0 where den is 0: failure
+    text that never divides by zero.
 
-    ``value`` is in lowest terms, so this holds exactly when den is some
-    multiple k of its denominator and num the same multiple of its
-    numerator: one division finds k, and no two big integers are
-    multiplied while k is small.
-
-    >>> half = Fraction(1, 2)
-    >>> equals_quotient(half, 3, 6), equals_quotient(half, -2, -4)
-    (True, True)
-    >>> equals_quotient(half, 2, 3), equals_quotient(half, 1, 0)
-    (False, False)
+    >>> quotient_text(6, -4), quotient_text(3, 0)
+    ('-3/2', '3/0')
     """
-    if not den:
-        return False
-    k, rest = divmod(den, value.denominator)
-    return not rest and num == k * value.numerator
+    return str(Fraction(num, den)) if den else f"{num}/0"
 
 
 def fraction_to_json(value: Fraction) -> dict[str, str]:

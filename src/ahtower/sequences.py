@@ -38,17 +38,18 @@ is one ceiling division, and the window gamma_n*rho_n in [kappa', kappa' +
 
     0 <= g   and   g*l(n) < q*q'*s(n).
 
-No Fraction is multiplied out in the recursion: the stored ratio(n) and
-gamma(n) are each one Fraction(s(n), r(n)) or Fraction(s'(n), r(n)).  The
-generator never forms rho_n; `GrowthTables.rho` gives it exactly as
-kappa/ratio(n) (never a truncated product), and `GrowthTables.rho_terms`
-as the unreduced integer pair (p*den, q*num) of ratio(n) = num/den.
+No Fraction is multiplied out in the recursion, and none is stored: a
+table holds the integer sequences alone.  `GrowthTables.ratio` and
+`GrowthTables.gamma` build Fraction(s(n), r(n)) and Fraction(s'(n), r(n))
+on demand, for the document writer and for reading; `GrowthTables.rho`
+gives rho_n exactly as kappa/ratio(n) (never a truncated product), and
+`GrowthTables.rho_terms` as the unreduced integer pair (p*r(n), q*s(n)).
 
 `verify_tables` re-checks every step independently of the generator, on
-integers too: it reads the stored fields, ratio(n) and gamma(n) included,
-and compares each Fraction of the recursion by cross-multiplying
-numerators and denominators, so it takes no gcd (its docstring lists the
-forms).  The crossed side's window check reads the same forms.
+integers too: it reads the stored sequences and compares each quotient of
+the recursion on its (s, r) pair by cross-multiplication, so it takes no
+gcd (its docstring lists the forms).  The crossed side's window check
+reads the same forms.
 
 Targets come from a triple (r, r', d) of requested comparison radii where
 each radius may be "inf":
@@ -71,9 +72,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .rational import (ExtendedRational, cross_sign, equals_quotient,
-                       fraction_from_json, fraction_to_json, ints_from_json,
-                       ints_to_json, parse_fraction, quotient_sign)
+from .rational import (ExtendedRational, cross_sign, fraction_from_json,
+                       fraction_to_json, ints_from_json, ints_to_json,
+                       parse_fraction, quotient_sign, quotient_text)
 from .report import Checker, CheckReport, first_difference
 
 REGIME_FINITE_FINITE = "finite-finite"
@@ -242,7 +243,6 @@ class PrimarySequences:
     l_seq: tuple[int, ...]
     r_prod: tuple[int, ...]
     s_prod: tuple[int, ...]
-    ratio: tuple[Fraction, ...]   # ratio[n] = s(n)/r(n), decreases to kappa
 
 
 def slot_padding(d: int, n: int) -> int:
@@ -251,7 +251,7 @@ def slot_padding(d: int, n: int) -> int:
 
 
 def generate_d(kappa: Fraction, d: int, depth: int) -> PrimarySequences:
-    """Generate d(n), l(n), r(n), s(n) and the running ratio to ``depth``."""
+    """Generate d(n), l(n), r(n) and s(n) to ``depth``."""
     if not (0 < kappa < 1):
         raise ValueError("kappa must lie strictly between 0 and 1")
     if d < 1:
@@ -260,7 +260,7 @@ def generate_d(kappa: Fraction, d: int, depth: int) -> PrimarySequences:
         raise ValueError("depth must be nonnegative")
     p, q = kappa.numerator, kappa.denominator
     d_seq, l_seq = [0], [1]
-    r_prod, s_prod, ratio = [1], [1], [Fraction(1)]
+    r_prod, s_prod = [1], [1]
     for n in range(1, depth + 1):
         pad = slot_padding(d, n)
         # kappa/ratio(n-1) as the unreduced pair p*r(n-1) / (q*s(n-1))
@@ -271,21 +271,20 @@ def generate_d(kappa: Fraction, d: int, depth: int) -> PrimarySequences:
         l_seq.append(ln)
         r_prod.append(rn)
         s_prod.append(sn)
-        ratio.append(Fraction(sn, rn))
         # ratio(n) = ratio(n-1)*d(n)/l(n) falls exactly when d(n) < l(n)
         if not (p * rn < q * sn and dn < ln):
             raise RuntimeError(f"ratio left (kappa, 1) at level {n}")
     return PrimarySequences(tuple(d_seq), tuple(l_seq), tuple(r_prod),
-                            tuple(s_prod), tuple(ratio))
+                            tuple(s_prod))
 
 
 @dataclass(frozen=True)
 class SecondarySequences:
-    """d'(n) against the smaller target, with gamma_n = prod d'(k)/l(k)."""
+    """d'(n) against the smaller target and s'(n) = prod d'(k), so that
+    gamma_n = prod d'(k)/l(k) = s'(n)/r(n)."""
 
     d_prime_seq: tuple[int, ...]
     s_prime_prod: tuple[int, ...]
-    gamma: tuple[Fraction, ...]
 
 
 def generate_d_prime(kappa: Fraction, kappa_prime: Fraction,
@@ -297,13 +296,12 @@ def generate_d_prime(kappa: Fraction, kappa_prime: Fraction,
     if not (0 < kappa_prime <= kappa):
         raise ValueError("kappa' must lie in (0, kappa]")
     if kappa_prime == kappa:
-        gamma = primary.ratio
-        return SecondarySequences(primary.d_seq, primary.s_prod, gamma)
+        return SecondarySequences(primary.d_seq, primary.s_prod)
     # kappa*s'/s against kappa' is a*s' against b*s, over den*s
     a = kappa.numerator * kappa_prime.denominator
     b = kappa_prime.numerator * kappa.denominator
     den = kappa.denominator * kappa_prime.denominator
-    d_prime, s_prime, gamma = [0], [1], [Fraction(1)]
+    d_prime, s_prime = [0], [1]
     for n in range(1, depth + 1):
         ln, sn = primary.l_seq[n], primary.s_prod[n]
         # the step gamma(n-1)*rho(n)/l(n) is kappa*s'(n-1)/s(n)
@@ -312,12 +310,11 @@ def generate_d_prime(kappa: Fraction, kappa_prime: Fraction,
             raise RuntimeError(f"d'({n}) = {m} escapes [1, d({n})]")
         d_prime.append(m)
         s_prime.append(s_prime[n - 1] * m)
-        gamma.append(Fraction(s_prime[n], primary.r_prod[n]))
         # gamma(n)*rho(n) - kappa' is gap/(den*s(n))
         gap = a * s_prime[n] - b * sn
         if not (0 <= gap and gap * ln < den * sn):
             raise RuntimeError(f"gamma*rho window missed at level {n}")
-    return SecondarySequences(tuple(d_prime), tuple(s_prime), tuple(gamma))
+    return SecondarySequences(tuple(d_prime), tuple(s_prime))
 
 
 def choose_h(params: TargetParams, depth: int,
@@ -432,23 +429,22 @@ class GrowthTables:
         return self.secondary.s_prime_prod[self._level(n)]
 
     def ratio(self, n: int) -> Fraction:
-        """s(n)/r(n), the running product of d(k)/l(k)."""
-        return self.primary.ratio[self._level(n)]
+        """s(n)/r(n), the running product of d(k)/l(k), built on demand."""
+        return Fraction(self.s(n), self.r(n))
 
     def rho(self, n: int) -> Fraction:
         """kappa divided by the running ratio, computed exactly."""
-        return self.kappa / self.ratio(self._level(n))
+        return self.kappa / self.ratio(n)
 
     def rho_terms(self, n: int) -> tuple[int, int]:
-        """rho(n) as the unreduced pair (p*den, q*num) of kappa = p/q and
-        ratio(n) = num/den: no gcd, and 0 second where ratio(n) is 0."""
-        ratio = self.ratio(n)
-        return (self.kappa.numerator * ratio.denominator,
-                self.kappa.denominator * ratio.numerator)
+        """rho(n) as the unreduced pair (p*r(n), q*s(n)) of kappa = p/q:
+        no gcd, and 0 second where s(n) is 0."""
+        return (self.kappa.numerator * self.r(n),
+                self.kappa.denominator * self.s(n))
 
     def gamma(self, n: int) -> Fraction:
-        """s'(n)/r(n), the running product of d'(k)/l(k)."""
-        return self.secondary.gamma[self._level(n)]
+        """s'(n)/r(n), the running product of d'(k)/l(k), built on demand."""
+        return Fraction(self.s_prime(n), self.r(n))
 
     def h(self, n: int) -> int:
         return self.h_seq[self._level(n)]
@@ -477,6 +473,7 @@ class GrowthTables:
     # -- serialization --------------------------------------------------
 
     def to_json_obj(self) -> dict[str, Any]:
+        levels = range(self.depth + 1)
         obj: dict[str, Any] = {
             "formatVersion": FORMAT_VERSION,
             "kind": "tables",
@@ -494,8 +491,8 @@ class GrowthTables:
             "r": ints_to_json(self.primary.r_prod),
             "s": ints_to_json(self.primary.s_prod),
             "sPrime": ints_to_json(self.secondary.s_prime_prod),
-            "ratio": [fraction_to_json(x) for x in self.primary.ratio],
-            "gamma": [fraction_to_json(x) for x in self.secondary.gamma],
+            "ratio": [fraction_to_json(self.ratio(n)) for n in levels],
+            "gamma": [fraction_to_json(self.gamma(n)) for n in levels],
             "bitLengths": self.bit_lengths(),
         }
         if self.h_rule == H_RULE_EXPLICIT:
@@ -508,14 +505,10 @@ class GrowthTables:
         depth = int(obj["depth"])
         d_seq = (0,) + ints_from_json(obj["d"])
         l_seq = (1,) + ints_from_json(obj["l"])
-        primary = PrimarySequences(
-            d_seq, l_seq,
-            ints_from_json(obj["r"]), ints_from_json(obj["s"]),
-            tuple(fraction_from_json(x) for x in obj["ratio"]))
-        secondary = SecondarySequences(
-            (0,) + ints_from_json(obj["dPrime"]),
-            ints_from_json(obj["sPrime"]),
-            tuple(fraction_from_json(x) for x in obj["gamma"]))
+        primary = PrimarySequences(d_seq, l_seq, ints_from_json(obj["r"]),
+                                   ints_from_json(obj["s"]))
+        secondary = SecondarySequences((0,) + ints_from_json(obj["dPrime"]),
+                                       ints_from_json(obj["sPrime"]))
         tables = cls(
             params=TargetParams.from_json_obj(obj["params"]),
             depth=depth,
@@ -528,9 +521,8 @@ class GrowthTables:
             primary=primary,
             secondary=secondary)
         lengths = {len(primary.d_seq), len(primary.l_seq), len(primary.r_prod),
-                   len(primary.s_prod), len(primary.ratio),
-                   len(secondary.d_prime_seq), len(secondary.s_prime_prod),
-                   len(secondary.gamma), len(tables.h_seq),
+                   len(primary.s_prod), len(secondary.d_prime_seq),
+                   len(secondary.s_prime_prod), len(tables.h_seq),
                    len(tables.h_prime_seq)}
         if lengths != {depth + 1}:
             raise ValueError("tables document has inconsistent sequence lengths")
@@ -636,53 +628,64 @@ TABLES_DOCUMENT = DocumentKind(
 # invariant suite
 # ----------------------------------------------------------------------
 
+def gamma_rho_gap(tables: GrowthTables, n: int) -> tuple[int, int]:
+    """gamma(n)*rho(n) - kappa' as the unreduced pair (p*q'*s'(n) -
+    p'*q*s(n), q*q'*s(n)), with kappa = p/q and kappa' = p'/q'.
+
+    gamma(n)*rho(n) = (s'(n)/r(n)) * (p*r(n)/(q*s(n))) = p*s'(n)/(q*s(n)):
+    r(n) cancels.
+    """
+    kappa, kp = tables.kappa, tables.kappa_prime
+    below = kappa.denominator * tables.s(n)
+    return (kappa.numerator * kp.denominator * tables.s_prime(n)
+            - kp.numerator * below, kp.denominator * below)
+
+
 def gamma_rho_signs(tables: GrowthTables, n: int
                     ) -> tuple[int | None, int | None]:
     """The signs of gamma(n)*rho(n) - kappa' and of gamma(n)*rho(n) -
     (kappa' + 1/l(n)): the window 0 <= gap < 1/l(n) holds exactly when
-    they are (0 or 1, -1).  None where a quotient is undefined.
-
-    Read from the stored gamma(n) = g/e and ratio(n) = num/den by
-    cross-multiplication: gamma(n)*rho(n) = p*g*den / (q*num*e), where
-    den cancels e when the two are equal.
+    they are (0 or 1, -1).  None where a quotient is undefined: where s(n)
+    is 0, and where r(n) is 0, which leaves gamma(n) undefined although it
+    cancels in ``gamma_rho_gap``.
     """
-    ratio, gamma = tables.ratio(n), tables.gamma(n)
-    kappa, kp, ln = tables.kappa, tables.kappa_prime, tables.l(n)
-    top = kappa.numerator * gamma.numerator
-    bottom = kappa.denominator * ratio.numerator
-    if gamma.denominator != ratio.denominator:
-        top, bottom = top * ratio.denominator, bottom * gamma.denominator
-    gap = top * kp.denominator - kp.numerator * bottom    # over bottom*q'
-    return (quotient_sign(gap, bottom),
-            quotient_sign(gap * ln - kp.denominator * bottom, bottom, ln))
+    if not tables.r(n):
+        return None, None
+    gap, below = gamma_rho_gap(tables, n)
+    ln = tables.l(n)
+    return (quotient_sign(gap, below),
+            quotient_sign(gap * ln - below, below, ln))
 
 
 def verify_tables(tables: GrowthTables) -> CheckReport:
     """Replay every defining identity and window of the table, exactly.
 
-    Each entry reads the stored fields and compares integers: a stored
-    ratio(n) = num/den or gamma(n) is cross-multiplied by its numerator and
-    denominator, and rho(n) = kappa/ratio(n) is the pair (p*den, q*num), so
-    no gcd is taken.  With kappa = p/q, kappa' = p'/q' and pad = 1 +
-    2^(dn-d), the entries compare
+    Each entry reads the stored integer sequences and compares integers:
+    ratio(n) is the pair (s(n), r(n)), gamma(n) the pair (s'(n), r(n)) and
+    rho(n) = kappa/ratio(n) the pair (p*r(n), q*s(n)), none of them
+    reduced, so no gcd is taken.  With kappa = p/q, kappa' = p'/q' and
+    pad = 1 + 2^(dn-d), the entries compare
 
         d(n) minimal          k/(k + pad) against rho(n-1) at k = d(n) and
                               k = d(n) - 1, as k*(Q - P) - pad*P for
                               rho(n-1) = P/Q;
-        ratio(n) = s/r        (s(n), r(n)) = k*(num, den) for one integer
-                              k, and likewise for (num(n-1)*d(n),
-                              den(n-1)*l(n)) (``equals_quotient``);
-        ratio window          d(n)*(q*num - p*den) <= q*num, which is
-                              ratio(n) - kappa <= kappa/(d(n) - 1);
+        ratio order           kappa < s(n)/r(n) < s(n-1)/r(n-1)
+                              (``cross_sign``);
+        ratio window          d(n)*(q*s(n) - p*r(n)) - q*s(n) <= 0 over
+                              r(n), which is ratio(n) - kappa <=
+                              kappa/(d(n) - 1);
         d'(n) minimal         m*step against kappa' at m = d'(n) and
                               d'(n) - 1, step = gamma(n-1)*rho(n)/l(n) as
-                              one unreduced pair;
-        gamma*rho window      gamma(n)*rho(n) against kappa' and
+                              the pair (p*s'(n-1)*r(n), q*r(n-1)*s(n)*l(n));
+        gamma*rho window      p*s'(n)/(q*s(n)) against kappa' and
                               kappa' + 1/l(n) (``gamma_rho_signs``).
 
-    Nothing here calls the generator, so it checks the closed forms there
-    rather than restating them.  A quotient with a zero denominator, which
-    only a corrupted table holds, fails the entries that read it.
+    No entry checks a stored ratio or gamma, since none is stored; the
+    recursion ratio(n) = ratio(n-1)*d(n)/l(n) follows from "r(n)
+    multiplicative" and "s(n) multiplicative".  Nothing here calls the
+    generator, so it checks the closed forms there rather than restating
+    them.  A quotient with a zero denominator, which only a corrupted table
+    holds, fails the entries that read it.
     """
     c = Checker()
     t = tables
@@ -709,15 +712,15 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
             all(t.h(n + 1) <= t.h(n) * 2 ** t.params.d
                 for n in range(t.depth)))
 
-    c.check("empty products", t.l(0) == t.r(0) == t.s(0) == t.s_prime(0) == 1
-            and t.ratio(0) == t.gamma(0) == 1)
+    c.check("empty products",
+            t.l(0) == t.r(0) == t.s(0) == t.s_prime(0) == 1)
 
     p, q = t.kappa.numerator, t.kappa.denominator
     pp, qp = t.kappa_prime.numerator, t.kappa_prime.denominator
     prime_collapses = t.kappa_prime == t.kappa
     for n in range(1, t.depth + 1):
         pad = slot_padding(t.params.d, n)
-        dn, ln = t.d(n), t.l(n)
+        dn, ln, r, s = t.d(n), t.l(n), t.r(n), t.s(n)
         # the target kappa/ratio(n-1) is rho(n-1) = P/Q
         big_p, big_q = t.rho_terms(n - 1)
         gain = big_q - big_p
@@ -728,20 +731,14 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
                                       dn - 1 + pad, big_q) != 1),
                 lambda: f"d({n}) has {t.d(n).bit_length()} bits")
         c.check(f"l({n}) = d({n}) + 1 + 2^(dn-d)", ln == dn + pad)
-        c.check(f"r({n}) multiplicative", t.r(n) == t.r(n - 1) * ln)
-        c.check(f"s({n}) multiplicative", t.s(n) == t.s(n - 1) * dn)
-        ratio, before = t.ratio(n), t.ratio(n - 1)
-        num, den = ratio.numerator, ratio.denominator
-        c.check(f"ratio({n}) = s/r",
-                equals_quotient(ratio, t.s(n), t.r(n))
-                and equals_quotient(ratio, before.numerator * dn,
-                                    before.denominator * ln))
+        c.check(f"r({n}) multiplicative", r == t.r(n - 1) * ln)
+        c.check(f"s({n}) multiplicative", s == t.s(n - 1) * dn)
         c.check(f"kappa < ratio({n}) < ratio({n - 1})",
-                p * den < q * num
-                and num * before.denominator < before.numerator * den)
+                cross_sign(p, q, s, r) == -1
+                and cross_sign(s, r, t.s(n - 1), t.r(n - 1)) == -1)
         if dn >= 2:
             c.check(f"ratio({n}) - kappa <= kappa/(d({n})-1)",
-                    dn * (q * num - p * den) <= q * num)
+                    quotient_sign(dn * (q * s - p * r) - q * s, r) in (-1, 0))
         top, bottom = t.rho_terms(n)
         c.check(f"rho({n}) in (kappa, 1)",
                 cross_sign(top, bottom, p, q) == 1
@@ -750,9 +747,9 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
         if prime_collapses:
             c.check(f"d'({n}) = d({n})", t.d_prime(n) == dn)
         else:
-            m, gamma = t.d_prime(n), t.gamma(n - 1)
-            step_num = gamma.numerator * top
-            step_den = gamma.denominator * bottom * ln
+            m = t.d_prime(n)
+            step_num = t.s_prime(n - 1) * top
+            step_den = t.r(n - 1) * bottom * ln
             reach = m * step_num
             c.check(f"d'({n}) minimal",
                     cross_sign(reach, step_den, pp, qp) in (0, 1)
@@ -761,12 +758,10 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
         c.check(f"1 <= d'({n}) <= d({n})", 1 <= t.d_prime(n) <= dn)
         c.check(f"s'({n}) multiplicative",
                 t.s_prime(n) == t.s_prime(n - 1) * t.d_prime(n))
-        c.check(f"gamma({n}) = s'/r",
-                equals_quotient(t.gamma(n), t.s_prime(n), t.r(n)))
         low, high = gamma_rho_signs(t, n)
         c.check(f"gamma*rho window at {n}", low in (0, 1) and high == -1,
-                lambda: (f"gap={t.gamma(n) * t.rho(n) - t.kappa_prime}"
-                         if t.ratio(n) else f"gap undefined: ratio({n}) = 0"))
+                lambda: (f"gap={quotient_text(*gamma_rho_gap(t, n))}"
+                         if t.r(n) else f"gap undefined: r({n}) = 0"))
 
     c.check("d nondecreasing",
             all(t.d(n) <= t.d(n + 1) for n in range(1, t.depth)))

@@ -485,15 +485,54 @@ def test_verify_file_with_a_number_past_the_digit_limit(capsys, tmp_path):
     assert sys.get_int_max_str_digits() == digits - 700
 
 
+def decodes(text):
+    """Whether the running JSON decoder parses ``text`` rather than giving
+    up with a RecursionError: CPython 3.13's parses 5000 nested lists."""
+    try:
+        json.loads(text)
+    except RecursionError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("depth", [5000, 100000])
 def test_verify_file_nested_too_deep_to_decode(capsys, tmp_path, depth):
     # the decoder gives up with a RecursionError, not a ValueError; the
-    # document still only fails to parse
+    # document still only fails to parse.  Where the decoder parses it, the
+    # list is a document of no kind
+    text = "[" * depth + "]" * depth
     path = tmp_path / "deep.json"
-    path.write_text("[" * depth + "]" * depth)
+    path.write_text(text)
     code, out, err = run(capsys, "verify", str(path))
     assert (code, err) == (3, "")
-    assert out.startswith("invariant violated: document parses (")
+    if decodes(text):
+        assert depth == 5000
+        assert out == ("invariant violated: recognized document kind "
+                       "(got None)\n")
+    else:
+        assert out.startswith("invariant violated: document parses (")
+
+
+@pytest.mark.parametrize("field", ["ratio", "gamma"])
+@pytest.mark.parametrize("edit", ["num+1", "unreduced"])
+def test_verify_file_with_an_edited_quotient_leaf(capsys, tmp_path, field,
+                                                  edit):
+    # tables hold no ratio or gamma: the comparison with the canonical
+    # regeneration judges those leaves and names the path
+    path = tmp_path / "tables.json"
+    main(["plan", "--r", "1/2", "--r-prime", "1/3", "--depth", "4",
+          "--out", str(path)])
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    num, den = int(doc[field][2]["num"]), int(doc[field][2]["den"])
+    doc[field][2] = ({"num": str(num + 1), "den": str(den)}
+                     if edit == "num+1"
+                     else {"num": str(2 * num), "den": str(2 * den)})
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (3, "")
+    assert out.startswith("invariant violated: tables match canonical "
+                          f"regeneration ($.{field}[2].")
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 import ahtower.tower
 from ahtower.certificates import search_witness
 from ahtower.comparison import ProjectionSymbol, projection_pair
-from ahtower.crossed import (build_crossed_stage, check_crossed_sizes,
-                             check_upper_bound_gap, crossed_rc_upper,
-                             crossed_trace_check)
+from ahtower.crossed import (check_crossed_sizes, check_upper_bound_gap,
+                             crossed_rc_upper, crossed_trace_check)
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, build_tables
 
@@ -32,15 +31,6 @@ def half_third():
 # ----------------------------------------------------------------------
 # shapes and censuses
 # ----------------------------------------------------------------------
-
-def test_crossed_stage_shapes(half_third):
-    spec = build_crossed_stage(half_third, 1)
-    assert spec.c_tilde.matrix_size == 10          # r(1) * 2^1
-    assert spec.c_tilde.base_dimension == 6        # 2 * h(1) * s(1)
-    assert spec.b_tilde.matrix_size == 5
-    assert spec.b_tilde.base_dimension == 4        # 2 * h'(1) * s'(1)
-    assert spec.c_tilde.torus_rank == spec.b_tilde.torus_rank == 1
-
 
 def test_size_recursion_direct(half_third):
     d = half_third.params.d

@@ -15,7 +15,9 @@ exactly:
     (...)`` may now be rejected by the comparison, whose line names the
     JSON path of the first difference;
   * a document nested too deep to decode raised RecursionError out of the
-    old path; it is now refused as a document that does not parse;
+    old path; it is now refused as a document that does not parse (where
+    the running decoder parses it, both paths refuse it as a document of
+    no kind);
   * a document whose canonical regeneration passes the int->str digit
     limit raised ValueError out of the old path, and one with a number no
     int can hold (JSON 1e400) raised OverflowError; the sequence refuses
@@ -344,11 +346,29 @@ def test_an_integer_field_of_1e400_is_refused_in_the_sequence(
            "(cannot convert float infinity to integer)\n")
 
 
+def decodes(text):
+    """Whether the running JSON decoder parses ``text`` rather than giving
+    up with a RecursionError: CPython 3.13's parses 5000 nested lists."""
+    try:
+        json.loads(text)
+    except RecursionError:
+        return False
+    return True
+
+
 def test_nesting_too_deep_to_decode_is_a_document_that_does_not_parse(
         tmp_path):
     path = tmp_path / "deep.json"
     for depth in (5000, 100000):
-        path.write_text("[" * depth + "]" * depth)
+        text = "[" * depth + "]" * depth
+        path.write_text(text)
+        if decodes(text):
+            # a decoded list is a document of no kind, on both paths
+            assert depth == 5000
+            assert outcome(cli.verify_document_file, path) == (
+                3, "invariant violated: recognized document kind (got None)\n")
+            assert not assert_same_outcome(path)
+            continue
         with pytest.raises(RecursionError):
             outcome(verify_document_file, path)
         code, out = outcome(cli.verify_document_file, path)

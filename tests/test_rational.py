@@ -96,6 +96,3 @@ def test_integer_comparisons_match_fractions(a, b, c, e):
         sign(Fraction(a, b * e)) if defined else None)
     assert rational.cross_sign(a, b, c, e) == (
         sign(Fraction(a, b) - Fraction(c, e)) if defined else None)
-    if b:
-        assert rational.equals_quotient(Fraction(a, b), c, e) == (
-            e != 0 and Fraction(a, b) == Fraction(c, e))

@@ -1,5 +1,8 @@
 """Differential test: the integer generator of d(n) and d'(n) against the
-Fraction generator it replaced, on drawn targets and on deep tables."""
+Fraction generator it replaced, on drawn targets and on deep tables.
+
+The Fraction generator keeps its running ratio and gamma to itself: tables
+hold only the integer sequences, so it returns those."""
 
 import math
 from fractions import Fraction
@@ -66,7 +69,7 @@ def generate_d(kappa: Fraction, d: int, depth: int) -> PrimarySequences:
         if not kappa < ratio[n] < ratio[n - 1]:
             raise RuntimeError(f"ratio left (kappa, 1) at level {n}")
     return PrimarySequences(tuple(d_seq), tuple(l_seq), tuple(r_prod),
-                            tuple(s_prod), tuple(ratio))
+                            tuple(s_prod))
 
 
 def generate_d_prime(kappa: Fraction, kappa_prime: Fraction,
@@ -78,12 +81,13 @@ def generate_d_prime(kappa: Fraction, kappa_prime: Fraction,
     if not (0 < kappa_prime <= kappa):
         raise ValueError("kappa' must lie in (0, kappa]")
     if kappa_prime == kappa:
-        gamma = primary.ratio
-        return SecondarySequences(primary.d_seq, primary.s_prod, gamma)
+        return SecondarySequences(primary.d_seq, primary.s_prod)
     d_prime, s_prime, gamma = [0], [1], [Fraction(1)]
+    ratio = Fraction(1)
     for n in range(1, depth + 1):
-        rho_n = kappa / primary.ratio[n]
         ln = primary.l_seq[n]
+        ratio *= Fraction(primary.d_seq[n], ln)
+        rho_n = kappa / ratio
         step = gamma[n - 1] * rho_n / ln
         m = least_m_product_reaches(step, kappa_prime)
         if not 1 <= m <= primary.d_seq[n]:
@@ -94,7 +98,7 @@ def generate_d_prime(kappa: Fraction, kappa_prime: Fraction,
         gap = gamma[n] * rho_n - kappa_prime
         if not (0 <= gap < Fraction(1, ln)):
             raise RuntimeError(f"gamma*rho window missed at level {n}")
-    return SecondarySequences(tuple(d_prime), tuple(s_prime), tuple(gamma))
+    return SecondarySequences(tuple(d_prime), tuple(s_prime))
 
 
 # -- comparisons ------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahtower.cli import main
+from ahtower.crossed import check_upper_bound_gap
 from ahtower.rational import ExtendedRational
 from ahtower.report import Checker
 from ahtower.sequences import (GrowthTables, TargetParams, build_tables,
@@ -25,6 +27,16 @@ INF = ExtendedRational.parse("inf")
 def ff(r="1/2", rp=None, d=1):
     rp = r if rp is None else rp
     return TargetParams(ExtendedRational.parse(r), ExtendedRational.parse(rp), d)
+
+
+def ratio(p, n):
+    """ratio(n) = s(n)/r(n) of generated primary sequences."""
+    return Fraction(p.s_prod[n], p.r_prod[n])
+
+
+def gamma(p, sec, n):
+    """gamma(n) = s'(n)/r(n) of generated sequences."""
+    return Fraction(sec.s_prime_prod[n], p.r_prod[n])
 
 
 # ----------------------------------------------------------------------
@@ -110,23 +122,23 @@ def test_half_rank_one_heads():
     assert p.l_seq[1:] == (5, 19, 481, 411265)
     assert p.r_prod[1:4] == (5, 95, 45695)
     assert p.s_prod[1:4] == (3, 48, 22848)
-    assert p.ratio[1] == Fraction(3, 5)
-    assert p.ratio[2] == Fraction(48, 95)
-    assert p.ratio[3] == Fraction(22848, 45695)
+    assert ratio(p, 1) == Fraction(3, 5)
+    assert ratio(p, 2) == Fraction(48, 95)
+    assert ratio(p, 3) == Fraction(22848, 45695)
 
 
 def test_three_quarters_heads():
     p = generate_d(Fraction(3, 4), 1, 3)
     assert p.d_seq[1:] == (7, 82, 11476)
     assert p.l_seq[1:] == (9, 85, 11481)
-    assert p.ratio[2] == Fraction(574, 765)
+    assert ratio(p, 2) == Fraction(574, 765)
 
 
 def test_half_rank_two_heads():
     p = generate_d(Fraction(1, 2), 2, 3)
     assert p.d_seq[1:] == (3, 26, 2636)
     assert p.l_seq[1:] == (5, 31, 2653)
-    assert p.ratio[2] == Fraction(78, 155)
+    assert ratio(p, 2) == Fraction(78, 155)
 
 
 def test_nine_tenths_rank_three_heads():
@@ -139,10 +151,11 @@ def test_secondary_heads_third():
     sec = generate_d_prime(Fraction(1, 2), Fraction(1, 3), p, 3)
     assert sec.d_prime_seq[1:] == (2, 16, 476)
     assert sec.s_prime_prod[1:] == (2, 32, 15232)
-    assert sec.gamma[1:] == (Fraction(2, 5), Fraction(32, 95), Fraction(15232, 45695))
+    assert [gamma(p, sec, n) for n in (1, 2, 3)] \
+        == [Fraction(2, 5), Fraction(32, 95), Fraction(15232, 45695)]
     for n in (1, 2, 3):
-        rho = Fraction(1, 2) / p.ratio[n]
-        assert sec.gamma[n] * rho == Fraction(1, 3)
+        rho = Fraction(1, 2) / ratio(p, n)
+        assert gamma(p, sec, n) * rho == Fraction(1, 3)
 
 
 def test_secondary_collapses_when_targets_agree():
@@ -161,18 +174,19 @@ def test_generate_d_matches_oracle_deeper():
         assert list(p.l_seq) == ol
         assert list(p.r_prod) == orp
         assert list(p.s_prod) == osp
-        assert list(p.ratio) == orat
+        assert [ratio(p, n) for n in range(depth + 1)] == orat
 
 
 def test_generate_d_prime_matches_oracle():
     kappa, kp = Fraction(1, 2), Fraction(1, 3)
     p = generate_d(kappa, 1, 5)
     sec = generate_d_prime(kappa, kp, p, 5)
-    od, osp, og = oracle.secondary_tables(kappa, kp, list(p.d_seq),
-                                          list(p.l_seq), list(p.ratio), 5)
+    od, osp, og = oracle.secondary_tables(
+        kappa, kp, list(p.d_seq), list(p.l_seq),
+        [ratio(p, n) for n in range(6)], 5)
     assert list(sec.d_prime_seq) == od
     assert list(sec.s_prime_prod) == osp
-    assert list(sec.gamma) == og
+    assert [gamma(p, sec, n) for n in range(6)] == og
 
 
 def test_generate_rejects():
@@ -298,6 +312,59 @@ def test_tables_json_round_trip():
         assert GrowthTables.from_json_obj(doc) == t
 
 
+# (r, r', c) of each regime and its (kappa, kappa'), stated independently
+REGIME_TARGETS = [
+    (("1/2", "1/3", None), (Fraction(1, 2), Fraction(1, 3))),
+    (("inf", "5/2", None), (Fraction(5, 6), Fraction(5, 6))),
+    (("inf", "inf", "2/3"), (Fraction(2, 3), Fraction(2, 3))),
+]
+
+
+@pytest.mark.parametrize("d,depth", [(1, 5), (2, 4), (3, 3)])
+@pytest.mark.parametrize("radii,kappas", REGIME_TARGETS)
+def test_plan_quotients_match_the_oracle(tmp_path, radii, kappas, d, depth):
+    # the ratio and gamma a plan document writes, built from s, s' and r,
+    # against the oracle's Fraction recursions
+    r, r_prime, c = radii
+    path = tmp_path / "tables.json"
+    argv = ["plan", "--r", r, "--r-prime", r_prime, "--d", str(d),
+            "--depth", str(depth), "--out", str(path)]
+    assert main(argv + ([] if c is None else ["--c", c])) == 0
+    doc = json.loads(path.read_text())
+    kappa, kappa_prime = kappas
+    d_seq, l_seq, _, _, ratio = oracle.primary_tables(kappa, d, depth)
+    _, _, gamma = oracle.secondary_tables(kappa, kappa_prime, d_seq, l_seq,
+                                          ratio, depth)
+
+    def as_json(values):
+        return [{"num": str(x.numerator), "den": str(x.denominator)}
+                for x in values]
+
+    assert doc["ratio"] == as_json(ratio)
+    assert doc["gamma"] == as_json(gamma)
+
+
+@pytest.mark.parametrize("field", ["r_prod", "s_prod"])
+def test_zero_r_or_s_fails_without_raising(field):
+    # a zero r(n) or s(n) leaves ratio(n), rho(n) or gamma(n) undefined: the
+    # entries that read it fail, and no detail divides by zero
+    t = build_tables(ff("1/2", "1/3"), 4)
+    seq = getattr(t.primary, field)
+    for n in range(t.depth + 1):
+        bad = dataclasses.replace(t, primary=dataclasses.replace(
+            t.primary, **{field: seq[:n] + (0,) + seq[n + 1:]}))
+        tables_report = verify_tables(bad)
+        failed = {e.name for e in tables_report.entries if not e.ok}
+        if n == 0:
+            assert "empty products" in failed
+            continue
+        gap_report = check_upper_bound_gap(bad)
+        failed |= {e.name for e in gap_report.entries if not e.ok}
+        assert {f"kappa < ratio({n}) < ratio({n - 1})",
+                f"rho({n}) in (kappa, 1)", f"gamma*rho window at {n}",
+                f"gamma gap inside its window (n={n})"} <= failed
+
+
 def test_tables_json_rejects_bad_version():
     t = build_tables(ff(), 2)
     doc = t.to_json_obj()
@@ -327,8 +394,8 @@ def test_pipeline_invariants_property(kappa, kappa_prime, d):
     p = generate_d(kappa, d, 3)
     sec = generate_d_prime(kappa, kappa_prime, p, 3)
     for n in range(1, 4):
-        assert kappa < p.ratio[n] < p.ratio[n - 1] <= 1
+        assert kappa < ratio(p, n) < ratio(p, n - 1) <= 1
         assert 1 <= sec.d_prime_seq[n] <= p.d_seq[n]
-        rho = kappa / p.ratio[n]
-        gap = sec.gamma[n] * rho - kappa_prime
+        rho = kappa / ratio(p, n)
+        gap = gamma(p, sec, n) * rho - kappa_prime
         assert 0 <= gap < Fraction(1, p.l_seq[n])

@@ -6,13 +6,17 @@ were, replaying every identity and window in ``Fraction``s; each new suite
 must record the same (name, ok, detail) entries on clean tables, on tables
 parsed back from a ``plan`` document, and on tables with one stored field
 corrupted.  Where a corrupted field makes the old form divide by zero, the
-new one must fail instead.  ``compose_multiplicities`` is the product form
-of the composed totals: the one lemma row of ``verify_tower`` must hold
-exactly when all of its O(depth^2) per-range rows do.
+new one must fail instead.  The old rows ``ratio(n) = s/r`` and
+``gamma(n) = s'/r`` checked stored ratio and gamma fields, which tables no
+longer hold, so they are left out of the comparison.
+``compose_multiplicities`` is the product form of the composed totals: the
+one lemma row of ``verify_tower`` must hold exactly when all of its
+O(depth^2) per-range rows do.
 """
 
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -192,6 +196,10 @@ def rows(report):
     return [(e.name, e.ok, e.detail) for e in report.entries]
 
 
+# the old rows that checked the stored ratio and gamma
+STORED_QUOTIENT_ROWS = re.compile(r"(ratio|gamma)\(\d+\) = s'?/r")
+
+
 def outcome(fn, *args):
     """The rows ``fn`` records, or the type of what it raises."""
     try:
@@ -211,6 +219,8 @@ def assert_same_rows(tables):
         if want is ZeroDivisionError:
             assert not got.ok, suite.__name__
         else:
+            want = [row for row in want
+                    if not STORED_QUOTIENT_ROWS.fullmatch(row[0])]
             assert rows(got) == want, suite.__name__
 
 
@@ -298,10 +308,8 @@ def edit_fraction(x: Fraction, how: int, by: int, anchors) -> Fraction:
 SEQUENCE_FIELDS = {
     "d": ("primary", "d_seq", 1), "l": ("primary", "l_seq", 0),
     "r": ("primary", "r_prod", 0), "s": ("primary", "s_prod", 0),
-    "ratio": ("primary", "ratio", 0),
     "d'": ("secondary", "d_prime_seq", 1),
     "s'": ("secondary", "s_prime_prod", 0),
-    "gamma": ("secondary", "gamma", 0),
     "h": (None, "h_seq", 0), "h'": (None, "h_prime_seq", 0),
 }
 KAPPAS = {"kappa": "kappa", "kappa'": "kappa_prime"}
@@ -335,13 +343,7 @@ def corrupt(tables, field, level, how, by):
     holder, attr, first = SEQUENCE_FIELDS[field]
     n = first + level % (tables.depth + 1 - first)
     seq = getattr(tables if holder is None else getattr(tables, holder), attr)
-    if field in ("ratio", "gamma"):
-        anchors = (tables.kappa, tables.kappa_prime, Fraction(1),
-                   seq[max(n - 1, 0)])
-        new = edit_fraction(seq[n], how % FRACTION_EDITS, by, anchors)
-    else:
-        new = edit_int(seq[n], how % INT_EDITS, by)
-    return with_value(tables, field, n, new)
+    return with_value(tables, field, n, edit_int(seq[n], how % INT_EDITS, by))
 
 
 @given(params(), st.integers(1, 7), st.sampled_from(FIELDS),
