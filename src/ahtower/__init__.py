@@ -13,9 +13,8 @@ from .diagram import (DiagramDocument, build_diagram_document,
                       diagram_from_json_obj, diagram_to_json_obj,
                       export_diagram, render_dot)
 from .rational import ExtendedRational, parse_fraction
-from .sequences import (GrowthTables, TargetParams, build_tables, choose_h,
-                        derive_kappa, generate_d, generate_d_prime,
-                        tables_from_cli, verify_tables)
+from .sequences import (GrowthTables, TargetParams, build_tables,
+                        derive_kappa, tables_from_cli, verify_tables)
 from .tower import (ConnectingMap, StageSpec, build_connecting_map,
                     build_stage, check_unital, lattice_maps,
                     multiplicity_matrix, verify_tower)
@@ -41,15 +40,12 @@ __all__ = [
     "check_unital",
     "check_upper_bound_gap",
     "chern_min_embedding_rank",
-    "choose_h",
     "crossed_rc_upper",
     "crossed_trace_check",
     "derive_kappa",
     "diagram_from_json_obj",
     "diagram_to_json_obj",
     "export_diagram",
-    "generate_d",
-    "generate_d_prime",
     "lattice_maps",
     "level_permutation",
     "multiplicity_matrix",

@@ -198,7 +198,7 @@ def search_witness(tables: GrowthTables, rho: Fraction,
 
     return WitnessReport(params=t.params, depth=t.depth, crossed=crossed,
                          h_rule=t.h_rule,
-                         h_override=t.h_seq if t.h_rule == "explicit" else None,
+                         h_override=t.h_override,
                          rho=rho, n=n, M=M, origin=origin,
                          checked_depths=checked, ledger=tuple(rows))
 

@@ -100,9 +100,10 @@ def build_diagram_document(tables: GrowthTables, lo: int = 0,
                                 tuple(cmap.spans_into(BLOCK_C))),
             into_b=TargetArrows(tuple(cmap.arrows_into(BLOCK_B)),
                                 tuple(cmap.spans_into(BLOCK_B)))))
-    override = tables.h_seq[:hi + 1] if tables.h_rule == "explicit" else None
+    override = tables.h_override    # never empty where it is not None
     return DiagramDocument(params=tables.params, h_rule=tables.h_rule,
-                           h_override=override, lo=lo, hi=hi,
+                           h_override=override and override[:hi + 1],
+                           lo=lo, hi=hi,
                            stages=tuple(stages), maps=tuple(maps))
 
 

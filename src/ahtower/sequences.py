@@ -1,9 +1,10 @@
 """Governing integer sequences for the recursive tower.
 
-Everything downstream is driven by one pair of positive integer sequences
-(d(n), l(n)) chosen against a rational ratio target kappa in (0,1), plus an
-optional second sequence d'(n) chosen against a smaller target kappa'.
-The recursion, in exact arithmetic:
+The tower is an inductive limit built one level at a time, and so are its
+tables: `levels` computes the row of level n, that is d(n), l(n), r(n),
+s(n), d'(n), s'(n), h(n) and h'(n), from the row of level n-1 alone.
+d(n) is chosen against a rational ratio target kappa in (0,1), and d'(n)
+against a target kappa' <= kappa.  The recursion, in exact arithmetic:
 
     d(1)   = least k with k/(k+2) > kappa
     l(n)   = d(n) + 1 + 2^(d*n - d)          (d = torus rank)
@@ -15,14 +16,15 @@ and, when kappa' < kappa, with rho_n = kappa/r_n and gamma_0 = 1:
     d'(n)  = least m with m * gamma_{n-1} * rho_n / l(n) >= kappa'
     gamma_n = prod_{k<=n} d'(k)/l(k)
 
-The cumulative products r(n) = prod l(k), s(n) = prod d(k) and s'(n) =
-prod d'(k) are the matrix sizes and ranks used by every later module, and
-the running ratio is r_n = s(n)/r(n), gamma_n = s'(n)/r(n).  These integers
-reach hundreds of digits within a dozen levels, so the "least k" steps are
-solved in closed form (the predicates are monotone linear comparisons), and
-each solution is certified by checking the predicate at k and at k-1.
+while d'(n) = d(n) when kappa' = kappa.  The cumulative products r(n) =
+prod l(k), s(n) = prod d(k) and s'(n) = prod d'(k) are the matrix sizes
+and ranks used by every later module, and the running ratio is r_n =
+s(n)/r(n), gamma_n = s'(n)/r(n).  These integers reach hundreds of digits
+within a dozen levels, so the "least k" steps are solved in closed form
+(the predicates are monotone linear comparisons), and each solution is
+certified by checking the predicate at k and at k-1.
 
-The generator works on those integers alone.  With kappa = p/q, kappa' =
+The recursion works on those integers alone.  With kappa = p/q, kappa' =
 p'/q' and pad = 1 + 2^(d*n-d), the target kappa/r_{n-1} is the unreduced
 pair P/Q = p*r(n-1) / (q*s(n-1)), so
 
@@ -45,7 +47,7 @@ on demand, for the document writer and for reading; `GrowthTables.rho`
 gives rho_n exactly as kappa/ratio(n) (never a truncated product), and
 `GrowthTables.rho_terms` as the unreduced integer pair (p*r(n), q*s(n)).
 
-`verify_tables` re-checks every step independently of the generator, on
+`verify_tables` re-checks every step independently of `levels`, on
 integers too: it reads the stored sequences and compares each quotient of
 the recursion on its (s, r) pair by cross-multiplication, so it takes no
 gcd (its docstring lists the forms).  The crossed side's window check
@@ -63,6 +65,8 @@ each radius may be "inf":
 
 Growing h-sequences default to h(n) = n + 1, which satisfies the three
 constraints that matter (h(0) = 1, nondecreasing, h(n)/2^(nd) -> 0).
+`build_tables` takes the rows of levels 0..depth and stores them as
+columns, so a table of depth k is the first k + 1 rows of any deeper one.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .rational import (ExtendedRational, cross_sign, fraction_from_json,
                        fraction_to_json, ints_from_json, ints_to_json,
@@ -228,21 +232,22 @@ def least_m_product_reaches(step: int | Fraction,
 
 
 # ----------------------------------------------------------------------
-# the sequences themselves
+# the level recursion
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimarySequences:
-    """d(n), l(n) and their cumulative products, indices 0..depth.
+class Level(NamedTuple):
+    """One row of the tables: d(n), l(n), r(n), s(n), d'(n), s'(n), h(n)
+    and h'(n).  Level 0 holds the empty products l = r = s = s' = 1 and
+    the placeholders d = d' = 0, which must not be read."""
 
-    Index 0 rows are the empty-product conventions l(0) = r(0) = s(0) = 1;
-    d_seq[0] is a placeholder and must not be read.
-    """
-
-    d_seq: tuple[int, ...]
-    l_seq: tuple[int, ...]
-    r_prod: tuple[int, ...]
-    s_prod: tuple[int, ...]
+    d: int
+    l: int
+    r: int
+    s: int
+    d_prime: int
+    s_prime: int
+    h: int
+    h_prime: int
 
 
 def slot_padding(d: int, n: int) -> int:
@@ -250,108 +255,65 @@ def slot_padding(d: int, n: int) -> int:
     return 1 + 2 ** (d * n - d)
 
 
-def generate_d(kappa: Fraction, d: int, depth: int) -> PrimarySequences:
-    """Generate d(n), l(n), r(n) and s(n) to ``depth``."""
-    if not (0 < kappa < 1):
-        raise ValueError("kappa must lie strictly between 0 and 1")
-    if d < 1:
-        raise ValueError("torus rank d must be a positive integer")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    p, q = kappa.numerator, kappa.denominator
-    d_seq, l_seq = [0], [1]
-    r_prod, s_prod = [1], [1]
-    for n in range(1, depth + 1):
-        pad = slot_padding(d, n)
-        # kappa/ratio(n-1) as the unreduced pair p*r(n-1) / (q*s(n-1))
-        dn = least_k_ratio_exceeds(pad, p * r_prod[n - 1], q * s_prod[n - 1])
-        ln = dn + pad
-        rn, sn = r_prod[n - 1] * ln, s_prod[n - 1] * dn
-        d_seq.append(dn)
-        l_seq.append(ln)
-        r_prod.append(rn)
-        s_prod.append(sn)
-        # ratio(n) = ratio(n-1)*d(n)/l(n) falls exactly when d(n) < l(n)
-        if not (p * rn < q * sn and dn < ln):
-            raise RuntimeError(f"ratio left (kappa, 1) at level {n}")
-    return PrimarySequences(tuple(d_seq), tuple(l_seq), tuple(r_prod),
-                            tuple(s_prod))
+def levels(rate: RateChoice, d: int, depth: int,
+           h_override: tuple[int, ...] | None = None) -> Iterator[Level]:
+    """Levels 0..depth of one construction, each row from the one before.
 
-
-@dataclass(frozen=True)
-class SecondarySequences:
-    """d'(n) against the smaller target and s'(n) = prod d'(k), so that
-    gamma_n = prod d'(k)/l(k) = s'(n)/r(n)."""
-
-    d_prime_seq: tuple[int, ...]
-    s_prime_prod: tuple[int, ...]
-
-
-def generate_d_prime(kappa: Fraction, kappa_prime: Fraction,
-                     primary: PrimarySequences, depth: int) -> SecondarySequences:
-    """Generate d'(n) so that gamma_n * rho_n lands in [kappa', kappa' + 1/l(n)).
-
-    When kappa' = kappa the construction collapses to d' = d exactly.
+    An h override only applies where h grows.  It must start at 1, be
+    nondecreasing and keep h(n)/2^(nd) nonincreasing, so that the
+    downstream smallness arguments hold; it is checked before the first
+    row.  Where kappa' = kappa, d' = d and s' = s.
     """
-    if not (0 < kappa_prime <= kappa):
-        raise ValueError("kappa' must lie in (0, kappa]")
-    if kappa_prime == kappa:
-        return SecondarySequences(primary.d_seq, primary.s_prod)
-    # kappa*s'/s against kappa' is a*s' against b*s, over den*s
-    a = kappa.numerator * kappa_prime.denominator
-    b = kappa_prime.numerator * kappa.denominator
-    den = kappa.denominator * kappa_prime.denominator
-    d_prime, s_prime = [0], [1]
-    for n in range(1, depth + 1):
-        ln, sn = primary.l_seq[n], primary.s_prod[n]
-        # the step gamma(n-1)*rho(n)/l(n) is kappa*s'(n-1)/s(n)
-        m = least_m_product_reaches(a * s_prime[n - 1], b * sn)
-        if not 1 <= m <= primary.d_seq[n]:
-            raise RuntimeError(f"d'({n}) = {m} escapes [1, d({n})]")
-        d_prime.append(m)
-        s_prime.append(s_prime[n - 1] * m)
-        # gamma(n)*rho(n) - kappa' is gap/(den*s(n))
-        gap = a * s_prime[n] - b * sn
-        if not (0 <= gap and gap * ln < den * sn):
-            raise RuntimeError(f"gamma*rho window missed at level {n}")
-    return SecondarySequences(tuple(d_prime), tuple(s_prime))
-
-
-def choose_h(params: TargetParams, depth: int,
-             h_override: tuple[int, ...] | None = None
-             ) -> tuple[tuple[int, ...], tuple[int, ...], str]:
-    """Pick the multiplicity sequences h(n), h'(n) for n = 0..depth.
-
-    Returns (h, h_prime, rule).  Overrides are only meaningful when the
-    h-sequence grows; they must start at 1, be nondecreasing, and keep
-    h(n)/2^(nd) nonincreasing so the downstream smallness arguments hold.
-    """
-    rate = derive_kappa(params)
-    if not rate.h_grows:
-        if h_override is not None:
+    if h_override is not None:
+        if not rate.h_grows:
             raise ValueError("h-sequence override only applies when h grows")
-        const = (rate.h_base,) * (depth + 1)
-        return const, const, H_RULE_CONSTANT
-    if h_override is None:
-        h = tuple(range(1, depth + 2))
-        rule = H_RULE_LINEAR
-    else:
         h = tuple(int(x) for x in h_override)
         if len(h) < depth + 1:
             raise ValueError(f"h-sequence override needs {depth + 1} entries")
         h = h[:depth + 1]
         if h[0] != 1:
             raise ValueError("h(0) must equal 1")
-        if any(b < a for a, b in zip(h, h[1:])):
+        if any(y < x for x, y in zip(h, h[1:])):
             raise ValueError("h-sequence must be nondecreasing")
-        for n in range(depth):
-            if Fraction(h[n + 1], 2 ** (params.d * (n + 1))) > \
-                    Fraction(h[n], 2 ** (params.d * n)):
-                raise ValueError("h(n)/2^(nd) must be nonincreasing")
-        rule = H_RULE_EXPLICIT
-    if rate.h_prime_grows:
-        return h, h, rule
-    return h, (rate.h_prime_base,) * (depth + 1), rule
+        # h(n+1)/2^(d(n+1)) > h(n)/2^(dn) is h(n+1) > h(n)*2^d
+        if any(y > x * 2 ** d for x, y in zip(h, h[1:])):
+            raise ValueError("h(n)/2^(nd) must be nonincreasing")
+    elif rate.h_grows:
+        h = tuple(range(1, depth + 2))
+    else:
+        h = (rate.h_base,) * (depth + 1)
+    h_prime = h if rate.h_prime_grows else (rate.h_prime_base,) * (depth + 1)
+
+    p, q = rate.kappa.numerator, rate.kappa.denominator
+    collapses = rate.kappa_prime == rate.kappa
+    # kappa*s'/s against kappa' is a*s' against b*s, over den*s
+    a = p * rate.kappa_prime.denominator
+    b = rate.kappa_prime.numerator * q
+    den = q * rate.kappa_prime.denominator
+    r = s = s_prime = 1
+    yield Level(0, 1, r, s, 0, s_prime, h[0], h_prime[0])
+    for n in range(1, depth + 1):
+        pad = slot_padding(d, n)
+        # kappa/ratio(n-1) as the unreduced pair p*r(n-1) / (q*s(n-1))
+        dn = least_k_ratio_exceeds(pad, p * r, q * s)
+        ln = dn + pad
+        r, s = r * ln, s * dn
+        # ratio(n) = ratio(n-1)*d(n)/l(n) falls exactly when d(n) < l(n)
+        if not (p * r < q * s and dn < ln):
+            raise RuntimeError(f"ratio left (kappa, 1) at level {n}")
+        if collapses:
+            m, s_prime = dn, s
+        else:
+            # the step gamma(n-1)*rho(n)/l(n) is kappa*s'(n-1)/s(n)
+            m = least_m_product_reaches(a * s_prime, b * s)
+            if not 1 <= m <= dn:
+                raise RuntimeError(f"d'({n}) = {m} escapes [1, d({n})]")
+            s_prime *= m
+            # gamma(n)*rho(n) - kappa' is gap/(den*s(n))
+            gap = a * s_prime - b * s
+            if not (0 <= gap and gap * ln < den * s):
+                raise RuntimeError(f"gamma*rho window missed at level {n}")
+        yield Level(dn, ln, r, s, m, s_prime, h[n], h_prime[n])
 
 
 # ----------------------------------------------------------------------
@@ -388,8 +350,9 @@ class Side:
 class GrowthTables:
     """Every governing sequence of one construction, to a finite depth.
 
-    Accessors take the level n directly; sequences that start at n = 1
-    reject index 0.  All members are exact.
+    The columns run over levels 0..depth, in ``Level``'s order.  Accessors
+    take the level n directly; sequences that start at n = 1 reject index
+    0.  All members are exact.
     """
 
     params: TargetParams
@@ -398,10 +361,14 @@ class GrowthTables:
     kappa: Fraction
     kappa_prime: Fraction
     h_rule: str
+    d_seq: tuple[int, ...]
+    l_seq: tuple[int, ...]
+    r_seq: tuple[int, ...]
+    s_seq: tuple[int, ...]
+    d_prime_seq: tuple[int, ...]
+    s_prime_seq: tuple[int, ...]
     h_seq: tuple[int, ...]
     h_prime_seq: tuple[int, ...]
-    primary: PrimarySequences
-    secondary: SecondarySequences
 
     # -- accessors ------------------------------------------------------
 
@@ -411,22 +378,22 @@ class GrowthTables:
         return n
 
     def d(self, n: int) -> int:
-        return self.primary.d_seq[self._level(n, 1)]
+        return self.d_seq[self._level(n, 1)]
 
     def d_prime(self, n: int) -> int:
-        return self.secondary.d_prime_seq[self._level(n, 1)]
+        return self.d_prime_seq[self._level(n, 1)]
 
     def l(self, n: int) -> int:
-        return self.primary.l_seq[self._level(n)]
+        return self.l_seq[self._level(n)]
 
     def r(self, n: int) -> int:
-        return self.primary.r_prod[self._level(n)]
+        return self.r_seq[self._level(n)]
 
     def s(self, n: int) -> int:
-        return self.primary.s_prod[self._level(n)]
+        return self.s_seq[self._level(n)]
 
     def s_prime(self, n: int) -> int:
-        return self.secondary.s_prime_prod[self._level(n)]
+        return self.s_prime_seq[self._level(n)]
 
     def ratio(self, n: int) -> Fraction:
         """s(n)/r(n), the running product of d(k)/l(k), built on demand."""
@@ -452,6 +419,11 @@ class GrowthTables:
     def h_prime(self, n: int) -> int:
         return self.h_prime_seq[self._level(n)]
 
+    @property
+    def h_override(self) -> tuple[int, ...] | None:
+        """The h sequence where it was given explicitly, else None."""
+        return self.h_seq if self.h_rule == H_RULE_EXPLICIT else None
+
     def side(self, crossed: bool = False) -> Side:
         """The tower's sequences, or its transform's when ``crossed``."""
         if crossed:
@@ -465,9 +437,9 @@ class GrowthTables:
 
     def bit_lengths(self) -> dict[str, list[int]]:
         return {
-            "d": [x.bit_length() for x in self.primary.d_seq[1:]],
-            "r": [x.bit_length() for x in self.primary.r_prod],
-            "s": [x.bit_length() for x in self.primary.s_prod],
+            "d": [x.bit_length() for x in self.d_seq[1:]],
+            "r": [x.bit_length() for x in self.r_seq],
+            "s": [x.bit_length() for x in self.s_seq],
         }
 
     # -- serialization --------------------------------------------------
@@ -485,18 +457,18 @@ class GrowthTables:
             "hRule": self.h_rule,
             "h": ints_to_json(self.h_seq),
             "hPrime": ints_to_json(self.h_prime_seq),
-            "d": ints_to_json(self.primary.d_seq[1:]),
-            "dPrime": ints_to_json(self.secondary.d_prime_seq[1:]),
-            "l": ints_to_json(self.primary.l_seq[1:]),
-            "r": ints_to_json(self.primary.r_prod),
-            "s": ints_to_json(self.primary.s_prod),
-            "sPrime": ints_to_json(self.secondary.s_prime_prod),
+            "d": ints_to_json(self.d_seq[1:]),
+            "dPrime": ints_to_json(self.d_prime_seq[1:]),
+            "l": ints_to_json(self.l_seq[1:]),
+            "r": ints_to_json(self.r_seq),
+            "s": ints_to_json(self.s_seq),
+            "sPrime": ints_to_json(self.s_prime_seq),
             "ratio": [fraction_to_json(self.ratio(n)) for n in levels],
             "gamma": [fraction_to_json(self.gamma(n)) for n in levels],
             "bitLengths": self.bit_lengths(),
         }
-        if self.h_rule == H_RULE_EXPLICIT:
-            obj["hSeqOverride"] = ints_to_json(self.h_seq)
+        if self.h_override is not None:
+            obj["hSeqOverride"] = ints_to_json(self.h_override)
         return obj
 
     @classmethod
@@ -505,10 +477,9 @@ class GrowthTables:
         depth = int(obj["depth"])
         d_seq = (0,) + ints_from_json(obj["d"])
         l_seq = (1,) + ints_from_json(obj["l"])
-        primary = PrimarySequences(d_seq, l_seq, ints_from_json(obj["r"]),
-                                   ints_from_json(obj["s"]))
-        secondary = SecondarySequences((0,) + ints_from_json(obj["dPrime"]),
-                                       ints_from_json(obj["sPrime"]))
+        r_seq, s_seq = ints_from_json(obj["r"]), ints_from_json(obj["s"])
+        d_prime_seq = (0,) + ints_from_json(obj["dPrime"])
+        s_prime_seq = ints_from_json(obj["sPrime"])
         tables = cls(
             params=TargetParams.from_json_obj(obj["params"]),
             depth=depth,
@@ -518,11 +489,10 @@ class GrowthTables:
             h_rule=str(obj["hRule"]),
             h_seq=ints_from_json(obj["h"]),
             h_prime_seq=ints_from_json(obj["hPrime"]),
-            primary=primary,
-            secondary=secondary)
-        lengths = {len(primary.d_seq), len(primary.l_seq), len(primary.r_prod),
-                   len(primary.s_prod), len(secondary.d_prime_seq),
-                   len(secondary.s_prime_prod), len(tables.h_seq),
+            d_seq=d_seq, l_seq=l_seq, r_seq=r_seq, s_seq=s_seq,
+            d_prime_seq=d_prime_seq, s_prime_seq=s_prime_seq)
+        lengths = {len(d_seq), len(l_seq), len(r_seq), len(s_seq),
+                   len(d_prime_seq), len(s_prime_seq), len(tables.h_seq),
                    len(tables.h_prime_seq)}
         if lengths != {depth + 1}:
             raise ValueError("tables document has inconsistent sequence lengths")
@@ -531,15 +501,16 @@ class GrowthTables:
 
 def build_tables(params: TargetParams, depth: int,
                  h_override: tuple[int, ...] | None = None) -> GrowthTables:
-    """Generate the complete table for ``params`` down to ``depth``."""
+    """Generate the complete table for ``params`` down to ``depth``: the
+    rows of ``levels``, turned into columns."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     rate = derive_kappa(params)
-    primary = generate_d(rate.kappa, params.d, depth)
-    secondary = generate_d_prime(rate.kappa, rate.kappa_prime, primary, depth)
-    h_seq, h_prime_seq, rule = choose_h(params, depth, h_override)
-    return GrowthTables(params=params, depth=depth, regime=rate.regime,
-                        kappa=rate.kappa, kappa_prime=rate.kappa_prime,
-                        h_rule=rule, h_seq=h_seq, h_prime_seq=h_prime_seq,
-                        primary=primary, secondary=secondary)
+    rule = (H_RULE_CONSTANT if not rate.h_grows else
+            H_RULE_LINEAR if h_override is None else H_RULE_EXPLICIT)
+    return GrowthTables(params, depth, rate.regime, rate.kappa,
+                        rate.kappa_prime, rule,
+                        *zip(*levels(rate, params.d, depth, h_override)))
 
 
 def tables_from_cli(r: str, r_prime: str, d: int, depth: int,
@@ -551,6 +522,8 @@ def tables_from_cli(r: str, r_prime: str, d: int, depth: int,
         kwargs["c_infinite"] = parse_fraction(c)
     params = TargetParams(ExtendedRational.parse(r),
                           ExtendedRational.parse(r_prime), d, **kwargs)
+    if c is not None and params.regime != REGIME_INFINITE_INFINITE:
+        raise ValueError("c only applies when r and r' are both infinite")
     override = None
     if h_seq is not None:
         override = tuple(int(part) for part in h_seq.split(","))
@@ -611,8 +584,7 @@ def verify_document(doc: Any, kind: DocumentKind) -> CheckReport:
 
 def _read_tables(doc: dict) -> tuple:
     tables = GrowthTables.from_json_obj(doc)
-    override = tables.h_seq if tables.h_rule == H_RULE_EXPLICIT else None
-    return tables.params, tables.depth, override, tables
+    return tables.params, tables.depth, tables.h_override, tables
 
 
 # verify_tables replays the presented tables, so that a corrupted field is
@@ -682,8 +654,8 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
 
     No entry checks a stored ratio or gamma, since none is stored; the
     recursion ratio(n) = ratio(n-1)*d(n)/l(n) follows from "r(n)
-    multiplicative" and "s(n) multiplicative".  Nothing here calls the
-    generator, so it checks the closed forms there rather than restating
+    multiplicative" and "s(n) multiplicative".  Nothing here calls
+    `levels`, so it checks the closed forms there rather than restating
     them.  A quotient with a zero denominator, which only a corrupted table
     holds, fails the entries that read it.
     """

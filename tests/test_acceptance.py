@@ -26,7 +26,6 @@ from ahtower import (
     diagram_from_json_obj,
     diagram_to_json_obj,
     export_diagram,
-    generate_d,
     lattice_maps,
     outerness_witness,
     render_dot,
@@ -71,21 +70,21 @@ def test_c01_sequence_oracle_equivalence():
     cases = [(Fraction(1, 2), 1), (Fraction(3, 4), 1),
              (Fraction(1, 2), 2), (Fraction(9, 10), 3)]
     for kappa, d in cases:
-        got = generate_d(kappa, d, 6)
-        got_ratio = [Fraction(s, r) for s, r in zip(got.s_prod, got.r_prod)]
+        got = finite_tables(kappa, kappa, d=d, depth=6)
+        got_ratio = [Fraction(s, r) for s, r in zip(got.s_seq, got.r_seq)]
         d_seq, l_seq, r_prod, s_prod, ratio = oracle.primary_tables(
             kappa, d, 6)
         need(failures, list(got.d_seq[1:]) == d_seq[1:],
              f"d sequence differs for kappa={kappa}, d={d}")
         need(failures, list(got.l_seq) == l_seq
-             and list(got.r_prod) == r_prod
-             and list(got.s_prod) == s_prod
+             and list(got.r_seq) == r_prod
+             and list(got.s_seq) == s_prod
              and got_ratio == ratio,
              f"derived tables differ for kappa={kappa}, d={d}")
-    half = generate_d(Fraction(1, 2), 1, 6)
+    half = finite_tables("1/2", "1/2", d=1, depth=6)
     need(failures, half.d_seq[1:4] == (3, 16, 476),
          f"frozen d values differ: {half.d_seq[1:4]}")
-    half_ratio = Fraction(half.s_prod[2], half.r_prod[2])
+    half_ratio = Fraction(half.s_seq[2], half.r_seq[2])
     need(failures, half_ratio == Fraction(48, 95),
          f"frozen ratio differs: {half_ratio}")
     elapsed = time.perf_counter() - start

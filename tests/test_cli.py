@@ -92,6 +92,29 @@ def test_plan_rejects_bad_h_override(capsys):
     assert code == 2
 
 
+GROWING = ("--r", "inf", "--r-prime", "inf", "--depth", "3")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--depth", "-1"), "depth must be nonnegative"),
+    (GROWING + ("--h-seq", "1,2"), "h-sequence override needs 4 entries"),
+    (GROWING + ("--h-seq", "2,3,4,5"), "h(0) must equal 1"),
+    (GROWING + ("--h-seq", "1,3,2,2"), "h-sequence must be nondecreasing"),
+    (GROWING + ("--h-seq", "1,4,8,16"), "h(n)/2^(nd) must be nonincreasing"),
+    (("--r", "1/2", "--depth", "3", "--h-seq", "1,1,1,1"),
+     "h-sequence override only applies when h grows"),
+    (("--r", "1/2", "--c", "1/3"),
+     "c only applies when r and r' are both infinite"),
+    (("--r", "inf", "--r-prime", "5/2", "--c", "1/3"),
+     "c only applies when r and r' are both infinite"),
+], ids=["negative-depth", "h-too-short", "h0-not-1", "h-decreases",
+        "h-outgrows-lattice", "h-in-constant-regime", "c-finite-finite",
+        "c-infinite-finite"])
+def test_plan_refusals_name_their_cause(capsys, argv, message):
+    code, out, err = run(capsys, "plan", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ----------------------------------------------------------------------
 # witness
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Differential test: the integer generator of d(n) and d'(n) against the
+"""Differential test: the integer recursion of d(n) and d'(n) against the
 Fraction generator it replaced, on drawn targets and on deep tables.
 
 The Fraction generator keeps its running ratio and gamma to itself: tables
@@ -6,6 +6,7 @@ hold only the integer sequences, so it returns those."""
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,21 @@ from hypothesis import strategies as st
 
 from ahtower import sequences
 from ahtower.rational import ExtendedRational
-from ahtower.sequences import (PrimarySequences, SecondarySequences,
-                               TargetParams, derive_kappa, slot_padding)
+from ahtower.sequences import TargetParams, derive_kappa, slot_padding
+
+INF = ExtendedRational.infinite()
+
+
+class PrimarySequences(NamedTuple):
+    d_seq: tuple[int, ...]
+    l_seq: tuple[int, ...]
+    r_prod: tuple[int, ...]
+    s_prod: tuple[int, ...]
+
+
+class SecondarySequences(NamedTuple):
+    d_prime_seq: tuple[int, ...]
+    s_prime_prod: tuple[int, ...]
 
 
 # -- the Fraction generator, as it was ------------------------------------
@@ -111,13 +125,20 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def assert_same_tables(kappa, kappa_prime, d, depth):
-    want = generate_d(kappa, d, depth)
-    got = sequences.generate_d(kappa, d, depth)
-    assert got == want
-    want_prime = generate_d_prime(kappa, kappa_prime, want, depth)
-    got_prime = sequences.generate_d_prime(kappa, kappa_prime, got, depth)
-    assert got_prime == want_prime
+def at(kappa, kappa_prime, d):
+    """Targets whose kappa and kappa' are the given fractions in (0,1):
+    radii below 1 give h = 1, so kappa = r and kappa' = r'."""
+    return TargetParams(ExtendedRational.finite(kappa),
+                        ExtendedRational.finite(kappa_prime), d)
+
+
+def assert_same_tables(params, depth):
+    rate = derive_kappa(params)
+    got = sequences.build_tables(params, depth)
+    want = generate_d(rate.kappa, params.d, depth)
+    assert (got.d_seq, got.l_seq, got.r_seq, got.s_seq) == want
+    want_prime = generate_d_prime(rate.kappa, rate.kappa_prime, want, depth)
+    assert (got.d_prime_seq, got.s_prime_seq) == want_prime
 
 
 targets = st.fractions(min_value=Fraction(1, 60), max_value=Fraction(59, 60),
@@ -128,8 +149,8 @@ targets = st.fractions(min_value=Fraction(1, 60), max_value=Fraction(59, 60),
 @settings(max_examples=150, deadline=None)
 def test_generators_match_reference(a, b, d, depth):
     kappa, kappa_prime = max(a, b), min(a, b)
-    assert_same_tables(kappa, kappa_prime, d, depth)
-    assert_same_tables(kappa, kappa, d, depth)
+    assert_same_tables(at(kappa, kappa_prime, d), depth)
+    assert_same_tables(at(kappa, kappa, d), depth)
 
 
 # The certify-sweep points of seed 1 (r, r', c, d, depth), the repeated one
@@ -151,10 +172,9 @@ SWEEP_POINTS = [
 @pytest.mark.parametrize("r,r_prime,c,d,depth", SWEEP_POINTS)
 def test_deep_tables_match_reference(r, r_prime, c, d, depth):
     extra = {} if c is None else {"c_infinite": Fraction(c)}
-    rate = derive_kappa(TargetParams(ExtendedRational.parse(r),
-                                     ExtendedRational.parse(r_prime), d,
-                                     **extra))
-    assert_same_tables(rate.kappa, rate.kappa_prime, d, depth)
+    assert_same_tables(TargetParams(ExtendedRational.parse(r),
+                                    ExtendedRational.parse(r_prime), d,
+                                    **extra), depth)
 
 
 HALF = Fraction(1, 2)
@@ -167,7 +187,22 @@ HALF = Fraction(1, 2)
 def test_generate_d_refuses_like_reference(kappa, d, depth):
     want = outcome(generate_d, kappa, d, depth)
     assert isinstance(want, tuple) and want[0] is ValueError
-    assert outcome(sequences.generate_d, kappa, d, depth) == want
+    # kappa = c where both radii are infinite; a c outside (0,1) is the
+    # TargetParams refusal, which names c
+    if not 0 < kappa < 1:
+        want = (ValueError, "c must lie strictly between 0 and 1")
+    assert outcome(lambda: sequences.build_tables(
+        TargetParams(INF, INF, d, c_infinite=kappa), depth)) == want
+
+
+# a kappa' outside (0, kappa] is, as r' against r = kappa, one of these
+# refusals of TargetParams or ExtendedRational
+R_PRIME_REFUSALS = {
+    Fraction(0): "r' must be positive",
+    Fraction(-1, 3): "ExtendedRational must be nonnegative",
+    Fraction(2, 3): "r' must not exceed r",
+    Fraction(1): "r' must not exceed r",
+}
 
 
 @pytest.mark.parametrize("kappa_prime", [
@@ -177,8 +212,9 @@ def test_generate_d_prime_refuses_like_reference(kappa_prime):
     primary = generate_d(HALF, 1, 3)
     want = outcome(generate_d_prime, HALF, kappa_prime, primary, 3)
     assert isinstance(want, tuple) and want[0] is ValueError
-    assert outcome(sequences.generate_d_prime, HALF, kappa_prime, primary,
-                   3) == want
+    assert outcome(lambda: sequences.build_tables(
+        at(HALF, kappa_prime, 1), 3)) \
+        == (ValueError, R_PRIME_REFUSALS[kappa_prime])
 
 
 @pytest.mark.parametrize("num,den", [(0, 1), (1, 1), (3, 2), (-1, 2)])

@@ -12,8 +12,7 @@ from ahtower.crossed import check_upper_bound_gap
 from ahtower.rational import ExtendedRational
 from ahtower.report import Checker
 from ahtower.sequences import (GrowthTables, TargetParams, build_tables,
-                               choose_h, derive_kappa, generate_d,
-                               generate_d_prime, least_k_ratio_exceeds,
+                               derive_kappa, least_k_ratio_exceeds,
                                least_m_product_reaches, tables_from_cli,
                                verify_tables)
 
@@ -29,14 +28,12 @@ def ff(r="1/2", rp=None, d=1):
     return TargetParams(ExtendedRational.parse(r), ExtendedRational.parse(rp), d)
 
 
-def ratio(p, n):
-    """ratio(n) = s(n)/r(n) of generated primary sequences."""
-    return Fraction(p.s_prod[n], p.r_prod[n])
-
-
-def gamma(p, sec, n):
-    """gamma(n) = s'(n)/r(n) of generated sequences."""
-    return Fraction(sec.s_prime_prod[n], p.r_prod[n])
+def at(kappa, kappa_prime=None, d=1):
+    """Targets whose kappa and kappa' are the given fractions in (0,1):
+    radii below 1 give h = 1, so kappa = r and kappa' = r'."""
+    kappa_prime = kappa if kappa_prime is None else kappa_prime
+    return TargetParams(ExtendedRational.finite(kappa),
+                        ExtendedRational.finite(kappa_prime), d)
 
 
 # ----------------------------------------------------------------------
@@ -117,88 +114,86 @@ def test_least_m_takes_big_ints():
 # ----------------------------------------------------------------------
 
 def test_half_rank_one_heads():
-    p = generate_d(Fraction(1, 2), 1, 4)
+    p = build_tables(at(Fraction(1, 2)), 4)
     assert p.d_seq[1:] == (3, 16, 476, 411256)
     assert p.l_seq[1:] == (5, 19, 481, 411265)
-    assert p.r_prod[1:4] == (5, 95, 45695)
-    assert p.s_prod[1:4] == (3, 48, 22848)
-    assert ratio(p, 1) == Fraction(3, 5)
-    assert ratio(p, 2) == Fraction(48, 95)
-    assert ratio(p, 3) == Fraction(22848, 45695)
+    assert p.r_seq[1:4] == (5, 95, 45695)
+    assert p.s_seq[1:4] == (3, 48, 22848)
+    assert p.ratio(1) == Fraction(3, 5)
+    assert p.ratio(2) == Fraction(48, 95)
+    assert p.ratio(3) == Fraction(22848, 45695)
 
 
 def test_three_quarters_heads():
-    p = generate_d(Fraction(3, 4), 1, 3)
+    p = build_tables(at(Fraction(3, 4)), 3)
     assert p.d_seq[1:] == (7, 82, 11476)
     assert p.l_seq[1:] == (9, 85, 11481)
-    assert ratio(p, 2) == Fraction(574, 765)
+    assert p.ratio(2) == Fraction(574, 765)
 
 
 def test_half_rank_two_heads():
-    p = generate_d(Fraction(1, 2), 2, 3)
+    p = build_tables(at(Fraction(1, 2), d=2), 3)
     assert p.d_seq[1:] == (3, 26, 2636)
     assert p.l_seq[1:] == (5, 31, 2653)
-    assert ratio(p, 2) == Fraction(78, 155)
+    assert p.ratio(2) == Fraction(78, 155)
 
 
 def test_nine_tenths_rank_three_heads():
-    p = generate_d(Fraction(9, 10), 3, 2)
+    p = build_tables(at(Fraction(9, 10), d=3), 2)
     assert p.d_seq[1:] == (19, 1702)
 
 
 def test_secondary_heads_third():
-    p = generate_d(Fraction(1, 2), 1, 3)
-    sec = generate_d_prime(Fraction(1, 2), Fraction(1, 3), p, 3)
-    assert sec.d_prime_seq[1:] == (2, 16, 476)
-    assert sec.s_prime_prod[1:] == (2, 32, 15232)
-    assert [gamma(p, sec, n) for n in (1, 2, 3)] \
+    t = build_tables(at(Fraction(1, 2), Fraction(1, 3)), 3)
+    assert t.d_prime_seq[1:] == (2, 16, 476)
+    assert t.s_prime_seq[1:] == (2, 32, 15232)
+    assert [t.gamma(n) for n in (1, 2, 3)] \
         == [Fraction(2, 5), Fraction(32, 95), Fraction(15232, 45695)]
     for n in (1, 2, 3):
-        rho = Fraction(1, 2) / ratio(p, n)
-        assert gamma(p, sec, n) * rho == Fraction(1, 3)
+        rho = Fraction(1, 2) / t.ratio(n)
+        assert t.gamma(n) * rho == Fraction(1, 3)
 
 
 def test_secondary_collapses_when_targets_agree():
-    p = generate_d(Fraction(9, 10), 1, 4)
-    sec = generate_d_prime(Fraction(9, 10), Fraction(9, 10), p, 4)
-    assert sec.d_prime_seq == p.d_seq
-    assert sec.s_prime_prod == p.s_prod
+    t = build_tables(at(Fraction(9, 10)), 4)
+    assert t.d_prime_seq == t.d_seq
+    assert t.s_prime_seq == t.s_seq
 
 
 def test_generate_d_matches_oracle_deeper():
     for kappa, d, depth in [(Fraction(1, 2), 1, 5), (Fraction(3, 4), 1, 4),
                             (Fraction(1, 2), 2, 4)]:
-        p = generate_d(kappa, d, depth)
+        p = build_tables(at(kappa, d=d), depth)
         od, ol, orp, osp, orat = oracle.primary_tables(kappa, d, depth)
         assert list(p.d_seq) == od
         assert list(p.l_seq) == ol
-        assert list(p.r_prod) == orp
-        assert list(p.s_prod) == osp
-        assert [ratio(p, n) for n in range(depth + 1)] == orat
+        assert list(p.r_seq) == orp
+        assert list(p.s_seq) == osp
+        assert [p.ratio(n) for n in range(depth + 1)] == orat
 
 
 def test_generate_d_prime_matches_oracle():
     kappa, kp = Fraction(1, 2), Fraction(1, 3)
-    p = generate_d(kappa, 1, 5)
-    sec = generate_d_prime(kappa, kp, p, 5)
+    t = build_tables(at(kappa, kp), 5)
     od, osp, og = oracle.secondary_tables(
-        kappa, kp, list(p.d_seq), list(p.l_seq),
-        [ratio(p, n) for n in range(6)], 5)
-    assert list(sec.d_prime_seq) == od
-    assert list(sec.s_prime_prod) == osp
-    assert [gamma(p, sec, n) for n in range(6)] == og
+        kappa, kp, list(t.d_seq), list(t.l_seq),
+        [t.ratio(n) for n in range(6)], 5)
+    assert list(t.d_prime_seq) == od
+    assert list(t.s_prime_seq) == osp
+    assert [t.gamma(n) for n in range(6)] == og
 
 
 def test_generate_rejects():
+    # kappa = c outside (0,1), d = 0 and kappa' > kappa are TargetParams
+    # refusals; a negative depth is build_tables' own
     with pytest.raises(ValueError):
-        generate_d(Fraction(1), 1, 3)
+        build_tables(TargetParams(INF, INF, 1, c_infinite=Fraction(1)), 3)
     with pytest.raises(ValueError):
-        generate_d(Fraction(1, 2), 0, 3)
+        build_tables(at(Fraction(1, 2), d=0), 3)
     with pytest.raises(ValueError):
-        generate_d(Fraction(1, 2), 1, -1)
-    p = generate_d(Fraction(1, 2), 1, 3)
+        build_tables(at(Fraction(1, 2)), -1)
     with pytest.raises(ValueError):
-        generate_d_prime(Fraction(1, 2), Fraction(2, 3), p, 3)  # kappa' > kappa
+        build_tables(at(Fraction(1, 2), Fraction(2, 3)), 3)  # kappa' > kappa
 
 
 # ----------------------------------------------------------------------
@@ -206,35 +201,38 @@ def test_generate_rejects():
 # ----------------------------------------------------------------------
 
 def test_choose_h_constant():
-    h, hp, rule = choose_h(ff("1/2", "1/3"), 4)
-    assert h == hp == (1, 1, 1, 1, 1) and rule == "constant"
-    h, hp, rule = choose_h(ff("9/4", "1/4"), 2)
-    assert h == hp == (3, 3, 3)
+    t = build_tables(ff("1/2", "1/3"), 4)
+    assert t.h_seq == t.h_prime_seq == (1, 1, 1, 1, 1)
+    assert t.h_rule == "constant"
+    t = build_tables(ff("9/4", "1/4"), 2)
+    assert t.h_seq == t.h_prime_seq == (3, 3, 3)
 
 
 def test_choose_h_growing():
     fi = TargetParams(INF, ExtendedRational.parse("5/2"), 1)
-    h, hp, rule = choose_h(fi, 3)
-    assert h == (1, 2, 3, 4) and hp == (3, 3, 3, 3) and rule == "linear"
+    t = build_tables(fi, 3)
+    assert t.h_seq == (1, 2, 3, 4) and t.h_prime_seq == (3, 3, 3, 3)
+    assert t.h_rule == "linear"
     ii = TargetParams(INF, INF, 1)
-    h, hp, rule = choose_h(ii, 3)
-    assert h == hp == (1, 2, 3, 4)
+    t = build_tables(ii, 3)
+    assert t.h_seq == t.h_prime_seq == (1, 2, 3, 4)
 
 
 def test_choose_h_override():
     ii = TargetParams(INF, INF, 1)
-    h, hp, rule = choose_h(ii, 3, (1, 1, 2, 2))
-    assert h == hp == (1, 1, 2, 2) and rule == "explicit"
+    t = build_tables(ii, 3, (1, 1, 2, 2))
+    assert t.h_seq == t.h_prime_seq == (1, 1, 2, 2)
+    assert t.h_rule == "explicit" and t.h_override == (1, 1, 2, 2)
     with pytest.raises(ValueError):
-        choose_h(ii, 3, (2, 3, 4, 5))          # h(0) != 1
+        build_tables(ii, 3, (2, 3, 4, 5))      # h(0) != 1
     with pytest.raises(ValueError):
-        choose_h(ii, 3, (1, 2))                # too short
+        build_tables(ii, 3, (1, 2))            # too short
     with pytest.raises(ValueError):
-        choose_h(ii, 3, (1, 3, 2, 2))          # not nondecreasing
+        build_tables(ii, 3, (1, 3, 2, 2))      # not nondecreasing
     with pytest.raises(ValueError):
-        choose_h(ii, 3, (1, 4, 8, 16))         # h/2^(nd) increases (d=1)
+        build_tables(ii, 3, (1, 4, 8, 16))     # h/2^(nd) increases (d=1)
     with pytest.raises(ValueError):
-        choose_h(ff(), 3, (1, 1, 1, 1))        # override in constant regime
+        build_tables(ff(), 3, (1, 1, 1, 1))    # override in constant regime
 
 
 # ----------------------------------------------------------------------
@@ -272,10 +270,7 @@ def test_verify_tables_green():
 
 def test_verify_tables_catches_corruption():
     t = build_tables(ff("1/2", "1/3"), 3)
-    bad_primary = dataclasses.replace(
-        t.primary,
-        d_seq=t.primary.d_seq[:2] + (17,) + t.primary.d_seq[3:])
-    bad = dataclasses.replace(t, primary=bad_primary)
+    bad = dataclasses.replace(t, d_seq=t.d_seq[:2] + (17,) + t.d_seq[3:])
     rep = verify_tables(bad)
     assert not rep.ok
     assert "d(2) minimal" == rep.first_failure.name
@@ -344,15 +339,14 @@ def test_plan_quotients_match_the_oracle(tmp_path, radii, kappas, d, depth):
     assert doc["gamma"] == as_json(gamma)
 
 
-@pytest.mark.parametrize("field", ["r_prod", "s_prod"])
+@pytest.mark.parametrize("field", ["r_seq", "s_seq"])
 def test_zero_r_or_s_fails_without_raising(field):
     # a zero r(n) or s(n) leaves ratio(n), rho(n) or gamma(n) undefined: the
     # entries that read it fail, and no detail divides by zero
     t = build_tables(ff("1/2", "1/3"), 4)
-    seq = getattr(t.primary, field)
+    seq = getattr(t, field)
     for n in range(t.depth + 1):
-        bad = dataclasses.replace(t, primary=dataclasses.replace(
-            t.primary, **{field: seq[:n] + (0,) + seq[n + 1:]}))
+        bad = dataclasses.replace(t, **{field: seq[:n] + (0,) + seq[n + 1:]})
         tables_report = verify_tables(bad)
         failed = {e.name for e in tables_report.entries if not e.ok}
         if n == 0:
@@ -363,6 +357,33 @@ def test_zero_r_or_s_fails_without_raising(field):
         assert {f"kappa < ratio({n}) < ratio({n - 1})",
                 f"rho({n}) in (kappa, 1)", f"gamma*rho window at {n}",
                 f"gamma gap inside its window (n={n})"} <= failed
+
+
+ACCESSORS = ("d", "l", "r", "s", "d_prime", "s_prime", "h", "h_prime",
+             "ratio", "rho", "gamma", "rho_terms", "torus_points")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("params, override", [
+    (ff("1/2", "1/3"), None),
+    (TargetParams(INF, ExtendedRational.parse("5/2"), 1), None),
+    (TargetParams(INF, INF, 1, c_infinite=Fraction(2, 3)), None),
+    (TargetParams(INF, INF, 1), (1, 1, 2, 2, 3, 3, 3)),
+], ids=["finite-finite", "infinite-finite", "infinite-infinite", "explicit-h"])
+def test_shallower_tables_are_prefixes(params, override, d):
+    # each level follows from the one before alone, so a table of depth k
+    # agrees with any deeper one at every level <= k
+    params = dataclasses.replace(params, d=d)
+    deepest = 6
+    full = build_tables(params, deepest, override)
+    for k in range(deepest + 1):
+        part = build_tables(params, k, override)
+        assert (part.kappa, part.kappa_prime, part.h_rule) \
+            == (full.kappa, full.kappa_prime, full.h_rule)
+        for name in ACCESSORS:
+            for n in range(1 if name in ("d", "d_prime") else 0, k + 1):
+                assert getattr(part, name)(n) == getattr(full, name)(n), \
+                    (name, n)
 
 
 def test_tables_json_rejects_bad_version():
@@ -391,11 +412,10 @@ def test_tables_from_cli_strings():
 def test_pipeline_invariants_property(kappa, kappa_prime, d):
     if kappa_prime > kappa:
         kappa, kappa_prime = kappa_prime, kappa
-    p = generate_d(kappa, d, 3)
-    sec = generate_d_prime(kappa, kappa_prime, p, 3)
+    t = build_tables(at(kappa, kappa_prime, d), 3)
     for n in range(1, 4):
-        assert kappa < ratio(p, n) < ratio(p, n - 1) <= 1
-        assert 1 <= sec.d_prime_seq[n] <= p.d_seq[n]
-        rho = kappa / ratio(p, n)
-        gap = gamma(p, sec, n) * rho - kappa_prime
-        assert 0 <= gap < Fraction(1, p.l_seq[n])
+        assert kappa < t.ratio(n) < t.ratio(n - 1) <= 1
+        assert 1 <= t.d_prime(n) <= t.d(n)
+        rho = kappa / t.ratio(n)
+        gap = t.gamma(n) * rho - kappa_prime
+        assert 0 <= gap < Fraction(1, t.l(n))

@@ -304,13 +304,11 @@ def edit_fraction(x: Fraction, how: int, by: int, anchors) -> Fraction:
             x * Fraction(by, by + 1), *anchors)[how]
 
 
-# field -> (holder, attribute, first level), for the sequences
+# field -> (attribute, first level), for the sequences
 SEQUENCE_FIELDS = {
-    "d": ("primary", "d_seq", 1), "l": ("primary", "l_seq", 0),
-    "r": ("primary", "r_prod", 0), "s": ("primary", "s_prod", 0),
-    "d'": ("secondary", "d_prime_seq", 1),
-    "s'": ("secondary", "s_prime_prod", 0),
-    "h": (None, "h_seq", 0), "h'": (None, "h_prime_seq", 0),
+    "d": ("d_seq", 1), "l": ("l_seq", 0), "r": ("r_seq", 0),
+    "s": ("s_seq", 0), "d'": ("d_prime_seq", 1), "s'": ("s_prime_seq", 0),
+    "h": ("h_seq", 0), "h'": ("h_prime_seq", 0),
 }
 KAPPAS = {"kappa": "kappa", "kappa'": "kappa_prime"}
 FIELDS = [*SEQUENCE_FIELDS, *KAPPAS]
@@ -322,14 +320,10 @@ def with_value(tables, field, n, value):
     replaced by ``value``."""
     if field in KAPPAS:
         return dataclasses.replace(tables, **{KAPPAS[field]: value})
-    holder, attr, _ = SEQUENCE_FIELDS[field]
-    owner = tables if holder is None else getattr(tables, holder)
-    seq = getattr(owner, attr)
-    edited = dataclasses.replace(owner, **{attr: seq[:n] + (value,)
-                                           + seq[n + 1:]})
-    if holder is None:
-        return edited
-    return dataclasses.replace(tables, **{holder: edited})
+    attr, _ = SEQUENCE_FIELDS[field]
+    seq = getattr(tables, attr)
+    return dataclasses.replace(tables, **{attr: seq[:n] + (value,)
+                                          + seq[n + 1:]})
 
 
 def corrupt(tables, field, level, how, by):
@@ -340,9 +334,9 @@ def corrupt(tables, field, level, how, by):
         anchors = (tables.ratio(n), tables.gamma(n), Fraction(1), other)
         new = edit_fraction(old, how % FRACTION_EDITS, by, anchors)
         return with_value(tables, field, n, new)
-    holder, attr, first = SEQUENCE_FIELDS[field]
+    attr, first = SEQUENCE_FIELDS[field]
     n = first + level % (tables.depth + 1 - first)
-    seq = getattr(tables if holder is None else getattr(tables, holder), attr)
+    seq = getattr(tables, attr)
     return with_value(tables, field, n, edit_int(seq[n], how % INT_EDITS, by))
 
 

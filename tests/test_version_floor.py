@@ -1,0 +1,23 @@
+"""Every module parses under the oldest Python that pyproject.toml admits."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "ahtower").glob("*.py"))
+
+
+def declared_floor() -> tuple[int, int]:
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'requires-python\s*=\s*">=(\d+)\.(\d+)"', text)
+    assert found, "pyproject.toml declares no requires-python floor"
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_parses_at_the_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+              feature_version=declared_floor())
