@@ -11,6 +11,7 @@ import json
 
 from ahtower import (
     build_connecting_map,
+    build_diagram_document,
     build_stage,
     diagram_from_json_obj,
     export_diagram,
@@ -32,7 +33,8 @@ def describe_stages(tables):
 def describe_maps(tables):
     for n in range(tables.depth):
         cmap = build_connecting_map(tables, n)
-        rows = cmap.multiplicity.as_nested()
+        m = cmap.multiplicity
+        rows = [[m.cc, m.cb], [m.bc, m.bb]]
         print(f"  map {n}->{n + 1}: multiplicity {rows}, "
               f"column totals all equal l({n + 1}) = {tables.l(n + 1)}")
 
@@ -53,10 +55,10 @@ def main():
     print("connecting maps:")
     describe_maps(tables)
 
-    document = export_diagram(tables, fmt="json")
+    document = export_diagram(tables)
     reparsed = diagram_from_json_obj(json.loads(document))
     dot = render_dot(reparsed)
-    assert dot == export_diagram(tables, fmt="dot")
+    assert dot == render_dot(build_diagram_document(tables))
 
     if args.out:
         with open(args.out, "w") as handle:

@@ -8,7 +8,7 @@ from .certificates import (LedgerRow, WitnessReport, search_witness,
 from .comparison import (ProjectionSymbol, SquareZeroPoly,
                          chern_min_embedding_rank, projection_pair)
 from .crossed import (check_crossed_sizes, check_upper_bound_gap,
-                      crossed_rc_upper, crossed_trace_check)
+                      crossed_rc_upper)
 from .diagram import (DiagramDocument, build_diagram_document,
                       diagram_from_json_obj, diagram_to_json_obj,
                       export_diagram, render_dot)
@@ -41,7 +41,6 @@ __all__ = [
     "check_upper_bound_gap",
     "chern_min_embedding_rank",
     "crossed_rc_upper",
-    "crossed_trace_check",
     "derive_kappa",
     "diagram_from_json_obj",
     "diagram_to_json_obj",

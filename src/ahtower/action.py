@@ -54,10 +54,6 @@ class LevelPermutation:
     def modulus(self) -> int:
         return 2 ** self.level
 
-    @property
-    def is_identity(self) -> bool:
-        return all(x == 0 for x in self.shift)
-
     def apply_point(self, point: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((p + s) % self.modulus for p, s in zip(point, self.shift))
 

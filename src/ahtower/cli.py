@@ -1,10 +1,11 @@
 """Command-line surface: plan, verify, witness, chern, export.
 
-Exit codes: 0 on success, 2 on usage or precondition problems (bad
-targets, rho out of range, no witness at the requested depth), 3 when a
-verification check fails.  All numeric inputs are exact-rational
-strings; output JSON uses sorted keys so identical configurations print
-identical bytes.
+Exit codes: 0 on success, 1 when the reader closes stdout before the
+output is written (nothing is printed to stderr), 2 on usage or
+precondition problems (bad targets, rho out of range, no witness at the
+requested depth), 3 when a verification check fails.  All numeric inputs
+are exact-rational strings; output JSON uses sorted keys so identical
+configurations print identical bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Iterable, Sequence
 
@@ -168,9 +170,9 @@ def equivariance_report(tables: GrowthTables,
     return c.report()
 
 
-def chern_report(max_k: int = 6) -> CheckReport:
+def chern_report() -> CheckReport:
     c = Checker()
-    for k in range(1, max_k + 1):
+    for k in range(1, 7):
         c.check(f"minimal embedding rank doubles (k={k})",
                 chern_min_embedding_rank(k) == 2 * k)
     return c.report()
@@ -261,7 +263,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # as Python's signal docs advise: point stdout at devnull so the
+        # flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

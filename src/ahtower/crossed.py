@@ -1,4 +1,4 @@
-"""The tower transformed by its shift action: shapes, bounds, trace pairing.
+"""The tower transformed by its shift action: shapes and upper bounds.
 
 Absorbing the lattice shift enlarges the C row of stage n to matrix size
 r(n) * 2^(nd) over the same base and adjoins a d-torus factor to both
@@ -137,42 +137,3 @@ def check_upper_bound_gap(tables: GrowthTables) -> CheckReport:
         previous = (big, pts * r)
     return c.report()
 
-
-# ----------------------------------------------------------------------
-# trace pairing
-# ----------------------------------------------------------------------
-
-def crossed_trace_check(tables: GrowthTables, n: int, M: int,
-                        lambdas: tuple[Fraction, ...] = (
-                            Fraction(0), Fraction(1, 4), Fraction(1, 2),
-                            Fraction(1)),
-                        depths: tuple[int, ...] | None = None) -> CheckReport:
-    """Every convex weighting of the two row traces returns M/r(n).
-
-    The big row carries the trivial projection of rank 2^(nd) M, the small
-    row the companion of rank M; both normalize to M/r(n) at every deeper
-    level, so the pairing is independent of the weight lambda.
-    """
-    if not 0 <= n <= tables.depth:
-        raise ValueError(f"level {n} outside the tables")
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    if depths is None:
-        depths = tuple(range(n, tables.depth + 1))
-    c = Checker()
-    expected = Fraction(M, tables.r(n))
-    for m in depths:
-        if not n <= m <= tables.depth:
-            raise ValueError(f"checked level {m} outside [{n}, depth]")
-        growth = tables.r(m) // tables.r(n)
-        big_rank = M * growth * tables.torus_points(m)
-        small_rank = M * growth
-        big_trace = Fraction(big_rank, tables.r(m) * tables.torus_points(m))
-        small_trace = Fraction(small_rank, tables.r(m))
-        c.check(f"row traces agree (m={m})", big_trace == small_trace,
-                lambda: f"{big_trace} vs {small_trace}")
-        for lam in lambdas:
-            mixed = lam * big_trace + (1 - lam) * small_trace
-            c.check(f"weighted trace lambda={lam} (m={m})",
-                    mixed == expected, lambda: f"{mixed} vs {expected}")
-    return c.report()

@@ -1,6 +1,6 @@
 """Serialized views of the tower: a JSON document and a DOT drawing.
 
-The document freezes a contiguous band of levels: one stage entry per
+The document freezes levels 0..depth of the tables: one stage entry per
 level with the component counts and block sizes, and one map entry per
 gap carrying the full arrow lists (split by target row) together with
 the block multiplicity matrix.  Parsing the emitted JSON reproduces the
@@ -26,23 +26,14 @@ from .sequences import (FORMAT_VERSION, DocumentKind, GrowthTables,
                         TargetParams, h_override_from_json, require_document)
 from .tower import (BLOCK_B, BLOCK_C, KIND_COORD_PROJECTION,
                     KIND_POINT_EVAL_X, KIND_POINT_EVAL_Y, KIND_STAR_EVAL,
-                    STAR, Arrow, ArrowSpan, BlockMatrix, TorusSlot,
-                    build_connecting_map, build_stage, torus_lattice)
+                    STAR, Arrow, ArrowSpan, BlockMatrix, BlockSpec,
+                    StageSpec, TorusSlot, build_connecting_map, build_stage,
+                    torus_lattice)
 
 
 # ----------------------------------------------------------------------
 # document model
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiagramStage:
-    level: int
-    c_components: int
-    c_matrix_size: int
-    c_base_dimension: int
-    b_matrix_size: int
-    b_base_dimension: int
-
 
 @dataclass(frozen=True)
 class TargetArrows:
@@ -67,29 +58,14 @@ class DiagramDocument:
     params: TargetParams
     h_rule: str
     h_override: tuple[int, ...] | None
-    lo: int
-    hi: int
-    stages: tuple[DiagramStage, ...]
+    depth: int
+    stages: tuple[StageSpec, ...]
     maps: tuple[DiagramMap, ...]
 
 
-def build_diagram_document(tables: GrowthTables, lo: int = 0,
-                           hi: int | None = None) -> DiagramDocument:
-    hi = tables.depth if hi is None else hi
-    if not 0 <= lo <= hi <= tables.depth:
-        raise ValueError(f"bad level band [{lo}, {hi}] for depth {tables.depth}")
-    stages = []
-    for n in range(lo, hi + 1):
-        spec = build_stage(tables, n)
-        stages.append(DiagramStage(
-            level=n,
-            c_components=spec.c_block.components,
-            c_matrix_size=spec.c_block.matrix_size,
-            c_base_dimension=spec.c_block.base_dimension,
-            b_matrix_size=spec.b_block.matrix_size,
-            b_base_dimension=spec.b_block.base_dimension))
+def build_diagram_document(tables: GrowthTables) -> DiagramDocument:
     maps = []
-    for n in range(lo, hi):
+    for n in range(tables.depth):
         cmap = build_connecting_map(tables, n)
         maps.append(DiagramMap(
             level=n,
@@ -100,11 +76,11 @@ def build_diagram_document(tables: GrowthTables, lo: int = 0,
                                 tuple(cmap.spans_into(BLOCK_C))),
             into_b=TargetArrows(tuple(cmap.arrows_into(BLOCK_B)),
                                 tuple(cmap.spans_into(BLOCK_B)))))
-    override = tables.h_override    # never empty where it is not None
-    return DiagramDocument(params=tables.params, h_rule=tables.h_rule,
-                           h_override=override and override[:hi + 1],
-                           lo=lo, hi=hi,
-                           stages=tuple(stages), maps=tuple(maps))
+    return DiagramDocument(
+        params=tables.params, h_rule=tables.h_rule,
+        h_override=tables.h_override, depth=tables.depth,
+        stages=tuple(build_stage(tables, n) for n in range(tables.depth + 1)),
+        maps=tuple(maps))
 
 
 # ----------------------------------------------------------------------
@@ -167,14 +143,14 @@ def diagram_to_json_obj(doc: DiagramDocument) -> dict[str, Any]:
         "kind": "diagram",
         "params": doc.params.to_json_obj(),
         "hRule": doc.h_rule,
-        "depthRange": {"lo": str(doc.lo), "hi": str(doc.hi)},
+        "depthRange": {"lo": "0", "hi": str(doc.depth)},
         "stages": [{
             "level": str(s.level),
-            "cComponents": str(s.c_components),
-            "cMatrixSize": str(s.c_matrix_size),
-            "cBaseDimension": str(s.c_base_dimension),
-            "bMatrixSize": str(s.b_matrix_size),
-            "bBaseDimension": str(s.b_base_dimension),
+            "cComponents": str(s.c_block.components),
+            "cMatrixSize": str(s.c_block.matrix_size),
+            "cBaseDimension": str(s.c_block.base_dimension),
+            "bMatrixSize": str(s.b_block.matrix_size),
+            "bBaseDimension": str(s.b_block.base_dimension),
         } for s in doc.stages],
         "maps": [{
             "level": str(m.level),
@@ -194,24 +170,26 @@ def diagram_to_json_obj(doc: DiagramDocument) -> dict[str, Any]:
 
 
 def _read_diagram(doc: dict) -> tuple:
-    """Params, hi, h override and lo: all that regeneration reads."""
+    """Params, depth and h override: all that regeneration reads."""
     params = TargetParams.from_json_obj(doc["params"])
-    lo, hi = int(doc["depthRange"]["lo"]), int(doc["depthRange"]["hi"])
-    # a band the document does not list is refused before it is built
-    if len(doc["stages"]) != hi - lo + 1:
+    depth_range = doc["depthRange"]
+    depth = int(depth_range["hi"])
+    # levels the document does not list are refused before they are built
+    if len(doc["stages"]) != depth - int(depth_range["lo"]) + 1:
         raise ValueError("stage levels must run contiguously over the band")
-    return params, hi, h_override_from_json(doc), lo
+    return params, depth, h_override_from_json(doc)
 
 
 def diagram_from_json_obj(obj: Any) -> DiagramDocument:
-    params, hi, override, lo = _read_diagram(require_document(obj, "diagram"))
-    stages = tuple(DiagramStage(
-        level=int(s["level"]),
-        c_components=int(s["cComponents"]),
-        c_matrix_size=int(s["cMatrixSize"]),
-        c_base_dimension=int(s["cBaseDimension"]),
-        b_matrix_size=int(s["bMatrixSize"]),
-        b_base_dimension=int(s["bBaseDimension"]),
+    params, depth, override = _read_diagram(require_document(obj, "diagram"))
+    stages = tuple(StageSpec(
+        int(s["level"]),
+        BlockSpec(components=int(s["cComponents"]),
+                  base_dimension=int(s["cBaseDimension"]),
+                  matrix_size=int(s["cMatrixSize"])),
+        BlockSpec(components=1,
+                  base_dimension=int(s["bBaseDimension"]),
+                  matrix_size=int(s["bMatrixSize"])),
     ) for s in obj["stages"])
     maps = tuple(DiagramMap(
         level=int(m["level"]),
@@ -224,20 +202,22 @@ def diagram_from_json_obj(obj: Any) -> DiagramDocument:
         into_c=_target_from_json(m["into"][BLOCK_C], BLOCK_C),
         into_b=_target_from_json(m["into"][BLOCK_B], BLOCK_B),
     ) for m in obj["maps"])
-    if [s.level for s in stages] != list(range(lo, hi + 1)):
+    # the stage count matches depthRange, so stages at levels 0..depth
+    # also refuse a depthRange.lo other than 0
+    if [s.level for s in stages] != list(range(depth + 1)):
         raise ValueError("stage levels must run contiguously over the band")
-    if [m.level for m in maps] != list(range(lo, hi)):
+    if [m.level for m in maps] != list(range(depth)):
         raise ValueError("map levels must run contiguously over the band")
     return DiagramDocument(params=params, h_rule=obj["hRule"],
-                           h_override=override, lo=lo, hi=hi,
+                           h_override=override, depth=depth,
                            stages=stages, maps=maps)
 
 
 DIAGRAM_DOCUMENT = DocumentKind(
     tag="diagram", parsed="diagram document well formed",
     matches="diagram matches canonical regeneration", strict=False,
-    read=_read_diagram, regenerate=lambda tables, lo: (
-        diagram_to_json_obj(build_diagram_document(tables, lo)),
+    read=_read_diagram, regenerate=lambda tables: (
+        diagram_to_json_obj(build_diagram_document(tables)),
         CheckReport(())))
 
 
@@ -284,7 +264,7 @@ def dot_blocks(doc: DiagramDocument) -> Iterator[str]:
     out = ["digraph tower {", "  rankdir=LR;",
            "  node [shape=box, fontsize=10];"]
     for stage in doc.stages:
-        n, size_label = stage.level, f"M={stage.c_matrix_size}"
+        n, size_label = stage.level, f"M={stage.c_block.matrix_size}"
         out += [f"  subgraph cluster_L{n}_C {{",
                 f'    label="level {n} C row";']
         for k, z in enumerate(torus_lattice(d, n)):
@@ -292,7 +272,7 @@ def dot_blocks(doc: DiagramDocument) -> Iterator[str]:
             out.append(f'    C_{n}_{k} [label="z=({zs})\\n{size_label}"];')
         out += ["  }", f"  subgraph cluster_L{n}_B {{",
                 f'    label="level {n} B row";',
-                f'    B_{n} [label="M={stage.b_matrix_size}"];', "  }"]
+                f'    B_{n} [label="M={stage.b_block.matrix_size}"];', "  }"]
     maps = []
     for m in doc.maps:
         n = m.level
@@ -328,12 +308,7 @@ def render_dot(doc: DiagramDocument) -> str:
 # entry point
 # ----------------------------------------------------------------------
 
-def export_diagram(tables: GrowthTables, lo: int = 0, hi: int | None = None,
-                   fmt: str = "json") -> str:
-    """Serialize a band of the tower as JSON text or a DOT drawing."""
-    doc = build_diagram_document(tables, lo, hi)
-    if fmt == "json":
-        return json.dumps(diagram_to_json_obj(doc), sort_keys=True, indent=2)
-    if fmt == "dot":
-        return render_dot(doc)
-    raise ValueError(f"unknown format {fmt!r}")
+def export_diagram(tables: GrowthTables) -> str:
+    """The diagram of levels 0..depth as JSON text."""
+    return json.dumps(diagram_to_json_obj(build_diagram_document(tables)),
+                      sort_keys=True, indent=2)

@@ -116,10 +116,6 @@ class ExtendedRational:
             raise ValueError("ExtendedRational must be nonnegative")
 
     @classmethod
-    def finite(cls, value: Fraction | int) -> "ExtendedRational":
-        return cls(Fraction(value))
-
-    @classmethod
     def infinite(cls) -> "ExtendedRational":
         return cls(None)
 

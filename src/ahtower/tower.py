@@ -133,12 +133,12 @@ class LatticeArrows(Sequence):
     It reads as a sequence of ``Arrow``: into the C row and then into the
     B row, the ``pointEvalX`` arrow of every z in Z_{2^level}^d, in
     lexicographic order and labelled z, followed by the star arrow.  An
-    ``Arrow`` is made only when it is read; slicing and ``+`` give tuples.
+    ``Arrow`` is made only when it is read.
 
     >>> arrows = LatticeArrows(d=1, level=1)
     >>> len(arrows), arrows[1].eval_point, arrows[-1].target
     (6, (1,), 'B')
-    >>> [a.kind for a in arrows[:3]]
+    >>> [a.kind for a in arrows.into("C")]
     ['pointEvalX', 'pointEvalX', 'starEval']
     """
 
@@ -166,9 +166,7 @@ class LatticeArrows(Sequence):
         for target in (BLOCK_C, BLOCK_B):
             yield from self.into(target)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(len(self))[index])
+    def __getitem__(self, index: int) -> Arrow:
         row, k = divmod(range(len(self))[index], self.points + 1)
         target = (BLOCK_C, BLOCK_B)[row]
         if k == self.points:
@@ -176,11 +174,6 @@ class LatticeArrows(Sequence):
         side = 2 ** self.level
         z = tuple(k // side ** e % side for e in reversed(range(self.d)))
         return Arrow(BLOCK_C, target, KIND_POINT_EVAL_X, TorusSlot(z), z)
-
-    def __add__(self, other):
-        if isinstance(other, (tuple, LatticeArrows)):
-            return tuple(self) + tuple(other)
-        return NotImplemented
 
 
 # ----------------------------------------------------------------------
@@ -199,9 +192,6 @@ class BlockMatrix:
     def into_totals(self) -> dict[str, int]:
         """Total source blocks absorbed by each target row."""
         return {BLOCK_C: self.cc + self.bc, BLOCK_B: self.cb + self.bb}
-
-    def as_nested(self) -> list[list[int]]:
-        return [[self.cc, self.cb], [self.bc, self.bb]]
 
 
 def multiplicity_matrix(tables: GrowthTables, level: int) -> BlockMatrix:

@@ -12,6 +12,7 @@ import ahtower.tower
 from ahtower.action import check_equivariance
 from ahtower.certificates import verify_witness_json
 from ahtower.cli import emit, main, run_suites, standard_generators
+from ahtower.diagram import diagram_from_json_obj
 from ahtower.sequences import tables_from_cli
 from ahtower.tower import build_connecting_map
 
@@ -480,6 +481,30 @@ def test_verify_corrupted_diagram_file(capsys, tmp_path):
     assert "$.maps[0].extra" in out
 
 
+@pytest.mark.parametrize("drop_first_stage, line", [
+    (False, "invariant violated: diagram document well formed "
+            "(stage levels must run contiguously over the band)\n"),
+    (True, "invariant violated: diagram matches canonical regeneration "
+           "($.depthRange.lo: '1' vs '0')\n")],
+    ids=["stage count", "comparison"])
+def test_verify_refuses_a_band_above_level_zero(capsys, tmp_path,
+                                                drop_first_stage, line):
+    # a diagram covers levels 0..depth; a document whose depthRange starts
+    # at 1 is refused by its stage count, or, with the count made to match,
+    # by the comparison
+    path = tmp_path / "diagram.json"
+    main(["export", "--depth", "3", "--out", str(path)])
+    capsys.readouterr()
+    obj = json.loads(path.read_text())
+    obj["depthRange"]["lo"] = "1"
+    if drop_first_stage:
+        del obj["stages"][0]
+    path.write_text(json.dumps(obj))
+    assert run(capsys, "verify", str(path)) == (3, line, "")
+    with pytest.raises(ValueError, match="contiguously"):
+        diagram_from_json_obj(obj)
+
+
 def test_verify_unparseable_file(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -607,6 +632,21 @@ def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["depth"] == "2"
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # 441 kB of DOT, more than a pipe buffer holds: the write fails while
+    # the command runs
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ahtower.cli", "export", "--format", "dot",
+         "--d", "1", "--depth", "7"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 def test_missing_subcommand_is_usage_error(capsys):

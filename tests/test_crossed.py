@@ -1,14 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ahtower.tower
 from ahtower.certificates import search_witness
 from ahtower.comparison import ProjectionSymbol, projection_pair
 from ahtower.crossed import (check_crossed_sizes, check_upper_bound_gap,
-                             crossed_rc_upper, crossed_trace_check)
+                             crossed_rc_upper)
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, build_tables
 
@@ -165,42 +163,6 @@ def test_collapsed_targets_tie_the_two_rows():
     for n in range(t.depth + 1):
         bound = crossed_rc_upper(t, n)
         assert bound.c_part * 2 ** (n * t.params.d) == bound.b_part
-
-
-# ----------------------------------------------------------------------
-# trace pairing
-# ----------------------------------------------------------------------
-
-def test_trace_check_frozen_witness(half_third):
-    report = crossed_trace_check(half_third, n=2, M=119)
-    assert report.ok, report.first_failure
-    names = [e.name for e in report.entries]
-    assert "weighted trace lambda=1/4 (m=3)" in names
-    assert "row traces agree (m=4)" in names
-
-
-def test_trace_check_custom_weights(half_third):
-    report = crossed_trace_check(half_third, n=1, M=7,
-                                 lambdas=(Fraction(2, 7),),
-                                 depths=(1, 2, 3))
-    assert report.ok
-    assert len([e for e in report.entries if "weighted" in e.name]) == 3
-
-
-def test_trace_check_rejects(half_third):
-    with pytest.raises(ValueError):
-        crossed_trace_check(half_third, n=9, M=1)
-    with pytest.raises(ValueError):
-        crossed_trace_check(half_third, n=1, M=0)
-    with pytest.raises(ValueError):
-        crossed_trace_check(half_third, n=2, M=5, depths=(1,))
-
-
-@given(st.integers(min_value=0, max_value=3),
-       st.integers(min_value=1, max_value=500))
-@settings(max_examples=40, deadline=None)
-def test_trace_check_holds_for_any_block(half_third, n, M):
-    assert crossed_trace_check(half_third, n, M).ok
 
 
 # ----------------------------------------------------------------------

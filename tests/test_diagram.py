@@ -37,17 +37,12 @@ def test_dot_regenerates_identically_from_json(half_third):
 
 def test_export_is_deterministic(half_third):
     assert export_diagram(half_third) == export_diagram(half_third)
-    assert export_diagram(half_third, fmt="dot") \
-        == export_diagram(half_third, fmt="dot")
+    assert render_dot(build_diagram_document(half_third)) \
+        == render_dot(build_diagram_document(half_third))
 
 
-def test_unknown_format_rejected(half_third):
-    with pytest.raises(ValueError, match="unknown format"):
-        export_diagram(half_third, fmt="svg")
-
-
-def test_narrow_band_structure(half_third):
-    obj = json.loads(export_diagram(half_third, 0, 1))
+def test_narrow_band_structure():
+    obj = json.loads(export_diagram(tables_for("1/2", "1/3", depth=1)))
     assert obj["kind"] == "diagram"
     assert len(obj["stages"]) == 2
     assert len(obj["maps"]) == 1
@@ -62,24 +57,26 @@ def test_narrow_band_structure(half_third):
     assert into["C"]["arrows"][0]["eval"] == ["0"]
 
 
-def test_multiplicity_block_serialized(half_third):
-    obj = json.loads(export_diagram(half_third, 0, 2))
+def test_multiplicity_block_serialized():
+    obj = json.loads(export_diagram(tables_for("1/2", "1/3", depth=2)))
     assert obj["maps"][0]["multiplicity"] \
         == {"cc": "4", "cb": "1", "bc": "1", "bb": "4"}
     assert obj["maps"][1]["multiplicity"] \
         == {"cc": "18", "cb": "2", "bc": "1", "bb": "17"}
 
 
-def test_dot_cluster_count_depth_two(half_third):
-    dot = export_diagram(half_third, 0, 2, fmt="dot")
+def test_dot_cluster_count_depth_two():
+    dot = render_dot(build_diagram_document(tables_for("1/2", "1/3",
+                                                       depth=2)))
     for n in range(3):
         assert f"subgraph cluster_L{n}_C" in dot
         assert f"subgraph cluster_L{n}_B" in dot
     assert dot.count("subgraph") == 6
 
 
-def test_dot_edge_styles(half_third):
-    dot = export_diagram(half_third, 0, 2, fmt="dot")
+def test_dot_edge_styles():
+    dot = render_dot(build_diagram_document(tables_for("1/2", "1/3",
+                                                       depth=2)))
     assert 'color="black:invis:black"' in dot
     assert "style=dotted" in dot
     assert "C_1_1 -> C_2_3" in dot
@@ -89,7 +86,7 @@ def test_dot_edge_styles(half_third):
 
 
 def test_dot_wires_projections_to_the_reduced_parent(half_third):
-    dot = export_diagram(half_third, fmt="dot")
+    dot = render_dot(build_diagram_document(half_third))
     # component 3 of level 2 sits over lattice point 3, which reduces to
     # 3 mod 2 = 1 at level 1
     assert 'C_1_1 -> C_2_3 [color="black:invis:black", label="x16"];' in dot
@@ -108,28 +105,12 @@ def test_lattice_index_matches_enumeration():
 def test_higher_rank_document():
     t = tables_for("1/2", "1/3", d=2, depth=2)
     doc = build_diagram_document(t)
-    assert doc.stages[2].c_components == 16
+    assert doc.stages[2].c_block.components == 16
     parsed = diagram_from_json_obj(json.loads(export_diagram(t)))
     assert parsed == doc
     dot = render_dot(doc)
     assert 'z=(3,3)' in dot
     assert "C_2_15" in dot
-
-
-def test_band_bounds_checked(half_third):
-    with pytest.raises(ValueError):
-        build_diagram_document(half_third, 3, 2)
-    with pytest.raises(ValueError):
-        build_diagram_document(half_third, 0, 9)
-
-
-def test_band_can_start_above_zero(half_third):
-    doc = build_diagram_document(half_third, 2, 4)
-    assert [s.level for s in doc.stages] == [2, 3, 4]
-    assert [m.level for m in doc.maps] == [2, 3]
-    parsed = diagram_from_json_obj(json.loads(export_diagram(half_third,
-                                                             2, 4)))
-    assert parsed == doc
 
 
 def test_explicit_h_recorded():
@@ -142,8 +123,8 @@ def test_explicit_h_recorded():
     assert diagram_from_json_obj(obj) == build_diagram_document(t)
 
 
-def test_bad_documents_rejected(half_third):
-    good = json.loads(export_diagram(half_third, 0, 1))
+def test_bad_documents_rejected():
+    good = json.loads(export_diagram(tables_for("1/2", "1/3", depth=1)))
     with pytest.raises(ValueError, match="formatVersion"):
         diagram_from_json_obj({**good, "formatVersion": "9"})
     with pytest.raises(ValueError, match="kind"):

@@ -99,8 +99,8 @@ def verify_tables_document(obj: dict, out: str | None) -> int:
 def verify_diagram_document(obj: dict, out: str | None) -> int:
     try:
         doc = diagram_from_json_obj(obj)
-        tables = build_tables(doc.params, doc.hi, doc.h_override)
-        rebuilt = build_diagram_document(tables, doc.lo, doc.hi)
+        tables = build_tables(doc.params, doc.depth, doc.h_override)
+        rebuilt = build_diagram_document(tables)
     except (KeyError, ValueError, TypeError) as exc:
         emit(f"invariant violated: diagram document well formed ({exc})", out)
         return 3

@@ -29,14 +29,14 @@ def reference_render_dot(doc):
         n = stage.level
         out.append(f"  subgraph cluster_L{n}_C {{")
         out.append(f'    label="level {n} C row";')
-        size_label = f"M={stage.c_matrix_size}"
+        size_label = f"M={stage.c_block.matrix_size}"
         for k, z in enumerate(torus_lattice(d, n)):
             zs = ",".join(str(c) for c in z)
             out.append(f'    C_{n}_{k} [label="z=({zs})\\n{size_label}"];')
         out.append("  }")
         out.append(f"  subgraph cluster_L{n}_B {{")
         out.append(f'    label="level {n} B row";')
-        out.append(f'    B_{n} [label="M={stage.b_matrix_size}"];')
+        out.append(f'    B_{n} [label="M={stage.b_block.matrix_size}"];')
         out.append("  }")
     for dmap in doc.maps:
         n = dmap.level
@@ -79,10 +79,6 @@ def tables(r, r_prime, d, depth):
     return tables_from_cli(r, r_prime, d, depth)
 
 
-def bands(depth):
-    return [(lo, hi) for lo in range(depth + 1) for hi in range(lo, depth + 1)]
-
-
 def assert_same(doc):
     reference = reference_render_dot(doc)
     assert render_dot(doc) == reference
@@ -99,14 +95,15 @@ def assert_same(doc):
 @pytest.mark.parametrize("r, r_prime", REGIMES)
 @pytest.mark.parametrize("d, depth", SETTINGS)
 def test_every_band_matches_reference(r, r_prime, d, depth):
-    t = tables(r, r_prime, d, depth)
-    for lo, hi in bands(depth):
-        assert_same(build_diagram_document(t, lo, hi))
+    # every depth k <= depth: the tables of depth k are levels 0..k of the
+    # deeper tables
+    for k in range(depth + 1):
+        assert_same(build_diagram_document(tables(r, r_prime, d, k)))
 
 
 @pytest.mark.parametrize("d, depth", SETTINGS)
 def test_reparsed_document_matches_reference(d, depth):
-    doc = build_diagram_document(tables("1/2", "1/3", d, depth), 1, depth)
+    doc = build_diagram_document(tables("1/2", "1/3", d, depth))
     parsed = diagram_from_json_obj(
         json.loads(json.dumps(diagram_to_json_obj(doc))))
     assert parsed == doc

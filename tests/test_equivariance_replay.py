@@ -145,8 +145,9 @@ def test_reference_sees_each_tampering():
         assert not new.ok, how
         assert entries(new) == entries(
             reference_check_equivariance(tampered, (1,))), how
-    for arrows in (cmap.arrows[:i] + cmap.arrows[i + 1:],
-                   cmap.arrows + cmap.arrows[i:i + 1]):
+    spelled = tuple(cmap.arrows)
+    for arrows in (spelled[:i] + spelled[i + 1:],
+                   spelled + spelled[i:i + 1]):
         tampered = dataclasses.replace(cmap, arrows=arrows)
         new = check_equivariance(tampered, (1,))
         assert not new.ok

@@ -128,8 +128,8 @@ def outcome(fn, *args):
 def at(kappa, kappa_prime, d):
     """Targets whose kappa and kappa' are the given fractions in (0,1):
     radii below 1 give h = 1, so kappa = r and kappa' = r'."""
-    return TargetParams(ExtendedRational.finite(kappa),
-                        ExtendedRational.finite(kappa_prime), d)
+    return TargetParams(ExtendedRational(Fraction(kappa)),
+                        ExtendedRational(Fraction(kappa_prime)), d)
 
 
 def assert_same_tables(params, depth):

@@ -32,8 +32,8 @@ def at(kappa, kappa_prime=None, d=1):
     """Targets whose kappa and kappa' are the given fractions in (0,1):
     radii below 1 give h = 1, so kappa = r and kappa' = r'."""
     kappa_prime = kappa if kappa_prime is None else kappa_prime
-    return TargetParams(ExtendedRational.finite(kappa),
-                        ExtendedRational.finite(kappa_prime), d)
+    return TargetParams(ExtendedRational(Fraction(kappa)),
+                        ExtendedRational(Fraction(kappa_prime)), d)
 
 
 # ----------------------------------------------------------------------

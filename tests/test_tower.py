@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, build_tables
-from ahtower.tower import (STAR, ArrowSpan, TorusSlot, build_connecting_map,
-                           build_stage, check_unital, lattice_maps,
-                           multiplicity_matrix, verify_tower)
+from ahtower.tower import (STAR, ArrowSpan, BlockMatrix, TorusSlot,
+                           build_connecting_map, build_stage, check_unital,
+                           lattice_maps, multiplicity_matrix, verify_tower)
 from test_verify_reference import compose_multiplicities, identity
 
 
@@ -117,8 +117,8 @@ def test_check_unital_catches_wrong_matrix(half_third):
 
 
 def test_multiplicity_examples(half_third):
-    assert multiplicity_matrix(half_third, 0).as_nested() == [[4, 1], [1, 4]]
-    assert compose_multiplicities(half_third, 0, 1).as_nested() == [[4, 1], [1, 4]]
+    assert multiplicity_matrix(half_third, 0) == BlockMatrix(4, 1, 1, 4)
+    assert compose_multiplicities(half_third, 0, 1) == BlockMatrix(4, 1, 1, 4)
     assert compose_multiplicities(half_third, 2, 2) == identity()
 
 
@@ -169,7 +169,7 @@ def test_verify_tower_checks_every_level_in_full():
        st.integers(1, 2), st.integers(1, 3))
 @settings(max_examples=25, deadline=None)
 def test_unitality_property(kappa, d, depth):
-    r = ExtendedRational.finite(kappa)
+    r = ExtendedRational(Fraction(kappa))
     t = build_tables(TargetParams(r, r, d), depth)
     for n in range(depth):
         assert check_unital(t, build_connecting_map(t, n)).ok

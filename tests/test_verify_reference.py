@@ -257,11 +257,11 @@ def params(draw):
         r_prime = r * draw(st.fractions(min_value=Fraction(1, 8),
                                         max_value=Fraction(1),
                                         max_denominator=8))
-        return TargetParams(ExtendedRational.finite(r),
-                            ExtendedRational.finite(r_prime), d)
+        return TargetParams(ExtendedRational(Fraction(r)),
+                            ExtendedRational(Fraction(r_prime)), d)
     if regime == "infinite-finite":
         return TargetParams(ExtendedRational.infinite(),
-                            ExtendedRational.finite(draw(fractions)), d)
+                            ExtendedRational(Fraction(draw(fractions))), d)
     return TargetParams(ExtendedRational.infinite(),
                         ExtendedRational.infinite(), d, draw(units))
 

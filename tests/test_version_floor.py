@@ -1,4 +1,5 @@
-"""Every module parses under the oldest Python that pyproject.toml admits."""
+"""Every module and demo parses under the oldest Python that pyproject.toml
+admits."""
 
 import ast
 import re
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "ahtower").glob("*.py"))
+SOURCES = (sorted((ROOT / "src" / "ahtower").glob("*.py"))
+           + sorted((ROOT / "demos").glob("*.py")))
 
 
 def declared_floor() -> tuple[int, int]:
