@@ -5,7 +5,10 @@ Two ingredients, all in integer or rational arithmetic:
   * a tiny characteristic-class computation in Z[x_1..x_k]/(x_i^2 = 0)
     certifying that the k-fold product of a line bundle with first class
     x_1 + ... + x_k admits no complement below trivial rank 2k (the top
-    class of the would-be inverse survives in degree k);
+    class of the would-be inverse survives in degree k).  It runs on a
+    dense table of 2^k coefficients indexed by monomial mask: the inverse
+    is built in O(2^k) by doubling, and the identity is certified by
+    folding each factor (1 + x_i) into it, O(k 2^k) in all;
   * the projection symbols of the construction: a patterned projection of
     rank h(n)s(m) plus trivial padding, of total rank h(n)s(n)r(m), against
     an entirely trivial companion on the other row with the same
@@ -17,6 +20,7 @@ Two ingredients, all in integer or rational arithmetic:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .sequences import GrowthTables
@@ -67,16 +71,6 @@ class SquareZeroPoly:
                 out[m1 | m2] = out.get(m1 | m2, 0) + c1 * c2
         return SquareZeroPoly.from_dict(self.variables, out)
 
-    def times_one_plus(self, index: int, coefficient: int = 1
-                       ) -> "SquareZeroPoly":
-        """self * (1 + coefficient * x_index), in one pass over the terms."""
-        bit = 1 << (index - 1)
-        out = dict(self.terms)
-        for m, c in self.terms:
-            if not m & bit:
-                out[m | bit] = out.get(m | bit, 0) + coefficient * c
-        return SquareZeroPoly.from_dict(self.variables, out)
-
     @property
     def is_one(self) -> bool:
         return self.terms == ((0, 1),)
@@ -88,33 +82,65 @@ class SquareZeroPoly:
         """Highest number of variables in a surviving monomial."""
         if not self.terms:
             raise ValueError("the zero element has no top degree")
-        return max(bin(m).count("1") for m, _ in self.terms)
+        return max(m.bit_count() for m, _ in self.terms)
+
+
+def _fold_one_plus(table: list[int], bit: int) -> None:
+    """Multiply a dense table by (1 + x) in place, x the variable of ``bit``.
+
+    Every coefficient at a mask without ``bit`` is added into its partner
+    mask with it.  The pairs are gathered as strided slices when ``bit`` is
+    low and as contiguous blocks when it is high, so neither way takes more
+    than sqrt(len(table)) slice assignments.
+    """
+    size = len(table)
+    step = 2 * bit
+    if bit * step < size:
+        for lo in range(bit):
+            hi = lo + bit
+            table[hi::step] = map(operator.add, table[hi::step],
+                                  table[lo::step])
+    else:
+        for lo in range(0, size, step):
+            hi = lo + bit
+            table[hi:hi + bit] = map(operator.add, table[hi:hi + bit],
+                                     table[lo:hi])
+
+
+def _doubled_inverse(k: int) -> list[int]:
+    """Dense table of prod(1 - x_i) over i = 1..k, built by doubling."""
+    table = [1]
+    for _ in range(k):
+        table += [-c for c in table]
+    return table
 
 
 def chern_min_embedding_rank(k: int) -> int:
     """Least trivial rank into which the k-fold line-bundle product embeds.
 
-    Builds the inverse prod(1 - x_i) of the total class prod(1 + x_i)
-    one linear factor at a time, and certifies the identity by folding the
-    factors (1 + x_i) into it the same way: the exact product must be 1.
-    The inverse survives in top degree k with coefficient (-1)^k; a
+    Works on a dense table of the 2^k coefficients of Z[x_1..x_k]/(x_i^2),
+    indexed by monomial mask.  The inverse prod(1 - x_i) of the total class
+    prod(1 + x_i) is built in O(2^k) by doubling: a table of length 2^j
+    holds no monomial in x_(j+1), so appending its negation is the exact
+    product by (1 - x_(j+1)).  The identity is certified by folding each
+    factor (1 + x_i) into a copy, O(k 2^k) in all: the exact product must
+    be 1.  The inverse survives in top degree k with coefficient (-1)^k; a
     complement inside trivial rank N would need the inverse to vanish
-    above degree N - k, so N = 2k is the least possibility.  Each factor
-    costs one pass over at most 2^k terms, so the whole is O(k 2^k).
+    above degree N - k, so N = 2k is the least possibility.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    inverse = SquareZeroPoly.one(k)
-    for i in range(1, k + 1):
-        inverse = inverse.times_one_plus(i, -1)
-    product = inverse
-    for i in range(1, k + 1):
-        product = product.times_one_plus(i)
-    if not product.is_one:
+    inverse = _doubled_inverse(k)
+    product = inverse.copy()
+    for i in range(k):
+        _fold_one_plus(product, 1 << i)
+    if product[0] != 1 or product.count(0) != len(product) - 1:
         raise RuntimeError("class inverse failed its defining identity")
-    top = inverse.top_degree()
-    full_mask = (1 << k) - 1
-    if top != k or inverse.coefficient(full_mask) != (-1) ** k:
+    full_mask = len(inverse) - 1
+    # only the full mask has degree k, so its survival settles the top
+    top = (k if inverse[full_mask] else
+           max(m.bit_count() for m, c in enumerate(inverse) if c))
+    if top != k or inverse[full_mask] != (-1) ** k:
         raise RuntimeError("top obstruction class degenerated")
     return k + top
 

@@ -9,11 +9,10 @@ deep table's integers is built only for a check that fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

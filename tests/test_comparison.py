@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahtower import comparison
 from ahtower.certificates import search_witness
 from ahtower.comparison import (ProjectionSymbol, SquareZeroPoly,
                                 chern_min_embedding_rank, projection_pair)
@@ -72,16 +73,44 @@ def test_ring_multiplication_commutes(k, data):
     assert a.mul(b) == b.mul(a)
 
 
+def sparse(k, table):
+    return SquareZeroPoly.from_dict(k, dict(enumerate(table)))
+
+
 @given(st.integers(min_value=1, max_value=6), st.data())
 @settings(max_examples=80, deadline=None)
-def test_times_one_plus_is_the_linear_factor_product(k, data):
-    poly = SquareZeroPoly.from_dict(k, data.draw(st.dictionaries(
-        st.integers(min_value=0, max_value=(1 << k) - 1),
-        st.integers(min_value=-9, max_value=9), max_size=1 << k)))
+def test_fold_is_the_linear_factor_product(k, data):
+    table = data.draw(st.lists(st.integers(min_value=-9, max_value=9),
+                               min_size=1 << k, max_size=1 << k))
     i = data.draw(st.integers(min_value=1, max_value=k))
-    c = data.draw(st.integers(min_value=-5, max_value=5))
-    factor = SquareZeroPoly.one(k).add(SquareZeroPoly.linear(k, i, c))
-    assert poly.times_one_plus(i, c) == poly.mul(factor)
+    factor = SquareZeroPoly.one(k).add(SquareZeroPoly.linear(k, i))
+    expected = sparse(k, table).mul(factor)
+    comparison._fold_one_plus(table, 1 << (i - 1))
+    assert sparse(k, table) == expected
+
+
+def test_doubled_inverse_is_the_sparse_product():
+    for k in range(1, 9):
+        inverse = SquareZeroPoly.one(k)
+        for i in range(1, k + 1):
+            inverse = inverse.mul(SquareZeroPoly.one(k).add(
+                SquareZeroPoly.linear(k, i, -1)))
+        table = comparison._doubled_inverse(k)
+        assert len(table) == 1 << k
+        assert [inverse.coefficient(m) for m in range(1 << k)] == table
+
+
+def test_chern_computes_the_identity(monkeypatch):
+    fold = comparison._fold_one_plus
+
+    def skip_third_variable(table, bit):
+        if bit != 0b100:
+            fold(table, bit)
+    monkeypatch.setattr(comparison, "_fold_one_plus", skip_third_variable)
+    assert chern_min_embedding_rank(2) == 4
+    with pytest.raises(RuntimeError,
+                       match="class inverse failed its defining identity"):
+        chern_min_embedding_rank(3)
 
 
 def test_chern_needs_no_general_product(monkeypatch):
