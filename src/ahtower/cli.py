@@ -19,11 +19,11 @@ from typing import Iterable, Sequence
 
 from .action import check_equivariance
 from .certificates import search_witness, verify_witness_json
-from .comparison import chern_min_embedding_rank
+from .comparison import chern_min_embedding_ranks
 from .crossed import check_crossed_sizes, check_upper_bound_gap
 from .diagram import (DIAGRAM_DOCUMENT, build_diagram_document, dot_blocks,
                       export_diagram)
-from .rational import parse_fraction
+from .rational import document_text, parse_fraction
 from .report import Checker, CheckReport
 from .sequences import (TABLES_DOCUMENT, GrowthTables, tables_from_cli,
                         verify_document, verify_tables)
@@ -118,8 +118,7 @@ def emit(text: str | Iterable[str], out: str | None) -> None:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     tables = tables_from_args(args)
-    emit(json.dumps(tables.to_json_obj(), sort_keys=True, indent=2),
-         args.out)
+    emit(document_text(tables.to_json_obj()), args.out)
     return 0
 
 
@@ -127,8 +126,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     tables = tables_from_args(args)
     report = search_witness(tables, parse_fraction(args.rho),
                             crossed=args.crossed)
-    emit(json.dumps(report.to_json_obj(), sort_keys=True, indent=2),
-         args.out)
+    emit(document_text(report.to_json_obj()), args.out)
     return 0
 
 
@@ -136,9 +134,8 @@ def cmd_chern(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise ValueError("--k must be a positive integer")
     doc = {"formatVersion": "1", "kind": "chern", "maxK": str(args.k),
-           "ranks": [str(chern_min_embedding_rank(k))
-                     for k in range(1, args.k + 1)]}
-    emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
+           "ranks": [str(rank) for rank in chern_min_embedding_ranks(args.k)]}
+    emit(document_text(doc), args.out)
     return 0
 
 
@@ -172,9 +169,8 @@ def equivariance_report(tables: GrowthTables,
 
 def chern_report() -> CheckReport:
     c = Checker()
-    for k in range(1, 7):
-        c.check(f"minimal embedding rank doubles (k={k})",
-                chern_min_embedding_rank(k) == 2 * k)
+    for k, rank in enumerate(chern_min_embedding_ranks(6), start=1):
+        c.check(f"minimal embedding rank doubles (k={k})", rank == 2 * k)
     return c.report()
 
 

@@ -115,8 +115,9 @@ def _doubled_inverse(k: int) -> list[int]:
     return table
 
 
-def chern_min_embedding_rank(k: int) -> int:
-    """Least trivial rank into which the k-fold line-bundle product embeds.
+def chern_min_embedding_ranks(k: int) -> list[int]:
+    """Least trivial rank into which the j-fold line-bundle product embeds,
+    for each j = 1..k, all certified from one table.
 
     Works on a dense table of the 2^k coefficients of Z[x_1..x_k]/(x_i^2),
     indexed by monomial mask.  The inverse prod(1 - x_i) of the total class
@@ -124,25 +125,37 @@ def chern_min_embedding_rank(k: int) -> int:
     holds no monomial in x_(j+1), so appending its negation is the exact
     product by (1 - x_(j+1)).  The identity is certified by folding each
     factor (1 + x_i) into a copy, O(k 2^k) in all: the exact product must
-    be 1.  The inverse survives in top degree k with coefficient (-1)^k; a
-    complement inside trivial rank N would need the inverse to vanish
-    above degree N - k, so N = 2k is the least possibility.
+    be 1.  The prefix of length 2^j of either table is rank j's, and the
+    folds of x_(j+1)..x_k write only above it, so rank j is checked on its
+    prefix right after the fold of x_j.  The inverse survives in top
+    degree j with coefficient (-1)^j; a complement inside trivial rank N
+    would need the inverse to vanish above degree N - j, so N = 2j is the
+    least possibility.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     inverse = _doubled_inverse(k)
     product = inverse.copy()
-    for i in range(k):
-        _fold_one_plus(product, 1 << i)
-    if product[0] != 1 or product.count(0) != len(product) - 1:
-        raise RuntimeError("class inverse failed its defining identity")
-    full_mask = len(inverse) - 1
-    # only the full mask has degree k, so its survival settles the top
-    top = (k if inverse[full_mask] else
-           max(m.bit_count() for m, c in enumerate(inverse) if c))
-    if top != k or inverse[full_mask] != (-1) ** k:
-        raise RuntimeError("top obstruction class degenerated")
-    return k + top
+    ranks = []
+    for j in range(1, k + 1):
+        _fold_one_plus(product, 1 << (j - 1))
+        full_mask = (1 << j) - 1
+        if product[0] != 1 or any(product[1:full_mask + 1]):
+            raise RuntimeError("class inverse failed its defining identity")
+        # only the full mask has degree j, so its survival settles the top
+        top = (j if inverse[full_mask] else
+               max(m.bit_count() for m, c in enumerate(inverse[:full_mask + 1])
+                   if c))
+        if top != j or inverse[full_mask] != (-1) ** j:
+            raise RuntimeError("top obstruction class degenerated")
+        ranks.append(j + top)
+    return ranks
+
+
+def chern_min_embedding_rank(k: int) -> int:
+    """Least trivial rank into which the k-fold line-bundle product embeds
+    (see ``chern_min_embedding_ranks``)."""
+    return chern_min_embedding_ranks(k)[-1]
 
 
 # ----------------------------------------------------------------------

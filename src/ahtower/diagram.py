@@ -16,11 +16,10 @@ row.  Coordinate-projection edges use the doubled-line style
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .rational import ints_from_json, ints_to_json
+from .rational import document_text, ints_from_json, ints_to_json
 from .report import CheckReport
 from .sequences import (FORMAT_VERSION, DocumentKind, GrowthTables,
                         TargetParams, h_override_from_json, require_document)
@@ -310,5 +309,4 @@ def render_dot(doc: DiagramDocument) -> str:
 
 def export_diagram(tables: GrowthTables) -> str:
     """The diagram of levels 0..depth as JSON text."""
-    return json.dumps(diagram_to_json_obj(build_diagram_document(tables)),
-                      sort_keys=True, indent=2)
+    return document_text(diagram_to_json_obj(build_diagram_document(tables)))

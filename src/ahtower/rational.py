@@ -8,6 +8,14 @@ radius may be infinite, so the CLI-facing value type is a nonnegative
 "..."}`` with decimal-string components, and serialized integers are plain
 decimal strings, so documents survive readers with bounded int types.
 
+Every document the package writes (tables, witness certificates, chern
+tables, diagrams) is made by one writer, ``document_text``, whose output
+is byte-identical to ``json.dumps(obj, sort_keys=True, indent=2)``.  Before
+CPython 3.13 that call runs the pure-Python encoder, one generator per
+container, because the C encoder is used only without ``indent``; the
+writer joins each container's items in one ``str.join`` instead, with
+every string quoted by the same C function ``json.dumps`` uses.
+
 >>> ExtendedRational.parse("3/4") < ExtendedRational.parse("inf")
 True
 >>> str(ExtendedRational.parse("6/8"))
@@ -16,9 +24,12 @@ True
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 
@@ -89,6 +100,50 @@ def fraction_from_json(obj: Any) -> Fraction:
     if (value.numerator, value.denominator) != (num, den):
         raise ValueError(f"rational not in lowest terms: {obj!r}")
     return value
+
+
+def document_text(obj: Any) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    >>> print(document_text({"b": [], "a": [None, "x"]}))
+    {
+      "a": [
+        null,
+        "x"
+      ],
+      "b": []
+    }
+    """
+    # CPython 3.13 encodes with indent in C, faster than the join; this
+    # test retires when requires-python reaches 3.13.
+    if sys.version_info >= (3, 13):
+        return json.dumps(obj, sort_keys=True, indent=2)
+    return _joined_text(obj, "\n")
+
+
+def _joined_text(obj: Any, newline: str) -> str:
+    """``obj`` as indented JSON whose lines start at ``newline``'s indent.
+
+    String items are quoted in place, saving a call per leaf.  Keys must
+    be strings: ``encode_basestring_ascii`` raises TypeError on any other.
+    """
+    quote = encode_basestring_ascii
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner + ("," + inner).join(
+            [quote(k) + ": " + (quote(v) if isinstance(v, str)
+                                else _joined_text(v, inner))
+             for k, v in sorted(obj.items())]) + newline + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join(
+            [quote(v) if isinstance(v, str) else _joined_text(v, inner)
+             for v in obj]) + newline + "]")
+    return json.dumps(obj)
 
 
 def ints_to_json(values) -> list[str]:

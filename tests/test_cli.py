@@ -4,15 +4,17 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ahtower.tower
 from ahtower.action import check_equivariance
-from ahtower.certificates import verify_witness_json
+from ahtower.certificates import search_witness, verify_witness_json
 from ahtower.cli import emit, main, run_suites, standard_generators
-from ahtower.diagram import diagram_from_json_obj
+from ahtower.diagram import (build_diagram_document, diagram_from_json_obj,
+                             diagram_to_json_obj)
 from ahtower.sequences import tables_from_cli
 from ahtower.tower import build_connecting_map
 
@@ -205,6 +207,41 @@ def test_refused_export_writes_nothing(capsys, tmp_path, fmt):
     assert not path.exists()
     code, out, err = run(capsys, *flags)
     assert (code, out) == (2, "") and "limit" in err
+
+
+# the three regimes, each as (r, r', c)
+REGIME_TARGETS = {"finite-finite": ("1/2", "1/3", None),
+                  "infinite-finite": ("inf", "1/3", None),
+                  "infinite-infinite": ("inf", "inf", "1/2")}
+
+
+@pytest.mark.parametrize("d, export_depth", [(1, 4), (2, 2), (3, 1)])
+@pytest.mark.parametrize("regime", REGIME_TARGETS)
+def test_documents_are_the_bytes_of_json_dumps(capsys, regime, d,
+                                               export_depth):
+    r, r_prime, c = REGIME_TARGETS[regime]
+    flags = ["--r", r, "--r-prime", r_prime, "--d", str(d),
+             *(["--c", c] if c else [])]
+    tables = tables_from_cli(r, r_prime, d, 4, c=c)
+    shallow = tables_from_cli(r, r_prime, d, export_depth, c=c)
+    rho = Fraction(1, 4)
+    documents = [
+        (["plan", *flags, "--depth", "4"], tables.to_json_obj()),
+        (["witness", *flags, "--depth", "4", "--rho", "1/4"],
+         search_witness(tables, rho).to_json_obj()),
+        (["witness", "--crossed", *flags, "--depth", "4", "--rho", "1/4"],
+         search_witness(tables, rho, crossed=True).to_json_obj()),
+        (["chern", "--k", "6"],
+         {"formatVersion": "1", "kind": "chern", "maxK": "6",
+          "ranks": ["2", "4", "6", "8", "10", "12"]}),
+        (["export", "--format", "json", *flags, "--depth",
+          str(export_depth)],
+         diagram_to_json_obj(build_diagram_document(shallow))),
+    ]
+    for argv, obj in documents:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out == json.dumps(obj, sort_keys=True, indent=2) + "\n", argv
 
 
 @pytest.mark.parametrize("text, written", [

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ahtower import comparison
 from ahtower.certificates import search_witness
 from ahtower.comparison import (ProjectionSymbol, SquareZeroPoly,
-                                chern_min_embedding_rank, projection_pair)
+                                chern_min_embedding_rank,
+                                chern_min_embedding_ranks, projection_pair)
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, build_tables
 
@@ -108,9 +109,35 @@ def test_chern_computes_the_identity(monkeypatch):
             fold(table, bit)
     monkeypatch.setattr(comparison, "_fold_one_plus", skip_third_variable)
     assert chern_min_embedding_rank(2) == 4
+    assert chern_min_embedding_ranks(2) == [2, 4]
     with pytest.raises(RuntimeError,
                        match="class inverse failed its defining identity"):
         chern_min_embedding_rank(3)
+    with pytest.raises(RuntimeError,
+                       match="class inverse failed its defining identity"):
+        chern_min_embedding_ranks(14)
+
+
+def rank_from_scratch(k: int) -> int:
+    """One rank on its own table, as computed before every rank came from
+    one table: the reference for ``chern_min_embedding_ranks``."""
+    inverse = comparison._doubled_inverse(k)
+    product = inverse.copy()
+    for i in range(k):
+        comparison._fold_one_plus(product, 1 << i)
+    if product[0] != 1 or product.count(0) != len(product) - 1:
+        raise RuntimeError("class inverse failed its defining identity")
+    full_mask = len(inverse) - 1
+    top = (k if inverse[full_mask] else
+           max(m.bit_count() for m, c in enumerate(inverse) if c))
+    if top != k or inverse[full_mask] != (-1) ** k:
+        raise RuntimeError("top obstruction class degenerated")
+    return k + top
+
+
+def test_chern_ranks_from_one_table_match_each_from_scratch():
+    assert chern_min_embedding_ranks(14) == [rank_from_scratch(k)
+                                             for k in range(1, 15)]
 
 
 def test_chern_needs_no_general_product(monkeypatch):

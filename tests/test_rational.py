@@ -3,11 +3,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ahtower.rational as rational
-from ahtower.rational import (ExtendedRational, fraction_from_json,
+from ahtower.rational import (ExtendedRational, _joined_text,
+                              document_text, fraction_from_json,
                               fraction_to_json, parse_fraction)
 
 
@@ -96,3 +97,32 @@ def test_integer_comparisons_match_fractions(a, b, c, e):
         sign(Fraction(a, b * e)) if defined else None)
     assert rational.cross_sign(a, b, c, e) == (
         sign(Fraction(a, b) - Fraction(c, e)) if defined else None)
+
+
+# strings that need escaping under ensure_ascii: quotes, backslashes,
+# control characters and non-ASCII, astral code points included
+json_text = (st.text(st.sampled_from('a"\\\x00\x1f\n\t/\x7f\xe9\u2028'
+                                     '\U0001f600'))
+             | st.text())
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_joined_writer_is_json_dumps(value):
+    # the writer's own branch, called directly so it runs on every version
+    assert _joined_text(value, "\n") == json.dumps(value, sort_keys=True,
+                                                    indent=2)
+    assert document_text(value) == json.dumps(value, sort_keys=True,
+                                              indent=2)
+
+
+@pytest.mark.parametrize("bad", [{1: "x"}, {"a": {None: []}}, {"a": 1, 2: 3}])
+def test_joined_writer_refuses_keys_that_are_not_strings(bad):
+    with pytest.raises(TypeError):
+        _joined_text(bad, "\n")
