@@ -1,12 +1,15 @@
 """Serialized views of the tower: a JSON document and a DOT drawing.
 
-The document freezes levels 0..depth of the tables: one stage entry per
-level with the component counts and block sizes, and one map entry per
-gap carrying the full arrow lists (split by target row) together with
-the block multiplicity matrix.  Parsing the emitted JSON reproduces the
-document exactly, and the DOT drawing is a pure function of the
-document, so the drawing regenerated from a parsed file matches the one
-drawn from the original tables.
+A document is the tables with the stage and connecting map out of every
+level 0..depth, the tower's own ``StageSpec``s and ``ConnectingMap``s.
+Its JSON holds one stage entry per level with the component counts and
+block sizes, and one map entry per gap with the arrows and projection
+spans into each target row and the block multiplicity matrix.  The
+reader is regeneration: it rebuilds the document from the params, depth
+and h override that the JSON declares, and accepts the JSON only where it
+equals the rebuilt document's.  The DOT drawing is a pure function of the
+document, so the drawing of a read document matches the one drawn from
+the original tables.
 
 Node identifiers are stable: C_{n}_{k} for the lattice component whose
 point has index k in lexicographic enumeration, B_{n} for the merged
@@ -19,14 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .rational import document_text, ints_from_json, ints_to_json
-from .report import CheckReport
+from .rational import document_text, ints_to_json
+from .report import CheckReport, first_difference
 from .sequences import (FORMAT_VERSION, DocumentKind, GrowthTables,
-                        TargetParams, h_override_from_json, require_document)
+                        TargetParams, build_tables, h_override_from_json,
+                        require_document)
 from .tower import (BLOCK_B, BLOCK_C, KIND_COORD_PROJECTION,
-                    KIND_POINT_EVAL_X, KIND_POINT_EVAL_Y, KIND_STAR_EVAL,
-                    STAR, Arrow, ArrowSpan, BlockMatrix, BlockSpec,
-                    StageSpec, TorusSlot, build_connecting_map, build_stage,
+                    KIND_POINT_EVAL_X, KIND_STAR_EVAL, Arrow, ArrowSpan,
+                    ConnectingMap, StageSpec, build_stage, lattice_maps,
                     torus_lattice)
 
 
@@ -35,51 +38,17 @@ from .tower import (BLOCK_B, BLOCK_C, KIND_COORD_PROJECTION,
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TargetArrows:
-    """Everything one target row receives from one connecting map."""
-
-    arrows: tuple[Arrow, ...]
-    spans: tuple[ArrowSpan, ...]
-
-
-@dataclass(frozen=True)
-class DiagramMap:
-    level: int                    # the map climbs from level to level + 1
-    d_next: int
-    d_prime_next: int
-    multiplicity: BlockMatrix
-    into_c: TargetArrows
-    into_b: TargetArrows
-
-
-@dataclass(frozen=True)
 class DiagramDocument:
-    params: TargetParams
-    h_rule: str
-    h_override: tuple[int, ...] | None
-    depth: int
+    tables: GrowthTables
     stages: tuple[StageSpec, ...]
-    maps: tuple[DiagramMap, ...]
+    maps: tuple[ConnectingMap, ...]
 
 
 def build_diagram_document(tables: GrowthTables) -> DiagramDocument:
-    maps = []
-    for n in range(tables.depth):
-        cmap = build_connecting_map(tables, n)
-        maps.append(DiagramMap(
-            level=n,
-            d_next=tables.d(n + 1),
-            d_prime_next=tables.d_prime(n + 1),
-            multiplicity=cmap.multiplicity,
-            into_c=TargetArrows(tuple(cmap.arrows_into(BLOCK_C)),
-                                tuple(cmap.spans_into(BLOCK_C))),
-            into_b=TargetArrows(tuple(cmap.arrows_into(BLOCK_B)),
-                                tuple(cmap.spans_into(BLOCK_B)))))
     return DiagramDocument(
-        params=tables.params, h_rule=tables.h_rule,
-        h_override=tables.h_override, depth=tables.depth,
+        tables=tables,
         stages=tuple(build_stage(tables, n) for n in range(tables.depth + 1)),
-        maps=tuple(maps))
+        maps=lattice_maps(tables))
 
 
 # ----------------------------------------------------------------------
@@ -96,53 +65,24 @@ def _arrow_to_json(arrow: Arrow) -> dict[str, Any]:
     return obj
 
 
-def _arrow_from_json(obj: Any, target: str) -> Arrow:
-    if not isinstance(obj, dict):
-        raise ValueError("arrow must be an object")
-    kind = obj.get("kind")
-    if kind == KIND_STAR_EVAL:
-        return Arrow(obj["source"], target, kind, STAR)
-    if kind == KIND_POINT_EVAL_X:
-        return Arrow(obj["source"], target, kind,
-                     TorusSlot(tuple(ints_from_json(obj["point"]))),
-                     tuple(ints_from_json(obj["eval"])))
-    raise ValueError(f"unknown arrow kind {kind!r}")
-
-
 def _span_to_json(span: ArrowSpan) -> dict[str, Any]:
     return {"source": span.source, "kind": span.kind,
             "lo": str(span.lo), "hi": str(span.hi)}
 
 
-def _span_from_json(obj: Any, target: str) -> ArrowSpan:
-    if not isinstance(obj, dict):
-        raise ValueError("span must be an object")
-    if obj.get("kind") not in (KIND_COORD_PROJECTION, KIND_POINT_EVAL_Y):
-        raise ValueError(f"unknown span kind {obj.get('kind')!r}")
-    return ArrowSpan(obj["source"], target, obj["kind"],
-                     int(obj["lo"]), int(obj["hi"]))
-
-
-def _target_to_json(bucket: TargetArrows) -> dict[str, Any]:
-    return {"arrows": [_arrow_to_json(a) for a in bucket.arrows],
-            "spans": [_span_to_json(s) for s in bucket.spans]}
-
-
-def _target_from_json(obj: Any, target: str) -> TargetArrows:
-    if not isinstance(obj, dict):
-        raise ValueError("target bucket must be an object")
-    return TargetArrows(
-        tuple(_arrow_from_json(a, target) for a in obj["arrows"]),
-        tuple(_span_from_json(s, target) for s in obj["spans"]))
+def _target_to_json(cmap: ConnectingMap, target: str) -> dict[str, Any]:
+    return {"arrows": [_arrow_to_json(a) for a in cmap.arrows_into(target)],
+            "spans": [_span_to_json(s) for s in cmap.spans_into(target)]}
 
 
 def diagram_to_json_obj(doc: DiagramDocument) -> dict[str, Any]:
+    tables = doc.tables
     obj: dict[str, Any] = {
         "formatVersion": FORMAT_VERSION,
         "kind": "diagram",
-        "params": doc.params.to_json_obj(),
-        "hRule": doc.h_rule,
-        "depthRange": {"lo": "0", "hi": str(doc.depth)},
+        "params": tables.params.to_json_obj(),
+        "hRule": tables.h_rule,
+        "depthRange": {"lo": "0", "hi": str(tables.depth)},
         "stages": [{
             "level": str(s.level),
             "cComponents": str(s.c_block.components),
@@ -153,18 +93,18 @@ def diagram_to_json_obj(doc: DiagramDocument) -> dict[str, Any]:
         } for s in doc.stages],
         "maps": [{
             "level": str(m.level),
-            "dNext": str(m.d_next),
-            "dPrimeNext": str(m.d_prime_next),
+            "dNext": str(tables.d(m.level + 1)),
+            "dPrimeNext": str(tables.d_prime(m.level + 1)),
             "multiplicity": {"cc": str(m.multiplicity.cc),
                              "cb": str(m.multiplicity.cb),
                              "bc": str(m.multiplicity.bc),
                              "bb": str(m.multiplicity.bb)},
-            "into": {BLOCK_C: _target_to_json(m.into_c),
-                     BLOCK_B: _target_to_json(m.into_b)},
+            "into": {BLOCK_C: _target_to_json(m, BLOCK_C),
+                     BLOCK_B: _target_to_json(m, BLOCK_B)},
         } for m in doc.maps],
     }
-    if doc.h_override is not None:
-        obj["hSeqOverride"] = [str(x) for x in doc.h_override]
+    if tables.h_override is not None:
+        obj["hSeqOverride"] = [str(x) for x in tables.h_override]
     return obj
 
 
@@ -180,36 +120,17 @@ def _read_diagram(doc: dict) -> tuple:
 
 
 def diagram_from_json_obj(obj: Any) -> DiagramDocument:
+    """The document ``obj`` declares, read by regeneration: ``obj`` must
+    equal the JSON of the document rebuilt from its params, depth and h
+    override, else ValueError names the path of the first difference.
+    Every leaf of that JSON is a string, so == is exact."""
     params, depth, override = _read_diagram(require_document(obj, "diagram"))
-    stages = tuple(StageSpec(
-        int(s["level"]),
-        BlockSpec(components=int(s["cComponents"]),
-                  base_dimension=int(s["cBaseDimension"]),
-                  matrix_size=int(s["cMatrixSize"])),
-        BlockSpec(components=1,
-                  base_dimension=int(s["bBaseDimension"]),
-                  matrix_size=int(s["bMatrixSize"])),
-    ) for s in obj["stages"])
-    maps = tuple(DiagramMap(
-        level=int(m["level"]),
-        d_next=int(m["dNext"]),
-        d_prime_next=int(m["dPrimeNext"]),
-        multiplicity=BlockMatrix(cc=int(m["multiplicity"]["cc"]),
-                                 cb=int(m["multiplicity"]["cb"]),
-                                 bc=int(m["multiplicity"]["bc"]),
-                                 bb=int(m["multiplicity"]["bb"])),
-        into_c=_target_from_json(m["into"][BLOCK_C], BLOCK_C),
-        into_b=_target_from_json(m["into"][BLOCK_B], BLOCK_B),
-    ) for m in obj["maps"])
-    # the stage count matches depthRange, so stages at levels 0..depth
-    # also refuse a depthRange.lo other than 0
-    if [s.level for s in stages] != list(range(depth + 1)):
-        raise ValueError("stage levels must run contiguously over the band")
-    if [m.level for m in maps] != list(range(depth)):
-        raise ValueError("map levels must run contiguously over the band")
-    return DiagramDocument(params=params, h_rule=obj["hRule"],
-                           h_override=override, depth=depth,
-                           stages=stages, maps=maps)
+    doc = build_diagram_document(build_tables(params, depth, override))
+    canonical = diagram_to_json_obj(doc)
+    if obj != canonical:
+        raise ValueError("diagram differs from its canonical regeneration "
+                         f"({first_difference(obj, canonical)})")
+    return doc
 
 
 DIAGRAM_DOCUMENT = DocumentKind(
@@ -242,7 +163,7 @@ PROJECTION_STYLE = 'color="black:invis:black"'
 EVAL_STYLE = "style=dotted"
 
 
-def _edge_sources(arrows: tuple[Arrow, ...], n: int) -> list[str]:
+def _edge_sources(arrows: list[Arrow], n: int) -> list[str]:
     """The ``"  SOURCE -> "`` prefix of each arrow's edge out of level n."""
     size = 2 ** n
     return [f"  C_{n}_{lattice_index(a.slot.point, size)} -> "
@@ -259,7 +180,7 @@ def dot_blocks(doc: DiagramDocument) -> Iterator[str]:
     block is yielded, so a drawing refused at the int->str digit limit
     yields nothing.
     """
-    d = doc.params.d
+    d = doc.tables.params.d
     out = ["digraph tower {", "  rankdir=LR;",
            "  node [shape=box, fontsize=10];"]
     for stage in doc.stages:
@@ -277,14 +198,14 @@ def dot_blocks(doc: DiagramDocument) -> Iterator[str]:
         n = m.level
         # a trailing "" ends a target's join in its last edge's tail
         b_rows = f"B_{n + 1} [{EVAL_STYLE}];\n".join(
-            _edge_sources(m.into_b.arrows, n) + [""])
-        for s in m.into_b.spans:
+            _edge_sources(m.arrows_into(BLOCK_B), n) + [""])
+        for s in m.spans_into(BLOCK_B):
             style = (PROJECTION_STYLE if s.kind == KIND_COORD_PROJECTION
                      else EVAL_STYLE)
             b_rows += f'  B_{n} -> B_{n + 1} [{style}, label="x{s.count}"];\n'
-        maps.append((n, _edge_sources(m.into_c.arrows, n) + [""],
+        maps.append((n, _edge_sources(m.arrows_into(BLOCK_C), n) + [""],
                      [f' [{PROJECTION_STYLE}, label="x{s.count}"];\n'
-                      for s in m.into_c.spans], b_rows))
+                      for s in m.spans_into(BLOCK_C)], b_rows))
     yield "\n".join(out) + "\n"
     for n, sources, span_tails, b_rows in maps:
         size = 2 ** n

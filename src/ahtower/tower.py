@@ -329,7 +329,9 @@ def check_unital(tables: GrowthTables, cmap: ConnectingMap) -> CheckReport:
                               if a.kind == KIND_POINT_EVAL_X)
                           and all(a.source == BLOCK_B for a in singles
                                   if a.kind == KIND_STAR_EVAL))
-            labels_ok = all(a.eval_point == a.slot.point
+            # a pointEvalX arrow may sit on the star slot of an edited map
+            labels_ok = all(isinstance(a.slot, TorusSlot)
+                            and a.eval_point == a.slot.point
                             if a.kind == KIND_POINT_EVAL_X
                             else a.eval_point is None for a in singles)
         total = singles_count + sum(s.count for s in spans)

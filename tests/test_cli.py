@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -500,7 +501,7 @@ def test_verify_corrupted_diagram_file(capsys, tmp_path):
     def span_hi(obj):
         obj["maps"][1]["into"]["B"]["spans"][0]["hi"] = "15"
 
-    # the next two change only what the parser does not keep
+    # the next two add keys that no document field holds
     def extra_key(obj):
         obj["extra"] = "1"
 
@@ -538,7 +539,9 @@ def test_verify_refuses_a_band_above_level_zero(capsys, tmp_path,
         del obj["stages"][0]
     path.write_text(json.dumps(obj))
     assert run(capsys, "verify", str(path)) == (3, line, "")
-    with pytest.raises(ValueError, match="contiguously"):
+    # the reader refuses it with the text in that line's parentheses
+    refusal = line[line.index("(") + 1:-len(")\n")]
+    with pytest.raises(ValueError, match=re.escape(refusal)):
         diagram_from_json_obj(obj)
 
 

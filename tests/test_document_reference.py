@@ -2,8 +2,9 @@
 against the three paths it replaced.
 
 ``verify_document_file``, ``verify_tables_document`` and
-``verify_diagram_document`` (from ``cli``) and ``verify_witness_json``
-(from ``certificates``) are copied below as they were.  The inputs are
+``verify_diagram_document`` (from ``cli``), the diagram parser the last of
+them called (from ``diagram``) and ``verify_witness_json`` (from
+``certificates``) are copied below as they were.  The inputs are
 small ``plan``, ``witness``, ``witness --crossed`` and ``export`` documents
 in all three regimes, every single-leaf edit of each (another value of the
 leaf's JSON type, and a value of another type), and documents that no
@@ -24,7 +25,9 @@ exactly:
     both at the parse entry.
 
 For witness documents, ``verify_witness_json`` must also agree with the
-old one on whether the document passes and on its first failure.
+old one on whether the document passes and on its first failure.  On every
+export document and single-leaf edit of one, ``diagram_from_json_obj``
+must raise ValueError exactly where ``verify FILE`` exits 3.
 """
 
 import contextlib
@@ -33,17 +36,127 @@ import json
 import sys
 from typing import Any
 
+from dataclasses import dataclass
+
 import pytest
 
-from ahtower import certificates, cli
+from ahtower import certificates, cli, diagram
 from ahtower.certificates import search_witness
 from ahtower.cli import emit, main, report_lines
-from ahtower.diagram import (build_diagram_document, diagram_from_json_obj,
-                             diagram_to_json_obj)
-from ahtower.rational import fraction_from_json
+from ahtower.diagram import build_diagram_document, diagram_to_json_obj
+from ahtower.rational import fraction_from_json, ints_from_json
 from ahtower.report import Checker, CheckReport, first_difference
 from ahtower.sequences import (FORMAT_VERSION, GrowthTables, TargetParams,
-                               build_tables, verify_tables)
+                               build_tables, h_override_from_json,
+                               require_document, verify_tables)
+from ahtower.tower import (BLOCK_B, BLOCK_C, KIND_COORD_PROJECTION,
+                           KIND_POINT_EVAL_X, KIND_POINT_EVAL_Y,
+                           KIND_STAR_EVAL, STAR, Arrow, ArrowSpan,
+                           BlockMatrix, BlockSpec, StageSpec, TorusSlot)
+
+
+# -- the diagram parser the old diagram path called, as it was -----------------
+
+@dataclass(frozen=True)
+class TargetArrows:
+    """Everything one target row receives from one connecting map."""
+
+    arrows: tuple[Arrow, ...]
+    spans: tuple[ArrowSpan, ...]
+
+
+@dataclass(frozen=True)
+class DiagramMap:
+    level: int                    # the map climbs from level to level + 1
+    d_next: int
+    d_prime_next: int
+    multiplicity: BlockMatrix
+    into_c: TargetArrows
+    into_b: TargetArrows
+
+
+@dataclass(frozen=True)
+class DiagramDocument:
+    params: TargetParams
+    h_rule: str
+    h_override: tuple[int, ...] | None
+    depth: int
+    stages: tuple[StageSpec, ...]
+    maps: tuple[DiagramMap, ...]
+
+
+def _arrow_from_json(obj: Any, target: str) -> Arrow:
+    if not isinstance(obj, dict):
+        raise ValueError("arrow must be an object")
+    kind = obj.get("kind")
+    if kind == KIND_STAR_EVAL:
+        return Arrow(obj["source"], target, kind, STAR)
+    if kind == KIND_POINT_EVAL_X:
+        return Arrow(obj["source"], target, kind,
+                     TorusSlot(tuple(ints_from_json(obj["point"]))),
+                     tuple(ints_from_json(obj["eval"])))
+    raise ValueError(f"unknown arrow kind {kind!r}")
+
+
+def _span_from_json(obj: Any, target: str) -> ArrowSpan:
+    if not isinstance(obj, dict):
+        raise ValueError("span must be an object")
+    if obj.get("kind") not in (KIND_COORD_PROJECTION, KIND_POINT_EVAL_Y):
+        raise ValueError(f"unknown span kind {obj.get('kind')!r}")
+    return ArrowSpan(obj["source"], target, obj["kind"],
+                     int(obj["lo"]), int(obj["hi"]))
+
+
+def _target_from_json(obj: Any, target: str) -> TargetArrows:
+    if not isinstance(obj, dict):
+        raise ValueError("target bucket must be an object")
+    return TargetArrows(
+        tuple(_arrow_from_json(a, target) for a in obj["arrows"]),
+        tuple(_span_from_json(s, target) for s in obj["spans"]))
+
+
+def _read_diagram(doc: dict) -> tuple:
+    """Params, depth and h override: all that regeneration reads."""
+    params = TargetParams.from_json_obj(doc["params"])
+    depth_range = doc["depthRange"]
+    depth = int(depth_range["hi"])
+    # levels the document does not list are refused before they are built
+    if len(doc["stages"]) != depth - int(depth_range["lo"]) + 1:
+        raise ValueError("stage levels must run contiguously over the band")
+    return params, depth, h_override_from_json(doc)
+
+
+def diagram_from_json_obj(obj: Any) -> DiagramDocument:
+    params, depth, override = _read_diagram(require_document(obj, "diagram"))
+    stages = tuple(StageSpec(
+        int(s["level"]),
+        BlockSpec(components=int(s["cComponents"]),
+                  base_dimension=int(s["cBaseDimension"]),
+                  matrix_size=int(s["cMatrixSize"])),
+        BlockSpec(components=1,
+                  base_dimension=int(s["bBaseDimension"]),
+                  matrix_size=int(s["bMatrixSize"])),
+    ) for s in obj["stages"])
+    maps = tuple(DiagramMap(
+        level=int(m["level"]),
+        d_next=int(m["dNext"]),
+        d_prime_next=int(m["dPrimeNext"]),
+        multiplicity=BlockMatrix(cc=int(m["multiplicity"]["cc"]),
+                                 cb=int(m["multiplicity"]["cb"]),
+                                 bc=int(m["multiplicity"]["bc"]),
+                                 bb=int(m["multiplicity"]["bb"])),
+        into_c=_target_from_json(m["into"][BLOCK_C], BLOCK_C),
+        into_b=_target_from_json(m["into"][BLOCK_B], BLOCK_B),
+    ) for m in obj["maps"])
+    # the stage count matches depthRange, so stages at levels 0..depth
+    # also refuse a depthRange.lo other than 0
+    if [s.level for s in stages] != list(range(depth + 1)):
+        raise ValueError("stage levels must run contiguously over the band")
+    if [m.level for m in maps] != list(range(depth)):
+        raise ValueError("map levels must run contiguously over the band")
+    return DiagramDocument(params=params, h_rule=obj["hRule"],
+                           h_override=override, depth=depth,
+                           stages=stages, maps=maps)
 
 
 # -- the three paths, as they were --------------------------------------------
@@ -270,6 +383,35 @@ def test_every_single_leaf_edit_matches_the_old_paths(tmp_path):
     assert edits > 2000
     # the diagram line class is exercised, and stays a minority
     assert 0 < differed < edits // 4
+
+
+def test_the_reader_refuses_exactly_what_verify_refuses(tmp_path):
+    # diagram_from_json_obj reads by regeneration, as `verify FILE` does: it
+    # raises ValueError on each single-leaf edit that `verify FILE` refuses
+    # and returns the rebuilt document on what it accepts
+    path = tmp_path / "document.json"
+    accepted = refused = 0
+    for name, doc in documents(tmp_path):
+        if doc["kind"] != "diagram":
+            continue
+        for obj in [doc, *(edited(doc, leaf, value)
+                           for leaf, value in leaf_edits(doc))]:
+            path.write_text(json.dumps(obj))
+            code = outcome(cli.verify_document_file, path)[0]
+            if code == 3:
+                with pytest.raises(ValueError):
+                    diagram.diagram_from_json_obj(obj)
+                refused += 1
+                continue
+            assert code == 0, name
+            tables = build_tables(TargetParams.from_json_obj(obj["params"]),
+                                  int(obj["depthRange"]["hi"]),
+                                  h_override_from_json(obj))
+            assert diagram.diagram_from_json_obj(obj) \
+                == build_diagram_document(tables), name
+            accepted += 1
+    # the five clean exports are accepted, and each of their edits refused
+    assert accepted == 5 and refused > 1000
 
 
 @pytest.mark.parametrize("text", [

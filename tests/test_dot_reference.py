@@ -21,7 +21,7 @@ from ahtower.tower import (KIND_COORD_PROJECTION, KIND_POINT_EVAL_X,
 
 def reference_render_dot(doc):
     """The per-edge renderer: one f-string and one lookup per edge."""
-    d = doc.params.d
+    d = doc.tables.params.d
     out = ["digraph tower {",
            "  rankdir=LR;",
            "  node [shape=box, fontsize=10];"]
@@ -43,23 +43,23 @@ def reference_render_dot(doc):
         size = 2 ** n
         for k_t, w in enumerate(torus_lattice(d, n + 1)):
             parent = lattice_index(tuple(c % size for c in w), size)
-            for span in dmap.into_c.spans:
+            for span in dmap.spans_into("C"):
                 out.append(f"  C_{n}_{parent} -> C_{n + 1}_{k_t} "
                            f'[{PROJECTION_STYLE}, label="x{span.count}"];')
-            for arrow in dmap.into_c.arrows:
+            for arrow in dmap.arrows_into("C"):
                 if arrow.kind == KIND_POINT_EVAL_X:
                     k_s = lattice_index(arrow.slot.point, size)
                     out.append(f"  C_{n}_{k_s} -> C_{n + 1}_{k_t} "
                                f"[{EVAL_STYLE}];")
                 else:
                     out.append(f"  B_{n} -> C_{n + 1}_{k_t} [{EVAL_STYLE}];")
-        for arrow in dmap.into_b.arrows:
+        for arrow in dmap.arrows_into("B"):
             if arrow.kind == KIND_POINT_EVAL_X:
                 k_s = lattice_index(arrow.slot.point, size)
                 out.append(f"  C_{n}_{k_s} -> B_{n + 1} [{EVAL_STYLE}];")
             else:
                 out.append(f"  B_{n} -> B_{n + 1} [{EVAL_STYLE}];")
-        for span in dmap.into_b.spans:
+        for span in dmap.spans_into("B"):
             if span.kind == KIND_COORD_PROJECTION:
                 out.append(f"  B_{n} -> B_{n + 1} "
                            f'[{PROJECTION_STYLE}, label="x{span.count}"];')
@@ -88,7 +88,8 @@ def assert_same(doc):
     assert "".join(blocks) == reference
     assert blocks[0].startswith("digraph tower {") and blocks[-1] == "}\n"
     assert all(block.endswith("\n") for block in blocks)
-    assert len(blocks) == 2 + sum(2 ** ((m.level + 1) * doc.params.d) + 1
+    d = doc.tables.params.d
+    assert len(blocks) == 2 + sum(2 ** ((m.level + 1) * d) + 1
                                   for m in doc.maps)
 
 
@@ -111,10 +112,10 @@ def test_reparsed_document_matches_reference(d, depth):
 
 
 def rearranged(doc, order):
-    """``doc`` with every map's C-target arrows put in another order."""
+    """``doc`` with every map's C-target arrows put in another order, held
+    as a tuple of arrows."""
     maps = tuple(dataclasses.replace(
-        m, into_c=dataclasses.replace(m.into_c,
-                                      arrows=tuple(order(m.into_c.arrows))))
+        m, arrows=tuple(order(m.arrows_into("C"))) + tuple(m.arrows_into("B")))
         for m in doc.maps)
     return dataclasses.replace(doc, maps=maps)
 
@@ -147,14 +148,13 @@ def test_rearrangements_change_the_drawing():
 def test_point_outside_the_lattice_raises_in_both(target, d):
     doc = build_diagram_document(tables("1/2", "1/3", d, 3))
     m = doc.maps[2]
-    bucket = getattr(m, target)
-    i = next(i for i, a in enumerate(bucket.arrows)
-             if a.kind == KIND_POINT_EVAL_X)
-    arrows = list(bucket.arrows)
+    row = {"into_c": "C", "into_b": "B"}[target]
+    arrows = list(m.arrows)
+    i = next(i for i, a in enumerate(arrows)
+             if a.kind == KIND_POINT_EVAL_X and a.target == row)
     arrows[i] = dataclasses.replace(arrows[i],
                                     slot=TorusSlot((2 ** m.level,) * d))
-    bad = dataclasses.replace(m, **{target: dataclasses.replace(
-        bucket, arrows=tuple(arrows))})
+    bad = dataclasses.replace(m, arrows=tuple(arrows))
     doc = dataclasses.replace(doc, maps=doc.maps[:2] + (bad,))
     # the stream refuses before it yields its first block
     for renderer in (render_dot, reference_render_dot,

@@ -97,6 +97,27 @@ def test_check_unital_catches_label_on_star_arrow(half_third, target):
         == [f"{target}-target evaluation labels"]
 
 
+@pytest.mark.parametrize("target, other", [("C", "B"), ("B", "C")])
+def test_check_unital_fails_a_point_evaluation_on_the_star_slot(
+        half_third, target, other):
+    # the star arrow into target trades kinds with a lattice arrow into
+    # the other row: a pointEvalX arrow on the star slot is a failed entry,
+    # not an AttributeError
+    cmap = build_connecting_map(half_third, 2)
+    arrows = list(cmap.arrows)
+    i = next(i for i, a in enumerate(arrows)
+             if a.kind == "starEval" and a.target == target)
+    j = next(i for i, a in enumerate(arrows)
+             if a.kind == "pointEvalX" and a.target == other)
+    arrows[i], arrows[j] = (dataclasses.replace(arrows[i], kind="pointEvalX"),
+                            dataclasses.replace(arrows[j], kind="starEval"))
+    rep = check_unital(half_third,
+                       dataclasses.replace(cmap, arrows=tuple(arrows)))
+    assert [e.name for e in rep.entries if not e.ok] \
+        == [f"{row}-target {entry}" for row in ("C", "B")
+            for entry in ("census", "sources", "evaluation labels")]
+
+
 def test_check_unital_catches_span_gap(half_third):
     cmap = build_connecting_map(half_third, 1)
     spans = tuple(dataclasses.replace(s, lo=2) if s.target == "C" else s
