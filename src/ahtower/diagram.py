@@ -24,13 +24,13 @@ from typing import Any, Iterator
 
 from .rational import document_text, ints_to_json
 from .report import CheckReport, first_difference
-from .sequences import (FORMAT_VERSION, DocumentKind, GrowthTables,
-                        TargetParams, build_tables, h_override_from_json,
-                        require_document)
+from .sequences import (FORMAT_VERSION, MALFORMED, DocumentKind,
+                        GrowthTables, TargetParams, build_tables,
+                        h_override_from_json, require_document)
 from .tower import (BLOCK_B, BLOCK_C, KIND_COORD_PROJECTION,
-                    KIND_POINT_EVAL_X, KIND_STAR_EVAL, Arrow, ArrowSpan,
-                    ConnectingMap, StageSpec, build_stage, lattice_maps,
-                    torus_lattice)
+                    KIND_POINT_EVAL_X, KIND_STAR_EVAL, ArrowSpan,
+                    ConnectingMap, LatticeArrows, StageSpec, build_stage,
+                    lattice_maps, torus_lattice)
 
 
 # ----------------------------------------------------------------------
@@ -55,14 +55,12 @@ def build_diagram_document(tables: GrowthTables) -> DiagramDocument:
 # JSON
 # ----------------------------------------------------------------------
 
-def _arrow_to_json(arrow: Arrow) -> dict[str, Any]:
-    obj: dict[str, Any] = {"source": arrow.source, "kind": arrow.kind}
-    if arrow.kind == KIND_POINT_EVAL_X:
-        obj["point"] = ints_to_json(arrow.slot.point)
-        obj["eval"] = ints_to_json(arrow.eval_point)
-    elif arrow.kind != KIND_STAR_EVAL:
-        raise ValueError(f"cannot serialize single arrow of kind {arrow.kind}")
-    return obj
+def _described(cmap: ConnectingMap) -> LatticeArrows:
+    """The map's lattice and star arrows; ValueError if they are not its
+    own description (only an edited map's are not)."""
+    if not cmap.described:
+        raise ValueError(f"map {cmap.level}: {cmap.not_described()}")
+    return cmap.arrows
 
 
 def _span_to_json(span: ArrowSpan) -> dict[str, Any]:
@@ -71,7 +69,15 @@ def _span_to_json(span: ArrowSpan) -> dict[str, Any]:
 
 
 def _target_to_json(cmap: ConnectingMap, target: str) -> dict[str, Any]:
-    return {"arrows": [_arrow_to_json(a) for a in cmap.arrows_into(target)],
+    """The arrows into one target row: the labelled run from the C row and
+    the star arrow from the B row, then the projection spans."""
+    arrows = _described(cmap)
+    run: list[dict[str, Any]] = [
+        {"source": BLOCK_C, "kind": KIND_POINT_EVAL_X,
+         "point": ints_to_json(z), "eval": ints_to_json(z)}
+        for z in torus_lattice(arrows.d, arrows.level)]
+    run.append({"source": BLOCK_B, "kind": KIND_STAR_EVAL})
+    return {"arrows": run,
             "spans": [_span_to_json(s) for s in cmap.spans_into(target)]}
 
 
@@ -123,9 +129,14 @@ def diagram_from_json_obj(obj: Any) -> DiagramDocument:
     """The document ``obj`` declares, read by regeneration: ``obj`` must
     equal the JSON of the document rebuilt from its params, depth and h
     override, else ValueError names the path of the first difference.
-    Every leaf of that JSON is a string, so == is exact."""
-    params, depth, override = _read_diagram(require_document(obj, "diagram"))
-    doc = build_diagram_document(build_tables(params, depth, override))
+    Every leaf of that JSON is a string, so == is exact.  A document
+    ``verify FILE`` finds not well formed raises ValueError too."""
+    try:
+        params, depth, override = _read_diagram(
+            require_document(obj, "diagram"))
+        doc = build_diagram_document(build_tables(params, depth, override))
+    except MALFORMED as exc:
+        raise ValueError(f"diagram document not well formed: {exc}") from exc
     canonical = diagram_to_json_obj(doc)
     if obj != canonical:
         raise ValueError("diagram differs from its canonical regeneration "
@@ -163,12 +174,12 @@ PROJECTION_STYLE = 'color="black:invis:black"'
 EVAL_STYLE = "style=dotted"
 
 
-def _edge_sources(arrows: list[Arrow], n: int) -> list[str]:
-    """The ``"  SOURCE -> "`` prefix of each arrow's edge out of level n."""
-    size = 2 ** n
-    return [f"  C_{n}_{lattice_index(a.slot.point, size)} -> "
-            if a.kind == KIND_POINT_EVAL_X else f"  B_{n} -> "
-            for a in arrows]
+def _edge_sources(cmap: ConnectingMap) -> list[str]:
+    """The ``"  SOURCE -> "`` prefix of each lattice and star edge out of
+    level n into one target: C_{n}_{k} for k = 0..2^(nd)-1, then B_{n}."""
+    n = cmap.level
+    return ([f"  C_{n}_{k} -> " for k in range(_described(cmap).points)]
+            + [f"  B_{n} -> "])
 
 
 def dot_blocks(doc: DiagramDocument) -> Iterator[str]:
@@ -197,13 +208,13 @@ def dot_blocks(doc: DiagramDocument) -> Iterator[str]:
     for m in doc.maps:
         n = m.level
         # a trailing "" ends a target's join in its last edge's tail
-        b_rows = f"B_{n + 1} [{EVAL_STYLE}];\n".join(
-            _edge_sources(m.arrows_into(BLOCK_B), n) + [""])
+        sources = _edge_sources(m) + [""]
+        b_rows = f"B_{n + 1} [{EVAL_STYLE}];\n".join(sources)
         for s in m.spans_into(BLOCK_B):
             style = (PROJECTION_STYLE if s.kind == KIND_COORD_PROJECTION
                      else EVAL_STYLE)
             b_rows += f'  B_{n} -> B_{n + 1} [{style}, label="x{s.count}"];\n'
-        maps.append((n, _edge_sources(m.arrows_into(BLOCK_C), n) + [""],
+        maps.append((n, sources,
                      [f' [{PROJECTION_STYLE}, label="x{s.count}"];\n'
                       for s in m.spans_into(BLOCK_C)], b_rows))
     yield "\n".join(out) + "\n"

@@ -556,6 +556,13 @@ class DocumentKind:
     regenerate: Callable[..., tuple[Any, CheckReport]]
 
 
+# what reading or regenerating a document raises when it is not well formed:
+# a missing key, a bad value or type, a number no int can hold (JSON 1e400
+# reads as float infinity), or nesting too deep (a RecursionError is a
+# RuntimeError)
+MALFORMED = (KeyError, ValueError, TypeError, OverflowError, RuntimeError)
+
+
 def verify_document(doc: Any, kind: DocumentKind) -> CheckReport:
     """Re-verify ``doc``, trusting nothing in it.  A passing report holds
     ``kind.parsed``, the kind's own checks, then ``kind.matches``."""
@@ -565,11 +572,7 @@ def verify_document(doc: Any, kind: DocumentKind) -> CheckReport:
             require_document(doc, kind.tag))
         canonical, checks = kind.regenerate(
             build_tables(params, depth, override), *own)
-    except (KeyError, ValueError, TypeError, OverflowError,
-            RuntimeError) as exc:
-        # a missing key, a bad value or type, a number no int can hold
-        # (JSON 1e400 reads as float infinity), or nesting too deep (a
-        # RecursionError is a RuntimeError): the document is not well formed
+    except MALFORMED as exc:
         c.check(kind.parsed, False, str(exc))
         return c.report()
     c.check(kind.parsed, True)

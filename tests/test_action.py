@@ -71,7 +71,8 @@ def test_equivariance_green_rank_two():
 
 
 def test_equivariance_negative_control():
-    # crossing the evaluation labels of two arrows breaks the replay
+    # crossing the evaluation labels of two arrows makes the map an
+    # edited one, which is not its own description
     t = tables_for("1/2", "1/3", depth=3)
     cmap = build_connecting_map(t, 2)
     z1, z2 = (0,), (1,)
@@ -89,7 +90,7 @@ def test_equivariance_negative_control():
     assert not rep.ok
     bad = rep.first_failure
     assert bad.name == "C-target census invariant under shift"
-    assert "no partner" in bad.detail
+    assert bad.detail == "arrows are not LatticeArrows(d=1, level=2)"
 
 
 def test_equivariance_rejects_wrong_rank():

@@ -2,11 +2,11 @@ import json
 
 import pytest
 
-from ahtower.diagram import (build_diagram_document, diagram_from_json_obj,
-                             diagram_to_json_obj, export_diagram,
-                             lattice_index, render_dot)
+from ahtower.diagram import (DIAGRAM_DOCUMENT, build_diagram_document,
+                             diagram_from_json_obj, diagram_to_json_obj,
+                             export_diagram, lattice_index, render_dot)
 from ahtower.rational import ExtendedRational
-from ahtower.sequences import TargetParams, build_tables
+from ahtower.sequences import TargetParams, build_tables, verify_document
 from ahtower.tower import torus_lattice
 
 
@@ -134,3 +134,26 @@ def test_bad_documents_rejected():
             {**good, "stages": [good["stages"][0], good["stages"][0]]})
     with pytest.raises(ValueError):
         diagram_from_json_obj([])
+
+
+BROKEN = {
+    "no stages": lambda good: {k: v for k, v in good.items()
+                               if k != "stages"},
+    "null depthRange": lambda good: {**good, "depthRange": None},
+    "null params": lambda good: {**good, "params": None},
+    "stages not a list": lambda good: {**good, "stages": 5},
+    "depth no int can hold": lambda good: {
+        **good, "depthRange": {"lo": "0", "hi": float("inf")}},
+}
+
+
+@pytest.mark.parametrize("how", BROKEN)
+def test_structurally_broken_documents_raise_value_error(how):
+    # every refusal of the reader is a ValueError, on exactly the
+    # documents verify FILE finds not well formed
+    good = json.loads(export_diagram(tables_for("1/2", "1/3", d=1, depth=3)))
+    bad = BROKEN[how](good)
+    with pytest.raises(ValueError, match="diagram document not well formed"):
+        diagram_from_json_obj(bad)
+    report = verify_document(bad, DIAGRAM_DOCUMENT)
+    assert report.first_failure.name == "diagram document well formed"

@@ -1,7 +1,9 @@
 """Differential test: ``render_dot`` and the blocks of ``dot_blocks``
-against the per-edge renderer they replaced, byte for byte, on clean,
-reparsed and rearranged documents, and ``export --format dot`` against
-``render_dot``."""
+against the per-edge renderer they replaced, byte for byte, on clean and
+reparsed documents, and ``export --format dot`` against ``render_dot``.
+The per-edge renderer draws any arrows it is given; the writers draw only
+a map's own description and refuse a document whose arrows were
+rearranged or moved off the lattice."""
 
 import dataclasses
 import functools
@@ -46,14 +48,14 @@ def reference_render_dot(doc):
             for span in dmap.spans_into("C"):
                 out.append(f"  C_{n}_{parent} -> C_{n + 1}_{k_t} "
                            f'[{PROJECTION_STYLE}, label="x{span.count}"];')
-            for arrow in dmap.arrows_into("C"):
+            for arrow in [a for a in dmap.arrows if a.target == "C"]:
                 if arrow.kind == KIND_POINT_EVAL_X:
                     k_s = lattice_index(arrow.slot.point, size)
                     out.append(f"  C_{n}_{k_s} -> C_{n + 1}_{k_t} "
                                f"[{EVAL_STYLE}];")
                 else:
                     out.append(f"  B_{n} -> C_{n + 1}_{k_t} [{EVAL_STYLE}];")
-        for arrow in dmap.arrows_into("B"):
+        for arrow in [a for a in dmap.arrows if a.target == "B"]:
             if arrow.kind == KIND_POINT_EVAL_X:
                 k_s = lattice_index(arrow.slot.point, size)
                 out.append(f"  C_{n}_{k_s} -> B_{n + 1} [{EVAL_STYLE}];")
@@ -114,9 +116,11 @@ def test_reparsed_document_matches_reference(d, depth):
 def rearranged(doc, order):
     """``doc`` with every map's C-target arrows put in another order, held
     as a tuple of arrows."""
+    def row(m, target):
+        return tuple(a for a in m.arrows if a.target == target)
+
     maps = tuple(dataclasses.replace(
-        m, arrows=tuple(order(m.arrows_into("C"))) + tuple(m.arrows_into("B")))
-        for m in doc.maps)
+        m, arrows=tuple(order(row(m, "C"))) + row(m, "B")) for m in doc.maps)
     return dataclasses.replace(doc, maps=maps)
 
 
@@ -124,23 +128,36 @@ def star_first(arrows):
     return sorted(arrows, key=lambda a: a.kind != KIND_STAR_EVAL)
 
 
+def assert_refused(doc, match="LatticeArrows"):
+    """Both writers refuse ``doc``; the stream before its first block."""
+    for writer in (render_dot, lambda doc: next(dot_blocks(doc)),
+                   diagram_to_json_obj):
+        with pytest.raises(ValueError, match=match):
+            writer(doc)
+
+
 @pytest.mark.parametrize("order", [star_first, lambda a: a[::-1],
                                    lambda a: ()],
                          ids=["star first", "reversed", "empty"])
 @pytest.mark.parametrize("d, depth", SETTINGS)
 def test_rearranged_arrows_match_reference(order, d, depth):
+    # the reference draws a rearranged map in its own line order; the
+    # writers have no drawing for anything but a map's description
     doc = rearranged(
         build_diagram_document(tables("1/2", "1/3", d, depth)), order)
-    assert_same(doc)
+    assert reference_render_dot(doc)
+    assert_refused(doc)
 
 
 def test_rearrangements_change_the_drawing():
-    # the cases above exercise other line orders, not the default one again
+    # the refusals above are of maps whose drawing differs from the
+    # described one, not the same map again
     doc = build_diagram_document(tables("1/2", "1/3", 1, 3))
-    drawings = {render_dot(rearranged(doc, order))
+    drawings = {reference_render_dot(rearranged(doc, order))
                 for order in (tuple, star_first, lambda a: a[::-1],
                               lambda a: ())}
     assert len(drawings) == 4
+    assert reference_render_dot(rearranged(doc, tuple)) == render_dot(doc)
 
 
 @pytest.mark.parametrize("target", ["into_c", "into_b"])
@@ -156,11 +173,9 @@ def test_point_outside_the_lattice_raises_in_both(target, d):
                                     slot=TorusSlot((2 ** m.level,) * d))
     bad = dataclasses.replace(m, arrows=tuple(arrows))
     doc = dataclasses.replace(doc, maps=doc.maps[:2] + (bad,))
-    # the stream refuses before it yields its first block
-    for renderer in (render_dot, reference_render_dot,
-                     lambda doc: next(dot_blocks(doc))):
-        with pytest.raises(ValueError, match="outside"):
-            renderer(doc)
+    with pytest.raises(ValueError, match="outside"):
+        reference_render_dot(doc)
+    assert_refused(doc, match=r"map 2: arrows are not LatticeArrows")
 
 
 @pytest.mark.parametrize("d, depth", SETTINGS)

@@ -1,5 +1,11 @@
-"""Differential test: the tuple replay of ``check_equivariance`` against
-the per-arrow replay it replaced, on clean and tampered small maps."""
+"""The per-arrow replay of the shift as a test-side oracle.
+
+``check_equivariance`` reads a map's lattice arrows off its description,
+``LatticeArrows``, by the translation lemma.  The replay below pushes every
+arrow of a map spelled out as a tuple forward and compares censuses: on a
+spelled-out built map it agrees with ``check_equivariance`` entry by
+entry, and it sees every tampering, which ``check_equivariance`` refuses
+as an edited map."""
 
 import dataclasses
 import functools
@@ -8,7 +14,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahtower.action import check_equivariance, level_permutation
+from ahtower.action import check_equivariance
 from ahtower.report import Checker
 from ahtower.sequences import tables_from_cli
 from ahtower.tower import (KIND_POINT_EVAL_X, KIND_STAR_EVAL, Arrow,
@@ -16,23 +22,27 @@ from ahtower.tower import (KIND_POINT_EVAL_X, KIND_STAR_EVAL, Arrow,
 
 
 def reference_check_equivariance(cmap, g):
-    """The per-arrow replay: every pushed arrow is a new ``Arrow``."""
+    """The per-arrow replay: every pushed arrow is a new ``Arrow``, its
+    slot and label translated by g mod 2^level here, not by the package."""
     if len(g) != cmap.d:
         raise ValueError(f"g has {len(g)} coordinates, map expects {cmap.d}")
-    perm = level_permutation(g, cmap.level)
+    modulus = 2 ** cmap.level
     c = Checker()
+
+    def move(point):
+        return tuple((p + s) % modulus for p, s in zip(point, g))
 
     def image(arrow):
         eval_point = arrow.eval_point
         if arrow.kind == KIND_POINT_EVAL_X and eval_point is not None:
-            eval_point = perm.apply_point(eval_point)
+            eval_point = move(eval_point)
         slot = arrow.slot
         if isinstance(slot, TorusSlot):
-            slot = TorusSlot(perm.apply_point(slot.point))
+            slot = TorusSlot(move(slot.point))
         return Arrow(arrow.source, arrow.target, arrow.kind, slot, eval_point)
 
     for target in ("C", "B"):
-        original = cmap.arrows_into(target)
+        original = [a for a in cmap.arrows if a.target == target]
         pushed = [image(a) for a in original]
         missing = Counter(pushed) - Counter(original)
         detail = ""
@@ -111,21 +121,36 @@ COORDINATES = st.one_of(st.integers(-20, 20),
        st.data())
 @settings(max_examples=300, deadline=None)
 def test_replay_matches_per_arrow_reference(d, level, how, data):
+    # the replay of the spelled-out map agrees with the lemma on the built
+    # map; any edit, even one the replay cannot see (a shift by a multiple
+    # of 2^level, or a label moved onto itself), fails every shift entry
     cmap = small_map(d, level)
+    spelled = dataclasses.replace(cmap, arrows=tuple(cmap.arrows))
     if how != "none":
-        cmap = tamper(cmap, how, data.draw)
+        spelled = tamper(spelled, how, data.draw)
     g = data.draw(st.tuples(*[COORDINATES] * d))
-    assert entries(check_equivariance(cmap, g)) == \
-        entries(reference_check_equivariance(cmap, g))
+    report = check_equivariance(cmap, g)
+    if how == "none":
+        assert report.ok
+        assert entries(report) == \
+            entries(reference_check_equivariance(spelled, g))
+    report = check_equivariance(spelled, g)
+    assert [e.name for e in report.entries if not e.ok] == \
+        [f"{row}-target {entry}" for row in ("C", "B")
+         for entry in ("census invariant under shift",
+                       "non-lattice arrows fixed pointwise")]
+    assert {e.detail for e in report.entries if not e.ok} == \
+        {f"arrows are not LatticeArrows(d={d}, level={level})"}
 
 
 def test_reference_sees_each_tampering():
-    # the tamperings below fail both replays, so the differential test
-    # compares failing reports, not only passing ones
+    # the tamperings below fail the replay, so the oracle of the lemma
+    # tests is one that can fail; check_equivariance refuses each of them
     cmap = small_map(1, 2)
-    lattice = [i for i, a in enumerate(cmap.arrows)
+    spelled = tuple(cmap.arrows)
+    lattice = [i for i, a in enumerate(spelled)
                if isinstance(a.slot, TorusSlot)]
-    star = next(i for i, a in enumerate(cmap.arrows)
+    star = next(i for i, a in enumerate(spelled)
                 if a.kind == KIND_STAR_EVAL)
     i = lattice[1]
     cases = {
@@ -136,20 +161,17 @@ def test_reference_sees_each_tampering():
                           (star, dict(kind=KIND_POINT_EVAL_X,
                                       eval_point=(0,)))],
     }
+    tampered = []
     for how, edits in cases.items():
-        arrows = list(cmap.arrows)
+        arrows = list(spelled)
         for j, change in edits:
             arrows[j] = dataclasses.replace(arrows[j], **change)
-        tampered = dataclasses.replace(cmap, arrows=tuple(arrows))
-        new = check_equivariance(tampered, (1,))
-        assert not new.ok, how
-        assert entries(new) == entries(
-            reference_check_equivariance(tampered, (1,))), how
-    spelled = tuple(cmap.arrows)
-    for arrows in (spelled[:i] + spelled[i + 1:],
-                   spelled + spelled[i:i + 1]):
-        tampered = dataclasses.replace(cmap, arrows=arrows)
-        new = check_equivariance(tampered, (1,))
-        assert not new.ok
-        assert entries(new) == entries(
-            reference_check_equivariance(tampered, (1,)))
+        tampered.append((how, tuple(arrows)))
+    tampered += [("dropped arrow", spelled[:i] + spelled[i + 1:]),
+                 ("duplicated arrow", spelled + spelled[i:i + 1])]
+    clean = dataclasses.replace(cmap, arrows=spelled)
+    assert reference_check_equivariance(clean, (1,)).ok
+    for how, arrows in tampered:
+        edited = dataclasses.replace(cmap, arrows=arrows)
+        assert not reference_check_equivariance(edited, (1,)).ok, how
+        assert not check_equivariance(edited, (1,)).ok, how

@@ -39,7 +39,7 @@ def test_stage_shapes(half_third):
 
 def test_root_map_census(half_third):
     cmap = build_connecting_map(half_third, 0)
-    into_c = cmap.arrows_into("C")
+    into_c = [a for a in cmap.arrows if a.target == "C"]
     assert [a.kind for a in into_c] == ["pointEvalX", "starEval"]
     assert into_c[0].slot == TorusSlot((0,))
     assert into_c[0].eval_point == (0,)
@@ -59,7 +59,7 @@ def test_level_one_map_has_no_residual_evals(half_third):
     assert kinds == {"coordProjection"}
     spans = cmap.spans_into("B")
     assert spans[-1] == ArrowSpan("B", "B", "coordProjection", 1, 16)
-    assert len(cmap.arrows_into("B")) == 3     # two lattice evals + star
+    assert cmap.arrows.points + 1 == 3    # two lattice evals + star
 
 
 def test_check_unital_green(half_third):
@@ -69,6 +69,23 @@ def test_check_unital_green(half_third):
     rep = check_unital(half_third, build_connecting_map(half_third, 1))
     names = [e.name for e in rep.entries]
     assert "r(1)*l(2) = r(2)" in names         # 5 * 19 = 95
+
+
+# the entries of check_unital that read the lattice and star arrows
+ARROW_ENTRIES = [f"{row}-target {entry}" for row in ("C", "B")
+                 for entry in ("total l(3)", "lattice slots covered once",
+                               "star slot covered once", "census",
+                               "sources", "evaluation labels")]
+
+
+def assert_edited_map_fails(tables, cmap):
+    """An edited map fails each entry that reads its lattice and star
+    arrows, and no other, with a detail naming the description."""
+    rep = check_unital(tables, cmap)
+    failed = [e for e in rep.entries if not e.ok]
+    assert [e.name for e in failed] == ARROW_ENTRIES
+    assert {e.detail for e in failed} \
+        == {f"arrows are not LatticeArrows(d=1, level={cmap.level})"}
 
 
 def test_check_unital_catches_deleted_arrow(half_third):
@@ -81,7 +98,7 @@ def test_check_unital_catches_deleted_arrow(half_third):
     assert not rep.ok
     bad = rep.first_failure
     assert bad.name == "C-target total l(2)"
-    assert "18" in bad.detail and "19" in bad.detail
+    assert bad.detail == "arrows are not LatticeArrows(d=1, level=1)"
 
 
 @pytest.mark.parametrize("target", ["C", "B"])
@@ -91,10 +108,8 @@ def test_check_unital_catches_label_on_star_arrow(half_third, target):
     i = next(i for i, a in enumerate(arrows)
              if a.kind == "starEval" and a.target == target)
     arrows[i] = dataclasses.replace(arrows[i], eval_point=(3,))
-    rep = check_unital(half_third,
-                       dataclasses.replace(cmap, arrows=tuple(arrows)))
-    assert [e.name for e in rep.entries if not e.ok] \
-        == [f"{target}-target evaluation labels"]
+    assert_edited_map_fails(half_third,
+                            dataclasses.replace(cmap, arrows=tuple(arrows)))
 
 
 @pytest.mark.parametrize("target, other", [("C", "B"), ("B", "C")])
@@ -111,11 +126,8 @@ def test_check_unital_fails_a_point_evaluation_on_the_star_slot(
              if a.kind == "pointEvalX" and a.target == other)
     arrows[i], arrows[j] = (dataclasses.replace(arrows[i], kind="pointEvalX"),
                             dataclasses.replace(arrows[j], kind="starEval"))
-    rep = check_unital(half_third,
-                       dataclasses.replace(cmap, arrows=tuple(arrows)))
-    assert [e.name for e in rep.entries if not e.ok] \
-        == [f"{row}-target {entry}" for row in ("C", "B")
-            for entry in ("census", "sources", "evaluation labels")]
+    assert_edited_map_fails(half_third,
+                            dataclasses.replace(cmap, arrows=tuple(arrows)))
 
 
 def test_check_unital_catches_span_gap(half_third):
