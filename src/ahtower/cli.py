@@ -30,66 +30,48 @@ from .sequences import (TABLES_DOCUMENT, GrowthTables, tables_from_cli,
 from .tower import ConnectingMap, lattice_maps, verify_tower
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ahtower",
-        description="Exact finite-stage workbench for a tower of "
-                    "matrix-algebra stages with a lattice shift action.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def add_target_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--r", default="1/2",
+                   help="target radius, a rational like 3/4 or inf")
+    p.add_argument("--r-prime", default=None,
+                   help="transformed-side target radius; defaults to --r")
+    p.add_argument("--d", type=int, default=1, help="lattice rank")
+    p.add_argument("--depth", type=int, default=4,
+                   help="number of levels to materialize")
+    p.add_argument("--c", default=None,
+                   help="ratio limit when both radii are inf "
+                        "(default 1/2)")
+    p.add_argument("--h-seq", default=None,
+                   help="explicit comma-separated h sequence of length "
+                        "depth+1 (growing regimes only)")
+    p.add_argument("--out", default=None,
+                   help="write output here instead of stdout")
 
-    def add_target_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--r", default="1/2",
-                       help="target radius, a rational like 3/4 or inf")
-        p.add_argument("--r-prime", default=None,
-                       help="transformed-side target radius; defaults to --r")
-        p.add_argument("--d", type=int, default=1, help="lattice rank")
-        p.add_argument("--depth", type=int, default=4,
-                       help="number of levels to materialize")
-        p.add_argument("--c", default=None,
-                       help="ratio limit when both radii are inf "
-                            "(default 1/2)")
-        p.add_argument("--h-seq", default=None,
-                       help="explicit comma-separated h sequence of length "
-                            "depth+1 (growing regimes only)")
-        p.add_argument("--out", default=None,
-                       help="write output here instead of stdout")
 
-    p_plan = sub.add_parser("plan", help="emit the growth tables as JSON")
-    add_target_flags(p_plan)
-    p_plan.set_defaults(func=cmd_plan)
+def add_verify_arguments(p: argparse.ArgumentParser) -> None:
+    add_target_flags(p)
+    p.add_argument("file", nargs="?", default=None,
+                   help="a previously emitted JSON document "
+                        "(tables, witness, or diagram)")
 
-    p_verify = sub.add_parser(
-        "verify", help="run every invariant suite, or re-verify a document")
-    add_target_flags(p_verify)
-    p_verify.add_argument("file", nargs="?", default=None,
-                          help="a previously emitted JSON document "
-                               "(tables, witness, or diagram)")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_witness = sub.add_parser(
-        "witness", help="search for a canonical certificate for rho")
-    add_target_flags(p_witness)
-    p_witness.add_argument("--rho", required=True,
-                           help="claimed lower bound, a positive rational")
-    p_witness.add_argument("--crossed", action="store_true",
-                           help="certify the shift-transformed tower instead")
-    p_witness.set_defaults(func=cmd_witness)
+def add_witness_arguments(p: argparse.ArgumentParser) -> None:
+    add_target_flags(p)
+    p.add_argument("--rho", required=True,
+                   help="claimed lower bound, a positive rational")
+    p.add_argument("--crossed", action="store_true",
+                   help="certify the shift-transformed tower instead")
 
-    p_chern = sub.add_parser(
-        "chern", help="table of minimal trivial embedding ranks")
-    p_chern.add_argument("--k", type=int, required=True,
-                         help="largest bundle-product exponent to tabulate")
-    p_chern.add_argument("--out", default=None)
-    p_chern.set_defaults(func=cmd_chern)
 
-    p_export = sub.add_parser(
-        "export", help="serialize the diagram as JSON or DOT")
-    add_target_flags(p_export)
-    p_export.add_argument("--format", choices=("json", "dot"),
-                          default="json")
-    p_export.set_defaults(func=cmd_export)
+def add_chern_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, required=True,
+                   help="largest bundle-product exponent to tabulate")
+    p.add_argument("--out", default=None)
 
-    return parser
+
+def add_export_arguments(p: argparse.ArgumentParser) -> None:
+    add_target_flags(p)
+    p.add_argument("--format", choices=("json", "dot"), default="json")
 
 
 def tables_from_args(args: argparse.Namespace) -> GrowthTables:
@@ -255,8 +237,50 @@ def verify_document_file(path: str, out: str | None) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
+# subcommand -> (its help line, what runs it, what adds its arguments), in
+# the order the root help lists them
+SUBCOMMANDS = {
+    "plan": ("emit the growth tables as JSON", cmd_plan, add_target_flags),
+    "verify": ("run every invariant suite, or re-verify a document",
+               cmd_verify, add_verify_arguments),
+    "witness": ("search for a canonical certificate for rho", cmd_witness,
+                add_witness_arguments),
+    "chern": ("table of minimal trivial embedding ranks", cmd_chern,
+              add_chern_arguments),
+    "export": ("serialize the diagram as JSON or DOT", cmd_export,
+               add_export_arguments),
+}
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """A fresh parser for ``argv`` (``sys.argv[1:]`` when None, the list
+    ``parse_args`` reads).
+
+    When ``argv`` starts with a subcommand, only its subparser is built,
+    and the metavar keeps the root usage line naming all five.  Otherwise
+    (no arguments, help, an unknown word, an option first) all five are
+    built with no metavar, which argparse would print in place of
+    ``command`` in the root's "invalid choice" and "required" errors.
+    """
+    words = sys.argv[1:] if argv is None else argv
+    one = bool(words) and words[0] in SUBCOMMANDS
+    parser = argparse.ArgumentParser(
+        prog="ahtower",
+        description="Exact finite-stage workbench for a tower of "
+                    "matrix-algebra stages with a lattice shift action.")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(SUBCOMMANDS) + "}" if one else None)
+    for name in [words[0]] if one else SUBCOMMANDS:
+        help_text, func, add_arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

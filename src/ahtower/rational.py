@@ -4,9 +4,11 @@ Every quantity in this package is either an arbitrary-size integer or an
 exact rational; nothing is ever rounded.  Targets such as the comparison
 radius may be infinite, so the CLI-facing value type is a nonnegative
 ``Fraction`` extended with ``inf``.  The accepted text forms are ``"p/q"``,
-``"p"``, and ``"inf"``; serialized rationals are ``{"num": "...", "den":
-"..."}`` with decimal-string components, and serialized integers are plain
-decimal strings, so documents survive readers with bounded int types.
+``"p"``, decimals such as ``"1.5"``, exponent forms such as ``"1e3"`` and
+``"inf"``, with surrounding spaces; serialized rationals are ``{"num":
+"...", "den": "..."}`` with decimal-string components, and serialized
+integers are plain decimal strings, so documents survive readers with
+bounded int types.
 
 Every document the package writes (tables, witness certificates, chern
 tables, diagrams) is made by one writer, ``document_text``, whose output
@@ -34,13 +36,22 @@ from typing import Any
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` into a nonnegative ``Fraction``.
+    """Parse ``"p/q"``, ``"p"``, a decimal such as ``"1.5"`` or an
+    exponent form such as ``"1e3"``, with surrounding spaces, into a
+    nonnegative ``Fraction``.
 
-    >>> parse_fraction("9/10")
-    Fraction(9, 10)
+    ``Fraction`` reads digit underscores from CPython 3.11 on and spaces
+    around the ``/`` from 3.12 on; both are refused here, so every
+    interpreter from 3.10 on reads one grammar.
+
+    >>> parse_fraction("9/10"), parse_fraction(" 1.5 "), parse_fraction("1e3")
+    (Fraction(9, 10), Fraction(3, 2), Fraction(1000, 1))
     """
+    body = text.strip()
+    if "_" in body or any(ch.isspace() for ch in body):
+        raise ValueError(f"not a rational: {text!r}")
     try:
-        value = Fraction(text.strip())
+        value = Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
     if value < 0:

@@ -52,10 +52,10 @@ def load_bench(monkeypatch):
 # per workload, the layers its calls must reach: a span whose function is
 # no longer called on that path would read 0 without dropping its metric
 REACHED = {
-    "certify-sweep": ["certificates.verify_witness_json_s",
+    "certify-sweep": ["cli.parse_s", "certificates.verify_witness_json_s",
                       "sequences.verify_tables_s", "sequences.tables_json_s"],
-    "lattice-enum": [],
-    "diagram-roundtrip": ["diagram.json_s",
+    "lattice-enum": ["cli.parse_s"],
+    "diagram-roundtrip": ["cli.parse_s", "diagram.json_s",
                           "diagram.build_diagram_document_s"],
 }
 

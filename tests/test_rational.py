@@ -29,6 +29,20 @@ def test_parse_rejects(bad):
         parse_fraction(bad)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1.5", Fraction(3, 2)), ("1e3", Fraction(1000)),
+    (" 3/4 ", Fraction(3, 4)), ("1_000", None), ("1_0/3", None),
+    ("3/ 4", None)])
+def test_one_grammar_on_every_interpreter(text, value):
+    # Fraction reads underscores from 3.11 on and spaces around "/" from
+    # 3.12 on; parse_fraction reads neither, on any interpreter
+    if value is None:
+        with pytest.raises(ValueError, match="^not a rational: "):
+            parse_fraction(text)
+    else:
+        assert parse_fraction(text) == value
+
+
 def test_extended_parse_and_str():
     assert str(ExtendedRational.parse("6/8")) == "3/4"
     assert str(ExtendedRational.parse("inf")) == "inf"
