@@ -80,13 +80,23 @@ def tables_from_args(args: argparse.Namespace) -> GrowthTables:
                            c=args.c, h_seq=args.h_seq)
 
 
+# the file buffer of a streamed --out: a drawing's blocks reach the disk in
+# 1 MiB writes, not one or more per block
+STREAM_BUFFER = 1 << 20
+
+
 def emit(text: str | Iterable[str], out: str | None) -> None:
     """Write ``text``, or each of its chunks as it is made, to ``out``
     (stdout if None; opened once the first chunk exists), ending in one
-    newline that is added only when the text lacks it."""
-    chunks = iter((text,) if isinstance(text, str) else text)
+    newline that is added only when the text lacks it.  A single ``str``
+    is one write; chunks reach an ``out`` file through a buffer of
+    ``STREAM_BUFFER`` bytes."""
+    streamed = not isinstance(text, str)
+    chunks = iter(text if streamed else (text,))
     last = next(chunks, "")
-    with (open(out, "w", encoding="utf-8") if out is not None
+    with (open(out, "w", encoding="utf-8",
+               buffering=STREAM_BUFFER if streamed else -1)
+          if out is not None
           else contextlib.nullcontext(sys.stdout)) as handle:
         handle.write(last)
         for last in chunks:

@@ -68,20 +68,39 @@ def _span_to_json(span: ArrowSpan) -> dict[str, Any]:
             "lo": str(span.lo), "hi": str(span.hi)}
 
 
-def _target_to_json(cmap: ConnectingMap, target: str) -> dict[str, Any]:
-    """The arrows into one target row: the labelled run from the C row and
-    the star arrow from the B row, then the projection spans."""
-    arrows = _described(cmap)
-    run: list[dict[str, Any]] = [
-        {"source": BLOCK_C, "kind": KIND_POINT_EVAL_X,
-         "point": ints_to_json(z), "eval": ints_to_json(z)}
-        for z in torus_lattice(arrows.d, arrows.level)]
+def _run_to_json(arrows: LatticeArrows) -> list[dict[str, Any]]:
+    """The labelled run from the C row, then the star arrow from the B
+    row: the arrows into either target row, so both hold this one list.
+    Each point's coordinate list is both its ``point`` and its ``eval``."""
+    run: list[dict[str, Any]] = []
+    for z in torus_lattice(arrows.d, arrows.level):
+        coordinates = ints_to_json(z)
+        run.append({"source": BLOCK_C, "kind": KIND_POINT_EVAL_X,
+                    "point": coordinates, "eval": coordinates})
     run.append({"source": BLOCK_B, "kind": KIND_STAR_EVAL})
-    return {"arrows": run,
-            "spans": [_span_to_json(s) for s in cmap.spans_into(target)]}
+    return run
+
+
+def _map_to_json(tables: GrowthTables, m: ConnectingMap) -> dict[str, Any]:
+    run = _run_to_json(_described(m))
+    return {
+        "level": str(m.level),
+        "dNext": str(tables.d(m.level + 1)),
+        "dPrimeNext": str(tables.d_prime(m.level + 1)),
+        "multiplicity": {"cc": str(m.multiplicity.cc),
+                         "cb": str(m.multiplicity.cb),
+                         "bc": str(m.multiplicity.bc),
+                         "bb": str(m.multiplicity.bb)},
+        "into": {target: {"arrows": run,
+                          "spans": [_span_to_json(s)
+                                    for s in m.spans_into(target)]}
+                 for target in (BLOCK_C, BLOCK_B)},
+    }
 
 
 def diagram_to_json_obj(doc: DiagramDocument) -> dict[str, Any]:
+    """The document's JSON.  Lists in it may be shared (each map's run
+    sits under both targets), so a caller that edits it copies it first."""
     tables = doc.tables
     obj: dict[str, Any] = {
         "formatVersion": FORMAT_VERSION,
@@ -97,17 +116,7 @@ def diagram_to_json_obj(doc: DiagramDocument) -> dict[str, Any]:
             "bMatrixSize": str(s.b_block.matrix_size),
             "bBaseDimension": str(s.b_block.base_dimension),
         } for s in doc.stages],
-        "maps": [{
-            "level": str(m.level),
-            "dNext": str(tables.d(m.level + 1)),
-            "dPrimeNext": str(tables.d_prime(m.level + 1)),
-            "multiplicity": {"cc": str(m.multiplicity.cc),
-                             "cb": str(m.multiplicity.cb),
-                             "bc": str(m.multiplicity.bc),
-                             "bb": str(m.multiplicity.bb)},
-            "into": {BLOCK_C: _target_to_json(m, BLOCK_C),
-                     BLOCK_B: _target_to_json(m, BLOCK_B)},
-        } for m in doc.maps],
+        "maps": [_map_to_json(tables, m) for m in doc.maps],
     }
     if tables.h_override is not None:
         obj["hSeqOverride"] = [str(x) for x in tables.h_override]
@@ -164,8 +173,6 @@ def lattice_index(point: tuple[int, ...], size: int) -> int:
     """
     index = 0
     for coordinate in point:
-        if not 0 <= coordinate < size:
-            raise ValueError(f"coordinate {coordinate} outside [0, {size})")
         index = index * size + coordinate
     return index
 

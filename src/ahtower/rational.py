@@ -132,28 +132,38 @@ def document_text(obj: Any) -> str:
     return _joined_text(obj, "\n")
 
 
-def _joined_text(obj: Any, newline: str) -> str:
+def _joined_text(obj: Any, newline: str, memo: dict | None = None) -> str:
     """``obj`` as indented JSON whose lines start at ``newline``'s indent.
 
     String items are quoted in place, saving a call per leaf.  Keys must
     be strings: ``encode_basestring_ascii`` raises TypeError on any other.
+    A list met a second time at the same indent is rendered once: ``memo``
+    keeps each list's text under ``(id(list), newline)`` until its second
+    use pops it (ids stay unique while ``obj`` holds the lists).
     """
     quote = encode_basestring_ascii
+    if memo is None:
+        memo = {}
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = newline + "  "
         return ("{" + inner + ("," + inner).join(
             [quote(k) + ": " + (quote(v) if isinstance(v, str)
-                                else _joined_text(v, inner))
+                                else _joined_text(v, inner, memo))
              for k, v in sorted(obj.items())]) + newline + "}")
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = newline + "  "
-        return ("[" + inner + ("," + inner).join(
-            [quote(v) if isinstance(v, str) else _joined_text(v, inner)
-             for v in obj]) + newline + "]")
+        key = (id(obj), newline)
+        text = memo.pop(key, None)
+        if text is None:
+            inner = newline + "  "
+            text = memo[key] = ("[" + inner + ("," + inner).join(
+                [quote(v) if isinstance(v, str)
+                 else _joined_text(v, inner, memo)
+                 for v in obj]) + newline + "]")
+        return text
     return json.dumps(obj)
 
 

@@ -60,29 +60,42 @@ class Checker:
         return CheckReport(tuple(self.entries))
 
 
-def first_difference(a: Any, b: Any, path: str = "$") -> str | None:
+def first_difference(a: Any, b: Any) -> str | None:
     """Path of the first difference between two JSON values; unlike ==,
     it tells true and 2.0 from 1 and 2."""
+    found = _difference(a, b)
+    if found is None:
+        return None
+    steps, what = found
+    return "$" + "".join(reversed(steps)) + ": " + what
+
+
+def _difference(a: Any, b: Any) -> tuple[list[str], str] | None:
+    """What differs first, and the steps to it from the innermost out.  A
+    step is made only on the way back from a difference, so a walk over
+    equal values formats no path."""
     if type(a) is not type(b):
-        return f"{path}: {type(a).__name__} vs {type(b).__name__}"
+        return [], f"{type(a).__name__} vs {type(b).__name__}"
     if isinstance(a, dict):
         for key in sorted(set(a) | set(b)):
             if key not in a:
-                return f"{path}.{key}: missing on the left"
+                return [f".{key}"], "missing on the left"
             if key not in b:
-                return f"{path}.{key}: unexpected key"
-            diff = first_difference(a[key], b[key], f"{path}.{key}")
-            if diff:
-                return diff
+                return [f".{key}"], "unexpected key"
+            found = _difference(a[key], b[key])
+            if found:
+                found[0].append(f".{key}")
+                return found
         return None
     if isinstance(a, list):
         if len(a) != len(b):
-            return f"{path}: length {len(a)} vs {len(b)}"
+            return [], f"length {len(a)} vs {len(b)}"
         for i, (x, y) in enumerate(zip(a, b)):
-            diff = first_difference(x, y, f"{path}[{i}]")
-            if diff:
-                return diff
+            found = _difference(x, y)
+            if found:
+                found[0].append(f"[{i}]")
+                return found
         return None
     if a != b:
-        return f"{path}: {a!r} vs {b!r}"
+        return [], f"{a!r} vs {b!r}"
     return None

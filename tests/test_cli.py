@@ -13,9 +13,10 @@ import pytest
 import ahtower.tower
 from ahtower.action import check_equivariance
 from ahtower.certificates import search_witness, verify_witness_json
-from ahtower.cli import emit, main, run_suites, standard_generators
+from ahtower.cli import (STREAM_BUFFER, emit, main, run_suites,
+                         standard_generators)
 from ahtower.diagram import (build_diagram_document, diagram_from_json_obj,
-                             diagram_to_json_obj)
+                             diagram_to_json_obj, render_dot)
 from ahtower.sequences import tables_from_cli
 from ahtower.tower import build_connecting_map, check_unital
 
@@ -208,6 +209,30 @@ def test_refused_export_writes_nothing(capsys, tmp_path, fmt):
     assert not path.exists()
     code, out, err = run(capsys, *flags)
     assert (code, out) == (2, "") and "limit" in err
+
+
+@pytest.mark.parametrize("d, depth", [(1, 10), (2, 5), (3, 3)])
+def test_json_export_is_the_bytes_of_json_dumps(tmp_path, d, depth):
+    # the benchmark's settings, where each map's run is written under both
+    # targets from one list
+    path = tmp_path / "diagram.json"
+    assert main(["export", "--r", "1/2", "--r-prime", "1/3", "--d", str(d),
+                 "--depth", str(depth), "--out", str(path)]) == 0
+    obj = diagram_to_json_obj(build_diagram_document(
+        tables_from_cli("1/2", "1/3", d, depth)))
+    assert path.read_text(encoding="utf-8") \
+        == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_streamed_dot_export_is_render_dot(tmp_path):
+    # over one 1 MiB file buffer, so the blocks are flushed mid-stream
+    path = tmp_path / "diagram.dot"
+    assert main(["export", "--format", "dot", "--r", "1/2", "--r-prime",
+                 "1/3", "--d", "1", "--depth", "8", "--out", str(path)]) == 0
+    expected = render_dot(build_diagram_document(
+        tables_from_cli("1/2", "1/3", 1, 8)))
+    assert len(expected) > STREAM_BUFFER
+    assert path.read_text(encoding="utf-8") == expected
 
 
 # the three regimes, each as (r, r', c)

@@ -21,6 +21,14 @@ from ahtower.tower import (KIND_COORD_PROJECTION, KIND_POINT_EVAL_X,
                            KIND_STAR_EVAL, TorusSlot, torus_lattice)
 
 
+def slot_index(point, size):
+    """The reference's own lookup of an arrow's source: a point off the
+    lattice raises."""
+    if not all(0 <= c < size for c in point):
+        raise ValueError(f"point {point} outside [0, {size})^d")
+    return lattice_index(point, size)
+
+
 def reference_render_dot(doc):
     """The per-edge renderer: one f-string and one lookup per edge."""
     d = doc.tables.params.d
@@ -50,14 +58,14 @@ def reference_render_dot(doc):
                            f'[{PROJECTION_STYLE}, label="x{span.count}"];')
             for arrow in [a for a in dmap.arrows if a.target == "C"]:
                 if arrow.kind == KIND_POINT_EVAL_X:
-                    k_s = lattice_index(arrow.slot.point, size)
+                    k_s = slot_index(arrow.slot.point, size)
                     out.append(f"  C_{n}_{k_s} -> C_{n + 1}_{k_t} "
                                f"[{EVAL_STYLE}];")
                 else:
                     out.append(f"  B_{n} -> C_{n + 1}_{k_t} [{EVAL_STYLE}];")
         for arrow in [a for a in dmap.arrows if a.target == "B"]:
             if arrow.kind == KIND_POINT_EVAL_X:
-                k_s = lattice_index(arrow.slot.point, size)
+                k_s = slot_index(arrow.slot.point, size)
                 out.append(f"  C_{n}_{k_s} -> B_{n + 1} [{EVAL_STYLE}];")
             else:
                 out.append(f"  B_{n} -> B_{n + 1} [{EVAL_STYLE}];")

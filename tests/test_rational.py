@@ -136,6 +136,25 @@ def test_joined_writer_is_json_dumps(value):
                                               indent=2)
 
 
+# one list object placed more than once, as a diagram places each map's
+# run under both targets and each point under "point" and "eval"
+RUN = ["0", "1", {"z": ["2"]}]
+RUNS = [RUN, {"point": RUN, "eval": RUN}]
+SHARED = {
+    "twice at one indent": {"a": RUN, "b": RUN},
+    "three times at one indent": [RUN, RUN, RUN],
+    "at two indents": {"a": RUN, "b": {"c": RUN}, "d": [RUN]},
+    "nested in a shared list": {"C": {"arrows": RUNS},
+                                "B": {"arrows": RUNS}, "run": RUN},
+}
+
+
+@pytest.mark.parametrize("value", SHARED.values(), ids=SHARED)
+def test_joined_writer_renders_shared_lists_as_json_dumps(value):
+    assert _joined_text(value, "\n") == json.dumps(value, sort_keys=True,
+                                                   indent=2)
+
+
 @pytest.mark.parametrize("bad", [{1: "x"}, {"a": {None: []}}, {"a": 1, 2: 3}])
 def test_joined_writer_refuses_keys_that_are_not_strings(bad):
     with pytest.raises(TypeError):
