@@ -5,10 +5,9 @@ from .action import (LevelPermutation, check_equivariance, level_permutation,
                      outerness_witness)
 from .certificates import (LedgerRow, WitnessReport, search_witness,
                            verify_witness_json)
-from .comparison import (ProjectionSymbol, SquareZeroPoly,
-                         chern_min_embedding_rank, projection_pair)
-from .crossed import (check_crossed_sizes, check_upper_bound_gap,
-                      crossed_rc_upper)
+from .comparison import (ProjectionSymbol, chern_min_embedding_rank,
+                         projection_pair)
+from .crossed import check_crossed_sizes, check_upper_bound_gap
 from .diagram import (DiagramDocument, build_diagram_document,
                       diagram_from_json_obj, diagram_to_json_obj,
                       export_diagram, render_dot)
@@ -27,7 +26,6 @@ __all__ = [
     "LedgerRow",
     "LevelPermutation",
     "ProjectionSymbol",
-    "SquareZeroPoly",
     "StageSpec",
     "TargetParams",
     "WitnessReport",
@@ -40,7 +38,6 @@ __all__ = [
     "check_unital",
     "check_upper_bound_gap",
     "chern_min_embedding_rank",
-    "crossed_rc_upper",
     "derive_kappa",
     "diagram_from_json_obj",
     "diagram_to_json_obj",

@@ -22,9 +22,6 @@ h'(n) * (gamma_n - kappa') + d / (2 r(n)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .rational import cross_sign, quotient_sign, quotient_text
 from .report import Checker, CheckReport
 from .sequences import GrowthTables, gamma_rho_signs
@@ -51,32 +48,11 @@ def check_crossed_sizes(tables: GrowthTables) -> CheckReport:
 # upper bounds
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossedUpperBound:
-    level: int
-    c_part: Fraction
-    b_part: Fraction
-
-    @property
-    def value(self) -> Fraction:
-        return max(self.c_part, self.b_part)
-
-
-def crossed_rc_upper(tables: GrowthTables, n: int) -> CrossedUpperBound:
-    """Per-row dimension-over-size bounds with their torus terms."""
-    d = tables.params.d
-    pts = tables.torus_points(n)
-    c_part = Fraction(tables.h(n) * tables.s(n), pts * tables.r(n)) \
-        + Fraction(d, 2 * pts * tables.r(n))
-    b_part = Fraction(tables.h_prime(n) * tables.s_prime(n), tables.r(n)) \
-        + Fraction(d, 2 * tables.r(n))
-    return CrossedUpperBound(level=n, c_part=c_part, b_part=b_part)
-
-
 def check_upper_bound_gap(tables: GrowthTables) -> CheckReport:
     """Exact control of the small-row excess over the target radius r'.
 
-    Valid whenever r' is finite: the excess b_part - r' equals
+    Valid whenever r' is finite: the excess b_part - r' of the small-row
+    part b_part = (h'(n)s'(n) + d/2)/r(n) equals
     h'(n)(gamma_n - kappa') + d/(2 r(n)) on the nose, is nonnegative, and
     the gamma-gap obeys its sequence-level window; the big-row part is
     crushed below (h(n) + d/2)/2^(nd).
@@ -95,9 +71,8 @@ def check_upper_bound_gap(tables: GrowthTables) -> CheckReport:
         big row decreasing    (2hs + d)(n) r(n-1) against
                               (2hs + d)(n-1) 2^d r(n).
 
-    No gcd is taken.  ``crossed_rc_upper`` gives the same bounds as
-    Fractions.  A zero r(n), which only a corrupted table holds, fails the
-    entries that divide by it.
+    No gcd is taken.  A zero r(n), which only a corrupted table holds,
+    fails the entries that divide by it.
     """
     if tables.params.r_prime.is_infinite:
         raise ValueError("the gap identity needs a finite target radius r'")

@@ -4,52 +4,67 @@ The tower is an inductive limit built one level at a time, and so are its
 tables: `levels` computes the row of level n, that is d(n), l(n), r(n),
 s(n), d'(n), s'(n), h(n) and h'(n), from the row of level n-1 alone.
 d(n) is chosen against a rational ratio target kappa in (0,1), and d'(n)
-against a target kappa' <= kappa.  The recursion, in exact arithmetic:
+against a target kappa' <= kappa.  The definitions, in exact arithmetic,
+with d the torus rank and pad(n) = 1 + 2^(d*n - d) for n >= 1:
 
-    d(1)   = least k with k/(k+2) > kappa
-    l(n)   = d(n) + 1 + 2^(d*n - d)          (d = torus rank)
-    r_n    = prod_{k<=n} d(k)/l(k)           (running ratio, decreases to kappa)
-    d(n)   = least k with k/(k + 1 + 2^(d*n-d)) > kappa/r_{n-1}   for n >= 2
+    l(n)     = d(n) + pad(n)
+    r(n)     = prod_{k<=n} l(k),  s(n) = prod_{k<=n} d(k),
+    s'(n)    = prod_{k<=n} d'(k)   (r = s = s' = 1 at level 0)
+    ratio(n) = s(n)/r(n)           (running ratio, decreases to kappa)
+    d(n)     = least k with ratio(n-1) * k/(k + pad(n)) > kappa
 
-and, when kappa' < kappa, with rho_n = kappa/r_n and gamma_0 = 1:
+and, when kappa' < kappa, with gamma(n) = s'(n)/r(n) and rho(n) =
+kappa/ratio(n), so that gamma(n)*rho(n) = kappa*s'(n)/s(n):
 
-    d'(n)  = least m with m * gamma_{n-1} * rho_n / l(n) >= kappa'
-    gamma_n = prod_{k<=n} d'(k)/l(k)
+    d'(n)    = least m with kappa * s'(n-1) * m / s(n) >= kappa'
 
-while d'(n) = d(n) when kappa' = kappa.  The cumulative products r(n) =
-prod l(k), s(n) = prod d(k) and s'(n) = prod d'(k) are the matrix sizes
-and ranks used by every later module, and the running ratio is r_n =
-s(n)/r(n), gamma_n = s'(n)/r(n).  These integers reach hundreds of digits
-within a dozen levels, so the "least k" steps are solved in closed form
-(the predicates are monotone linear comparisons), and each solution is
-certified by checking the predicate at k and at k-1.
+while d'(n) = d(n) when kappa' = kappa.  r(n), s(n) and s'(n) are the
+matrix sizes and ranks used by every later module.  These integers double
+in bit length with every level, so no Fraction is multiplied out and none
+is stored: a table holds the integer sequences alone, and
+`GrowthTables.ratio` and `GrowthTables.gamma` build Fraction(s(n), r(n))
+and Fraction(s'(n), r(n)) on demand, for the document writer and for
+reading.
 
-The recursion works on those integers alone.  With kappa = p/q, kappa' =
-p'/q' and pad = 1 + 2^(d*n-d), the target kappa/r_{n-1} is the unreduced
-pair P/Q = p*r(n-1) / (q*s(n-1)), so
+`levels` solves each "least" by one excess carried from row to row.  The
+lemma below is a reconstruction from these definitions, not the paper's.
+With kappa = p/q, kappa' = p'/q', a = p*q' and b = p'*q, let
 
-    d(n)   = max(1, pad*P // (Q - P) + 1),   certified by k*(Q-P) > pad*P.
+    e(n) = q*s(n) - p*r(n),    e(0) = q - p,
+    g(n) = a*s'(n) - b*s(n),   g(0) = a - b,
 
-Since r(n) = r(n-1)*l(n), the d' step is gamma_{n-1}*rho_n/l(n) =
-(s'(n-1)/r(n-1)) * (kappa*r(n)/s(n)) / l(n) = kappa*s'(n-1)/s(n), so
+so that ratio(n) - kappa = e(n)/(q*r(n)) and gamma(n)*rho(n) - kappa' =
+g(n)/(q*q'*s(n)).  Lemma: at every level n >= 1,
 
-    d'(n)  = least m with m*(p*q'*s'(n-1)) >= p'*q*s(n)
+    d(n)  = floor(pad*p*r(n-1) / e(n-1)) + 1,
+    e(n)  = d(n)*e(n-1) - pad*p*r(n-1),          1 <= e(n) <= e(n-1),
+    d'(n) = d(n) - floor(d(n)*g(n-1) / (a*s'(n-1))),
+    g(n)  = (d'(n) - d(n))*a*s'(n-1) + d(n)*g(n-1),
+                                                 0 <= g(n) < a*s'(n-1).
 
-is one ceiling division, and the window gamma_n*rho_n in [kappa', kappa' +
-1/l(n)) reads, with g = p*q'*s'(n) - p'*q*s(n),
+Proof, by induction on n.  The d(n) predicate at k reads (k*e(n-1) -
+pad*p*r(n-1)) / (q*r(n-1)*(k + pad)) > 0, and since r(n) = r(n-1)*l(n)
+and s(n) = s(n-1)*d(n), its numerator at k = d(n) is e(n).  As e(n-1) >= 1
+(e(0) = q - p >= 1 since kappa < 1), the least such k is the floor above
+plus one, and the predicate at k = d(n) and its failure at k = d(n) - 1
+read e(n) >= 1 and e(n) - e(n-1) <= 0.  On the crossed side the d'(n)
+predicate at m reads a*s'(n-1)*m >= b*s(n) = d(n)*(a*s'(n-1) - g(n-1)),
+whose least m is the d'(n) formula, and the predicate at m = d'(n) and its
+failure at m - 1 read 0 <= g(n) < a*s'(n-1).  Since 0 <= g(n-1) <
+a*s'(n-1) (0 <= g(0) = a - b < a as 0 < kappa' <= kappa, and s' does not
+fall), the floor lies in [0, d(n)), so 1 <= d'(n) <= d(n).
 
-    0 <= g   and   g*l(n) < q*q'*s(n).
-
-No Fraction is multiplied out in the recursion, and none is stored: a
-table holds the integer sequences alone.  `GrowthTables.ratio` and
-`GrowthTables.gamma` build Fraction(s(n), r(n)) and Fraction(s'(n), r(n))
-on demand, for the document writer and for reading; `GrowthTables.rho`
-gives rho_n exactly as kappa/ratio(n) (never a truncated product), and
-`GrowthTables.rho_terms` as the unreduced integer pair (p*r(n), q*s(n)).
+So e(n) never grows, and ratio(n) - kappa <= (q - p)/(q*r(n)) is an exact
+rate at every level; at kappa = 1/2, e is 1 throughout.  Where g(n-1) = 0,
+d'(n) = d(n) and g(n) = 0 with no division: at r = 1/2, r' = 1/3 that
+holds from level 2 on.  Each row is certified by its bounds on e(n) and
+g(n), and the window gamma(n)*rho(n) < kappa' + 1/l(n) by g(n)*l(n) <
+q*q'*s(n).  Only the products r(n-1)*l(n), s(n-1)*d(n), s'(n-1)*d'(n) and
+the d' division where g(n-1) != 0 take two big operands.
 
 `verify_tables` re-checks every step independently of `levels`, on
-integers too: it reads the stored sequences and compares each quotient of
-the recursion on its (s, r) pair by cross-multiplication, so it takes no
+integers too: it reads the stored sequences, forms e(n) from them, and
+compares each quotient of the recursion on its (s, r) pair, so it takes no
 gcd (its docstring lists the forms).  The crossed side's window check
 reads the same forms.
 
@@ -195,43 +210,6 @@ def derive_kappa(params: TargetParams) -> RateChoice:
 
 
 # ----------------------------------------------------------------------
-# certified least-k solvers
-# ----------------------------------------------------------------------
-
-def least_k_ratio_exceeds(c: int, num: int, den: int) -> int:
-    """Least positive integer k with k/(k+c) > num/den, for 0 < num < den.
-
-    The target is an integer pair, reduced or not.  Solved in closed form
-    from k*(den-num) > c*num and certified at the boundary.
-    """
-    if not 0 < num < den:
-        raise ValueError("target must lie strictly between 0 and 1")
-    gap, bar = den - num, c * num
-    k = max(1, bar // gap + 1)
-    if not k * gap > bar:
-        raise RuntimeError("least-k certificate failed high side")
-    if k > 1 and (k - 1) * gap > bar:
-        raise RuntimeError("least-k certificate failed low side")
-    return k
-
-
-def least_m_product_reaches(step: int | Fraction,
-                            target: int | Fraction) -> int:
-    """Least positive integer m with m*step >= target, for positive step.
-
-    Takes ints or Fractions; the ceiling is one exact floor division.
-    """
-    if step <= 0 or target <= 0:
-        raise ValueError("step and target must be positive")
-    m = -(-target // step)
-    if not m * step >= target:
-        raise RuntimeError("least-m certificate failed high side")
-    if m > 1 and (m - 1) * step >= target:
-        raise RuntimeError("least-m certificate failed low side")
-    return m
-
-
-# ----------------------------------------------------------------------
 # the level recursion
 # ----------------------------------------------------------------------
 
@@ -263,6 +241,17 @@ def levels(rate: RateChoice, d: int, depth: int,
     nondecreasing and keep h(n)/2^(nd) nonincreasing, so that the
     downstream smallness arguments hold; it is checked before the first
     row.  Where kappa' = kappa, d' = d and s' = s.
+
+    Each row is solved from the excesses e and g of the row before and
+    certified by the bounds of the module docstring's lemma.  At r = 1/2,
+    r' = 1/3 (kappa = 1/2, kappa' = 1/3, so a = 3 and b = 2), e stays 1 and
+    g is 0 from level 1 on:
+
+    >>> rate = derive_kappa(TargetParams(ExtendedRational.parse("1/2"),
+    ...                                  ExtendedRational.parse("1/3"), 1))
+    >>> [(2 * row.s - row.r, 3 * row.s_prime - 2 * row.s)
+    ...  for row in levels(rate, 1, 5)]
+    [(1, 1), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0)]
     """
     if h_override is not None:
         if not rate.h_grows:
@@ -286,32 +275,30 @@ def levels(rate: RateChoice, d: int, depth: int,
 
     p, q = rate.kappa.numerator, rate.kappa.denominator
     collapses = rate.kappa_prime == rate.kappa
-    # kappa*s'/s against kappa' is a*s' against b*s, over den*s
     a = p * rate.kappa_prime.denominator
     b = rate.kappa_prime.numerator * q
     den = q * rate.kappa_prime.denominator
     r = s = s_prime = 1
+    e, g = q - p, a - b
     yield Level(0, 1, r, s, 0, s_prime, h[0], h_prime[0])
     for n in range(1, depth + 1):
         pad = slot_padding(d, n)
-        # kappa/ratio(n-1) as the unreduced pair p*r(n-1) / (q*s(n-1))
-        dn = least_k_ratio_exceeds(pad, p * r, q * s)
+        bar = pad * p * r
+        dn = bar // e + 1
+        e, last = dn * e - bar, e
+        if not 1 <= e <= last:
+            raise RuntimeError(f"e({n}) = {e} left [1, e({n - 1})]")
         ln = dn + pad
         r, s = r * ln, s * dn
-        # ratio(n) = ratio(n-1)*d(n)/l(n) falls exactly when d(n) < l(n)
-        if not (p * r < q * s and dn < ln):
-            raise RuntimeError(f"ratio left (kappa, 1) at level {n}")
         if collapses:
             m, s_prime = dn, s
         else:
-            # the step gamma(n-1)*rho(n)/l(n) is kappa*s'(n-1)/s(n)
-            m = least_m_product_reaches(a * s_prime, b * s)
-            if not 1 <= m <= dn:
-                raise RuntimeError(f"d'({n}) = {m} escapes [1, d({n})]")
+            step = a * s_prime
+            m = dn - dn * g // step if g else dn
+            g = (m - dn) * step + dn * g
             s_prime *= m
-            # gamma(n)*rho(n) - kappa' is gap/(den*s(n))
-            gap = a * s_prime - b * s
-            if not (0 <= gap and gap * ln < den * s):
+            # gamma(n)*rho(n) - kappa' is g/(den*s(n))
+            if not (0 <= g < step and g * ln < den * s):
                 raise RuntimeError(f"gamma*rho window missed at level {n}")
         yield Level(dn, ln, r, s, m, s_prime, h[n], h_prime[n])
 
@@ -398,16 +385,6 @@ class GrowthTables:
     def ratio(self, n: int) -> Fraction:
         """s(n)/r(n), the running product of d(k)/l(k), built on demand."""
         return Fraction(self.s(n), self.r(n))
-
-    def rho(self, n: int) -> Fraction:
-        """kappa divided by the running ratio, computed exactly."""
-        return self.kappa / self.ratio(n)
-
-    def rho_terms(self, n: int) -> tuple[int, int]:
-        """rho(n) as the unreduced pair (p*r(n), q*s(n)) of kappa = p/q:
-        no gcd, and 0 second where s(n) is 0."""
-        return (self.kappa.numerator * self.r(n),
-                self.kappa.denominator * self.s(n))
 
     def gamma(self, n: int) -> Fraction:
         """s'(n)/r(n), the running product of d'(k)/l(k), built on demand."""
@@ -639,27 +616,34 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
     ratio(n) is the pair (s(n), r(n)), gamma(n) the pair (s'(n), r(n)) and
     rho(n) = kappa/ratio(n) the pair (p*r(n), q*s(n)), none of them
     reduced, so no gcd is taken.  With kappa = p/q, kappa' = p'/q' and
-    pad = 1 + 2^(dn-d), the entries compare
+    pad = 1 + 2^(dn-d), the excess e(n) = q*s(n) - p*r(n) is formed once
+    per level from the stored s(n) and r(n), so that ratio(n) - kappa =
+    e(n)/(q*r(n)) and 1 - rho(n) = e(n)/(q*s(n)).  The entries compare
 
-        d(n) minimal          k/(k + pad) against rho(n-1) at k = d(n) and
-                              k = d(n) - 1, as k*(Q - P) - pad*P for
-                              rho(n-1) = P/Q;
-        ratio order           kappa < s(n)/r(n) < s(n-1)/r(n-1)
-                              (``cross_sign``);
-        ratio window          d(n)*(q*s(n) - p*r(n)) - q*s(n) <= 0 over
-                              r(n), which is ratio(n) - kappa <=
-                              kappa/(d(n) - 1);
+        d(n) minimal          k*e(n-1) - pad*p*r(n-1) against 0 over
+                              (k + pad)*s(n-1), at k = d(n) and
+                              k = d(n) - 1: k/(k + pad) against rho(n-1);
+        ratio order           e(n) against 0 over r(n), and
+                              s(n)/r(n) < s(n-1)/r(n-1) (``cross_sign``);
+        ratio window          d(n)*e(n) - q*s(n) <= 0 over r(n), which is
+                              ratio(n) - kappa <= kappa/(d(n) - 1);
+        rho in (kappa, 1)     p*(r(n) - s(n)) and e(n) against 0 over s(n);
         d'(n) minimal         m*step against kappa' at m = d'(n) and
                               d'(n) - 1, step = gamma(n-1)*rho(n)/l(n) as
                               the pair (p*s'(n-1)*r(n), q*r(n-1)*s(n)*l(n));
         gamma*rho window      p*s'(n)/(q*s(n)) against kappa' and
                               kappa' + 1/l(n) (``gamma_rho_signs``).
 
+    "d'(n) minimal" and the second half of "ratio order" keep their
+    products of two stored big integers: the excess forms of the lemma in
+    the module docstring hold only where the table is multiplicative, and
+    each entry must fail on its own field.
+
     No entry checks a stored ratio or gamma, since none is stored; the
     recursion ratio(n) = ratio(n-1)*d(n)/l(n) follows from "r(n)
     multiplicative" and "s(n) multiplicative".  Nothing here calls
-    `levels`, so it checks the closed forms there rather than restating
-    them.  A quotient with a zero denominator, which only a corrupted table
+    `levels`, so it checks the excess recursion there against the
+    definitions rather than restating it.  A quotient with a zero denominator, which only a corrupted table
     holds, fails the entries that read it.
     """
     c = Checker()
@@ -693,38 +677,40 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
     p, q = t.kappa.numerator, t.kappa.denominator
     pp, qp = t.kappa_prime.numerator, t.kappa_prime.denominator
     prime_collapses = t.kappa_prime == t.kappa
+    e = q * t.s(0) - p * t.r(0)
     for n in range(1, t.depth + 1):
         pad = slot_padding(t.params.d, n)
         dn, ln, r, s = t.d(n), t.l(n), t.r(n), t.s(n)
-        # the target kappa/ratio(n-1) is rho(n-1) = P/Q
-        big_p, big_q = t.rho_terms(n - 1)
-        gain = big_q - big_p
+        r_last, s_last, e_last = t.r(n - 1), t.s(n - 1), e
+        e = q * s - p * r
+        # k/(k + pad) > kappa/ratio(n-1) is k*e(n-1) - pad*p*r(n-1) > 0
+        # over (k + pad)*q*s(n-1), and q > 0; at k = d(n) the numerator is
+        # e(n) where r(n) and s(n) are multiplicative
+        excess = dn * e_last - pad * p * r_last
         c.check(f"d({n}) minimal",
-                quotient_sign(dn * gain - pad * big_p, dn + pad, big_q) == 1
-                and (dn == 1
-                     or quotient_sign((dn - 1) * gain - pad * big_p,
-                                      dn - 1 + pad, big_q) != 1),
+                quotient_sign(excess, dn + pad, s_last) == 1
+                and (dn == 1 or quotient_sign(excess - e_last, dn - 1 + pad,
+                                              s_last) != 1),
                 lambda: f"d({n}) has {t.d(n).bit_length()} bits")
         c.check(f"l({n}) = d({n}) + 1 + 2^(dn-d)", ln == dn + pad)
-        c.check(f"r({n}) multiplicative", r == t.r(n - 1) * ln)
-        c.check(f"s({n}) multiplicative", s == t.s(n - 1) * dn)
+        c.check(f"r({n}) multiplicative", r == r_last * ln)
+        c.check(f"s({n}) multiplicative", s == s_last * dn)
         c.check(f"kappa < ratio({n}) < ratio({n - 1})",
-                cross_sign(p, q, s, r) == -1
-                and cross_sign(s, r, t.s(n - 1), t.r(n - 1)) == -1)
+                quotient_sign(e, r) == 1
+                and cross_sign(s, r, s_last, r_last) == -1)
         if dn >= 2:
             c.check(f"ratio({n}) - kappa <= kappa/(d({n})-1)",
-                    quotient_sign(dn * (q * s - p * r) - q * s, r) in (-1, 0))
-        top, bottom = t.rho_terms(n)
+                    quotient_sign(dn * e - q * s, r) in (-1, 0))
         c.check(f"rho({n}) in (kappa, 1)",
-                cross_sign(top, bottom, p, q) == 1
-                and cross_sign(top, bottom, 1, 1) == -1)
+                quotient_sign(p * (r - s), s) == 1
+                and quotient_sign(e, s) == 1)
 
         if prime_collapses:
             c.check(f"d'({n}) = d({n})", t.d_prime(n) == dn)
         else:
             m = t.d_prime(n)
-            step_num = t.s_prime(n - 1) * top
-            step_den = t.r(n - 1) * bottom * ln
+            step_num = t.s_prime(n - 1) * p * r
+            step_den = r_last * q * s * ln
             reach = m * step_num
             c.check(f"d'({n}) minimal",
                     cross_sign(reach, step_den, pp, qp) in (0, 1)

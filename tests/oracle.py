@@ -1,14 +1,18 @@
-"""Independent recomputation of the governing sequences for the tests.
+"""Independent references for the tests: a recomputation of the governing
+sequences, and the sparse square-zero ring.
 
 Deliberately shares no code with the package: minimal-k choices are made by
 a literal unit-step scan while the answer is small, switching to galloping
 plus bisection on the monotone predicate once the scan cap is passed, and
 in both cases the boundary pair (predicate true at k, false at k-1) is
-certified before the value is accepted.
+certified before the value is accepted.  ``SquareZeroPoly`` multiplies term
+by term, the sparse product that the dense kernel of
+``comparison.chern_min_embedding_rank`` is checked against.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 SCAN_CAP = 4096
@@ -66,3 +70,58 @@ def secondary_tables(kappa: Fraction, kappa_prime: Fraction,
         s_prime.append(s_prime[-1] * m)
         gamma.append(gamma[-1] * Fraction(m, l_seq[n]))
     return d_prime, s_prime, gamma
+
+
+@dataclass(frozen=True)
+class SquareZeroPoly:
+    """An element of Z[x_1..x_k]/(x_i^2), one bitmask term per monomial."""
+
+    variables: int
+    terms: tuple[tuple[int, int], ...]   # sorted (mask, coefficient) pairs
+
+    @classmethod
+    def from_dict(cls, variables: int, coeffs: dict[int, int]) -> "SquareZeroPoly":
+        items = tuple(sorted((m, c) for m, c in coeffs.items() if c != 0))
+        if any(m >> variables for m, _ in items):
+            raise ValueError("monomial uses a variable out of range")
+        return cls(variables, items)
+
+    @classmethod
+    def one(cls, variables: int) -> "SquareZeroPoly":
+        return cls.from_dict(variables, {0: 1})
+
+    @classmethod
+    def linear(cls, variables: int, index: int, coefficient: int = 1
+               ) -> "SquareZeroPoly":
+        """coefficient * x_index, indices counted from 1."""
+        if not 1 <= index <= variables:
+            raise ValueError(f"variable index {index} out of range")
+        return cls.from_dict(variables, {1 << (index - 1): coefficient})
+
+    def add(self, other: "SquareZeroPoly") -> "SquareZeroPoly":
+        out = dict(self.terms)
+        for m, c in other.terms:
+            out[m] = out.get(m, 0) + c
+        return SquareZeroPoly.from_dict(self.variables, out)
+
+    def mul(self, other: "SquareZeroPoly") -> "SquareZeroPoly":
+        out: dict[int, int] = {}
+        for m1, c1 in self.terms:
+            for m2, c2 in other.terms:
+                if m1 & m2:
+                    continue   # a square of some x_i, hence zero
+                out[m1 | m2] = out.get(m1 | m2, 0) + c1 * c2
+        return SquareZeroPoly.from_dict(self.variables, out)
+
+    @property
+    def is_one(self) -> bool:
+        return self.terms == ((0, 1),)
+
+    def coefficient(self, mask: int) -> int:
+        return dict(self.terms).get(mask, 0)
+
+    def top_degree(self) -> int:
+        """Highest number of variables in a surviving monomial."""
+        if not self.terms:
+            raise ValueError("the zero element has no top degree")
+        return max(m.bit_count() for m, _ in self.terms)

@@ -13,7 +13,6 @@ import time
 from fractions import Fraction
 
 from ahtower import (
-    SquareZeroPoly,
     TargetParams,
     build_connecting_map,
     build_diagram_document,
@@ -21,7 +20,6 @@ from ahtower import (
     check_equivariance,
     check_upper_bound_gap,
     chern_min_embedding_rank,
-    crossed_rc_upper,
     diagram_from_json_obj,
     diagram_to_json_obj,
     export_diagram,
@@ -36,7 +34,9 @@ from ahtower.rational import ExtendedRational
 from ahtower.tower import TorusSlot
 
 import oracle
+from oracle import SquareZeroPoly
 from test_certificates import apply_mutation, leaf_mutations
+from test_verify_reference import crossed_rc_upper
 
 INF = ExtendedRational.infinite()
 
@@ -108,7 +108,7 @@ def test_c02_growth_invariants_depth_8():
                  f"{tag}: ratio not strictly decreasing above kappa at {n}")
             need(failures, 1 <= t.d_prime(n) <= t.d(n),
                  f"{tag}: d' outside [1, d] at {n}")
-            gap = t.gamma(n) * t.rho(n) - kappa_prime
+            gap = t.gamma(n) * (kappa / t.ratio(n)) - kappa_prime
             need(failures, 0 <= gap < Fraction(1, t.l(n)),
                  f"{tag}: secondary remainder outside window at {n}: {gap}")
         for n in range(1, depth):

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from ahtower import comparison
 from ahtower.certificates import search_witness
-from ahtower.comparison import (ProjectionSymbol, SquareZeroPoly,
-                                chern_min_embedding_rank,
+from ahtower.comparison import (ProjectionSymbol, chern_min_embedding_rank,
                                 chern_min_embedding_ranks, projection_pair)
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, build_tables
+
+from oracle import SquareZeroPoly
 
 
 def tables_for(r, rp, d=1, depth=4):

@@ -5,10 +5,11 @@ import pytest
 import ahtower.tower
 from ahtower.certificates import search_witness
 from ahtower.comparison import ProjectionSymbol, projection_pair
-from ahtower.crossed import (check_crossed_sizes, check_upper_bound_gap,
-                             crossed_rc_upper)
+from ahtower.crossed import check_crossed_sizes, check_upper_bound_gap
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, build_tables
+
+from test_verify_reference import crossed_rc_upper
 
 
 def tables_for(r, rp, d=1, depth=4, c=None):

@@ -22,8 +22,8 @@ from ahtower.cli import main
 SRC = Path(ahtower.__file__).resolve().parent
 
 # qualified name -> why no CLI path calls it.  Each reason opens with its
-# kind: README library API, demo, failure text, perfbench span, perfbench
-# control, or test reference.
+# kind: README library API, demo, failure text, perfbench span, or
+# perfbench control.  A reference that only tests call lives in tests/.
 ALLOWED = {
     "action.LevelPermutation.apply_point":
         "demo: outerness_witness moves the origin slot (demo 03, gate C05)",
@@ -37,30 +37,9 @@ ALLOWED = {
         "demo: the outerness level of a group element (demo 03, gate C05)",
     "action.two_adic_valuation":
         "demo: outerness_witness reads it (demo 03, gate C05)",
-    "comparison.SquareZeroPoly.add":
-        "test reference: the sparse ring the dense chern kernel is checked "
-        "against (tests, gate C06)",
-    "comparison.SquareZeroPoly.coefficient":
-        "test reference: the sparse ring (tests, gate C06)",
-    "comparison.SquareZeroPoly.from_dict":
-        "test reference: the sparse ring (tests, gate C06)",
-    "comparison.SquareZeroPoly.is_one":
-        "test reference: the sparse ring (tests, gate C06)",
-    "comparison.SquareZeroPoly.linear":
-        "test reference: the sparse ring (tests, gate C06)",
-    "comparison.SquareZeroPoly.mul":
-        "test reference: the sparse ring (tests, gate C06)",
-    "comparison.SquareZeroPoly.one":
-        "test reference: the sparse ring (tests, gate C06)",
-    "comparison.SquareZeroPoly.top_degree":
-        "test reference: the sparse ring (tests, gate C06)",
     "comparison.chern_min_embedding_rank":
         "perfbench span: comparison.chern_min_embedding_rank_s; also "
         "demo 04",
-    "crossed.CrossedUpperBound.value":
-        "test reference: the Fraction form of the crossed upper bound",
-    "crossed.crossed_rc_upper":
-        "test reference: the Fraction form of the crossed upper bound",
     "diagram.diagram_from_json_obj":
         "README library API: reads a diagram document back (demo 02, "
         "gate C11, perfbench span diagram.json_s)",
@@ -69,8 +48,6 @@ ALLOWED = {
         "perfbench span diagram.render_dot_s)",
     "rational.quotient_text":
         "failure text: a quotient in a failed entry's detail",
-    "sequences.GrowthTables.rho":
-        "test reference: rho(n) as a Fraction",
     "tower.ConnectingMap.not_described":
         "failure text: why an edited map fails the checks and the writers",
     "tower.LatticeArrows.__getitem__":
@@ -89,7 +66,7 @@ else:
     INTERPRETER_ONLY = set()
 
 KINDS = ("README library API", "demo", "failure text", "perfbench span",
-         "perfbench control", "test reference")
+         "perfbench control")
 
 
 def functions():

@@ -1,5 +1,6 @@
 """Differential test: the integer recursion of d(n) and d'(n) against the
-Fraction generator it replaced, on drawn targets and on deep tables.
+Fraction generator it replaced, on drawn targets and on deep tables, and
+the excess lemma of the `sequences` docstring on the generator's rows.
 
 The Fraction generator keeps its running ratio and gamma to itself: tables
 hold only the integer sequences, so it returns those."""
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from ahtower import sequences
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, derive_kappa, slot_padding
+
+from test_verify_reference import params
 
 INF = ExtendedRational.infinite()
 
@@ -153,6 +156,33 @@ def test_generators_match_reference(a, b, d, depth):
     assert_same_tables(at(kappa, kappa, d), depth)
 
 
+@given(params(), st.integers(0, 7))
+@settings(max_examples=150, deadline=None)
+def test_excesses_follow_the_lemma(target, depth):
+    # e(n) = q*s(n) - p*r(n) and g(n) = a*s'(n) - b*s(n), read off the
+    # Fraction generator's rows, obey the recursion `levels` carries
+    rate = derive_kappa(target)
+    primary = generate_d(rate.kappa, target.d, depth)
+    d_seq, _, r, s = primary
+    d_prime, s_prime = generate_d_prime(rate.kappa, rate.kappa_prime,
+                                        primary, depth)
+    p, q = rate.kappa.numerator, rate.kappa.denominator
+    a = p * rate.kappa_prime.denominator
+    b = rate.kappa_prime.numerator * q
+    e = [q * s[n] - p * r[n] for n in range(depth + 1)]
+    g = [a * s_prime[n] - b * s[n] for n in range(depth + 1)]
+    assert (e[0], g[0]) == (q - p, a - b)
+    for n in range(1, depth + 1):
+        bar = slot_padding(target.d, n) * p * r[n - 1]
+        assert d_seq[n] == bar // e[n - 1] + 1
+        assert e[n] == d_seq[n] * e[n - 1] - bar
+        assert 1 <= e[n] <= e[n - 1] <= q - p
+        step = a * s_prime[n - 1]
+        assert d_prime[n] == d_seq[n] - d_seq[n] * g[n - 1] // step
+        assert g[n] == (d_prime[n] - d_seq[n]) * step + d_seq[n] * g[n - 1]
+        assert 0 <= g[n] < step
+
+
 # The certify-sweep points of seed 1 (r, r', c, d, depth), the repeated one
 # once: r(depth) has 12.5-13.5 kbit.  Only the finite-finite ones have
 # kappa' < kappa.
@@ -215,22 +245,3 @@ def test_generate_d_prime_refuses_like_reference(kappa_prime):
     assert outcome(lambda: sequences.build_tables(
         at(HALF, kappa_prime, 1), 3)) \
         == (ValueError, R_PRIME_REFUSALS[kappa_prime])
-
-
-@pytest.mark.parametrize("num,den", [(0, 1), (1, 1), (3, 2), (-1, 2)])
-def test_least_k_refuses_like_reference(num, den):
-    want = outcome(least_k_ratio_exceeds, 5, Fraction(num, den))
-    assert isinstance(want, tuple) and want[0] is ValueError
-    assert outcome(sequences.least_k_ratio_exceeds, 5, num, den) == want
-
-
-@pytest.mark.parametrize("step,target", [
-    (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)),
-    (Fraction(-1, 2), Fraction(1)), (Fraction(1), Fraction(-3)),
-])
-def test_least_m_refuses_like_reference(step, target):
-    want = outcome(least_m_product_reaches, step, target)
-    assert isinstance(want, tuple) and want[0] is ValueError
-    assert outcome(sequences.least_m_product_reaches, step, target) == want
-    assert outcome(sequences.least_m_product_reaches, int(step),
-                   int(target)) == want

@@ -12,8 +12,7 @@ from ahtower.crossed import check_upper_bound_gap
 from ahtower.rational import ExtendedRational
 from ahtower.report import Checker
 from ahtower.sequences import (GrowthTables, TargetParams, build_tables,
-                               derive_kappa, least_k_ratio_exceeds,
-                               least_m_product_reaches, tables_from_cli,
+                               derive_kappa, slot_padding, tables_from_cli,
                                verify_tables)
 
 import oracle
@@ -79,34 +78,49 @@ def test_derive_kappa_infinite_cases():
 
 
 # ----------------------------------------------------------------------
-# certified least-k solvers against the scanning oracle
+# d(n) and d'(n) are least solutions, against the scanning oracle
 # ----------------------------------------------------------------------
+
+def crossed_step(t, n):
+    """gamma(n-1)*rho(n)/l(n): d'(n) is the least m with m times it at
+    least kappa'."""
+    return t.gamma(n - 1) * (t.kappa / t.ratio(n)) / t.l(n)
+
+
+units = st.fractions(min_value="1/1000", max_value="999/1000")
+
 
 # the tiny scan cap forces the oracle through its gallop-and-bisect path,
 # which certifies the boundary pair either way
-@given(st.integers(1, 10 ** 6), st.fractions(min_value="1/1000", max_value="999/1000"))
-@settings(max_examples=200, deadline=None)
-def test_least_k_matches_scan(c, target):
-    k = least_k_ratio_exceeds(c, target.numerator, target.denominator)
-    assert k == oracle.least_true(lambda j: Fraction(j, j + c) > target,
-                                  scan_cap=64)
+@given(units, st.integers(1, 3), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_least_k_matches_scan(kappa, d, depth):
+    t = build_tables(at(kappa, d=d), depth)
+    for n in range(1, depth + 1):
+        pad, target = slot_padding(d, n), kappa / t.ratio(n - 1)
+        assert t.d(n) == oracle.least_true(
+            lambda j: Fraction(j, j + pad) > target, scan_cap=64)
 
 
-@given(st.fractions(min_value="1/1000", max_value="1000").filter(lambda x: x > 0),
-       st.fractions(min_value="1/1000", max_value="1000").filter(lambda x: x > 0))
-@settings(max_examples=200, deadline=None)
-def test_least_m_matches_scan(step, target):
-    m = least_m_product_reaches(step, target)
-    assert m == oracle.least_true(lambda j: j * step >= target, scan_cap=64)
+@given(units, units, st.integers(1, 3), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_least_m_matches_scan(a, b, d, depth):
+    kappa, kappa_prime = max(a, b), min(a, b)
+    t = build_tables(at(kappa, kappa_prime, d), depth)
+    for n in range(1, depth + 1):
+        step = crossed_step(t, n)
+        assert t.d_prime(n) == oracle.least_true(
+            lambda j: j * step >= kappa_prime, scan_cap=64)
 
 
 def test_least_m_takes_big_ints():
-    # a quotient of about 1500 bits: a float ceiling would overflow
-    step, target = 3 ** 5678, 5 ** 4522 + 1
-    assert (step.bit_length(), target.bit_length()) == (9000, 10500)
-    m = least_m_product_reaches(step, target)
-    assert m == math.ceil(Fraction(target, step))
-    assert (m - 1) * step < target <= m * step
+    # at r = 5, r' = 1/7 the d' step divides a 1072-bit excess: a float
+    # ceiling would overflow
+    t = build_tables(ff("5", "1/7"), 10)
+    m, step = t.d_prime(10), crossed_step(t, 10)
+    assert m.bit_length() == 2160
+    assert m == math.ceil(t.kappa_prime / step)
+    assert (m - 1) * step < t.kappa_prime <= m * step
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +259,7 @@ def test_build_tables_accessors():
     assert t.l(0) == 1 and t.l(2) == 19
     assert t.r(2) == 95 and t.s(2) == 48 and t.s_prime(2) == 32
     assert t.ratio(2) == Fraction(48, 95)
-    assert t.rho(2) == Fraction(95, 96)
+    assert t.kappa / t.ratio(2) == Fraction(95, 96)
     assert t.gamma(2) == Fraction(32, 95)
     assert t.h(0) == t.h_prime(3) == 1
     assert t.torus_points(2) == 4
@@ -360,7 +374,7 @@ def test_zero_r_or_s_fails_without_raising(field):
 
 
 ACCESSORS = ("d", "l", "r", "s", "d_prime", "s_prime", "h", "h_prime",
-             "ratio", "rho", "gamma", "rho_terms", "torus_points")
+             "ratio", "gamma", "torus_points")
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

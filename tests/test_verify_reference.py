@@ -2,7 +2,9 @@
 product forms they replaced.
 
 ``verify_tables`` and ``check_upper_bound_gap`` are copied below as they
-were, replaying every identity and window in ``Fraction``s; each new suite
+were, replaying every identity and window in ``Fraction``s, with
+``crossed_rc_upper``, the Fraction form of the crossed upper bounds that the
+second reads and that the other tests compare against; each new suite
 must record the same (name, ok, detail) entries on clean tables, on tables
 parsed back from a ``plan`` document, and on tables with one stored field
 corrupted.  Where a corrupted field makes the old form divide by zero, the
@@ -25,7 +27,6 @@ from hypothesis import strategies as st
 
 from ahtower import crossed, sequences
 from ahtower.cli import main
-from ahtower.crossed import crossed_rc_upper
 from ahtower.rational import ExtendedRational
 from ahtower.report import Checker, CheckReport
 from ahtower.sequences import (GrowthTables, TargetParams, build_tables,
@@ -35,6 +36,28 @@ from ahtower.tower import (BlockMatrix, check_unital, lattice_maps,
 
 
 # -- the Fraction forms, as they were -----------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class CrossedUpperBound:
+    level: int
+    c_part: Fraction
+    b_part: Fraction
+
+    @property
+    def value(self) -> Fraction:
+        return max(self.c_part, self.b_part)
+
+
+def crossed_rc_upper(tables: GrowthTables, n: int) -> CrossedUpperBound:
+    """Per-row dimension-over-size bounds with their torus terms."""
+    d = tables.params.d
+    pts = tables.torus_points(n)
+    c_part = Fraction(tables.h(n) * tables.s(n), pts * tables.r(n)) \
+        + Fraction(d, 2 * pts * tables.r(n))
+    b_part = Fraction(tables.h_prime(n) * tables.s_prime(n), tables.r(n)) \
+        + Fraction(d, 2 * tables.r(n))
+    return CrossedUpperBound(level=n, c_part=c_part, b_part=b_part)
+
 
 def verify_tables(tables: GrowthTables) -> CheckReport:
     """Replay every defining identity and window of the table, exactly."""
@@ -87,12 +110,13 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
         if t.d(n) >= 2:
             c.check(f"ratio({n}) - kappa <= kappa/(d({n})-1)",
                     t.ratio(n) - t.kappa <= t.kappa / (t.d(n) - 1))
-        c.check(f"rho({n}) in (kappa, 1)", t.kappa < t.rho(n) < 1)
+        c.check(f"rho({n}) in (kappa, 1)",
+                t.kappa < t.kappa / t.ratio(n) < 1)
 
         if prime_collapses:
             c.check(f"d'({n}) = d({n})", t.d_prime(n) == t.d(n))
         else:
-            step = t.gamma(n - 1) * t.rho(n) / t.l(n)
+            step = t.gamma(n - 1) * (t.kappa / t.ratio(n)) / t.l(n)
             c.check(f"d'({n}) minimal",
                     t.d_prime(n) * step >= t.kappa_prime
                     and (t.d_prime(n) == 1
@@ -102,7 +126,7 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
                 t.s_prime(n) == t.s_prime(n - 1) * t.d_prime(n))
         c.check(f"gamma({n}) = s'/r",
                 t.gamma(n) == Fraction(t.s_prime(n), t.r(n)))
-        gap = t.gamma(n) * t.rho(n) - t.kappa_prime
+        gap = t.gamma(n) * (t.kappa / t.ratio(n)) - t.kappa_prime
         c.check(f"gamma*rho window at {n}",
                 0 <= gap < Fraction(1, t.l(n)), lambda: f"gap={gap}")
 
@@ -137,7 +161,8 @@ def check_upper_bound_gap(tables: GrowthTables, depth: int | None = None
         c.check(f"small-row excess identity (n={n})",
                 excess == tables.h_prime(n) * gamma_gap + torus_term,
                 lambda: f"{excess} vs h'*{gamma_gap} + {torus_term}")
-        window = (tables.gamma(n) * tables.rho(n) - tables.kappa_prime
+        rho = tables.kappa / tables.ratio(n)
+        window = (tables.gamma(n) * rho - tables.kappa_prime
                   < Fraction(1, tables.l(n)))
         c.check(f"gamma gap inside its window (n={n})",
                 gamma_gap >= 0 and window)

@@ -1,5 +1,5 @@
-"""Every module and demo parses under the oldest Python that pyproject.toml
-admits."""
+"""Every module, demo, benchmark script and test parses under the oldest
+Python that pyproject.toml admits."""
 
 import ast
 import re
@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = (sorted((ROOT / "src" / "ahtower").glob("*.py"))
-           + sorted((ROOT / "demos").glob("*.py")))
+SOURCES = [path for folder in ("src/ahtower", "demos", "perfbench", "tests")
+           for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def declared_floor() -> tuple[int, int]:
@@ -19,7 +19,15 @@ def declared_floor() -> tuple[int, int]:
     return int(found[1]), int(found[2])
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def label(path: Path) -> str:
+    """The file's name; with its folder in perfbench and tests, which both
+    hold an oracle.py."""
+    if path.parent.name in ("perfbench", "tests"):
+        return f"{path.parent.name}/{path.name}"
+    return path.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=label)
 def test_source_parses_at_the_floor(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
               feature_version=declared_floor())
