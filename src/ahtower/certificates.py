@@ -9,16 +9,15 @@ exceeds rho while its trivial summand stays below the embedding threshold.
 
 The search is canonical: smallest admissible n starting from 1, then the
 smallest M inside the open window that n guarantees to contain an integer.
-Two flavors exist:
-
-  * target radius finite: the pattern is anchored at level 0 with the
-    constant multiplier h(0), and the window is
-    rho/h0 + 1 < M/(h0 r(n)) < kappa + 1;
-  * target radius infinite: the pattern is anchored at the chosen level n
-    with the growing multiplier h(n), and the window is
-    rho + h(n) s(n) < M/r(n) < c h(n) + h(n) s(n),
-    where c is the exact limit of s(m)/r(m), available in closed form as
-    the generating target of the d-sequence.
+There is one window.  The pattern is anchored at an origin o: o = 0 when
+the side's radius is finite, o = n when it is infinite.  With H = h(o)
+and the pattern's normalized trace T = H s(o), n is the least level with
+1/r(n) < kappa H - rho, M = floor(r(n) (rho + T)) + 1, and the window is
+rho + T < M/r(n) < kappa H + T, where kappa is the exact limit of
+s(m)/r(m).  The finite window is the infinite one at o = 0, normalized by
+h(0): s(0) = 1 gives rho/h0 + 1 < M/(h0 r(n)) < kappa + 1.  For an
+infinite radius the ledger first records h(n) > rho/kappa, which the
+depth window implies.
 
 A certificate is re-verified by rebuilding it from nothing but its stated
 inputs (params, depth, rho, crossed flag, h-sequence override) and
@@ -37,7 +36,7 @@ from typing import Any
 from .comparison import projection_pair
 from .rational import fraction_from_json, fraction_to_json
 from .report import Checker, CheckReport
-from .sequences import (FORMAT_VERSION, DocumentKind, GrowthTables,
+from .sequences import (FORMAT_VERSION, DocumentKind, GrowthTables, Side,
                         TargetParams, h_override_from_json, verify_document)
 
 RELATIONS = {
@@ -69,29 +68,38 @@ class LedgerRow:
                 "holds": self.holds}
 
 
+def _origin(side: Side, n: int) -> int:
+    """The pattern's anchor level for a witness at level n."""
+    return n if side.radius.is_infinite else 0
+
+
 @dataclass(frozen=True)
 class WitnessReport:
     """A complete certificate for one rho, ready to serialize."""
 
-    params: TargetParams
-    depth: int
+    tables: GrowthTables
     crossed: bool
-    h_rule: str
-    h_override: tuple[int, ...] | None
     rho: Fraction
     n: int
     M: int
-    origin: int
-    checked_depths: tuple[int, ...]
     ledger: tuple[LedgerRow, ...]
+
+    @property
+    def origin(self) -> int:
+        return _origin(self.tables.side(self.crossed), self.n)
+
+    @property
+    def checked_depths(self) -> tuple[int, ...]:
+        return tuple(range(self.n + 1, self.tables.depth + 1))
 
     @property
     def all_hold(self) -> bool:
         return all(row.holds for row in self.ledger)
 
     def to_json_obj(self) -> dict[str, Any]:
-        params_obj = self.params.to_json_obj()
-        if not self.crossed and not self.params.r.is_infinite:
+        t = self.tables
+        params_obj = t.params.to_json_obj()
+        if not self.crossed and not t.params.r.is_infinite:
             # the plain-tower ledger never reads the primed radius, so a
             # certificate that carried it would have one dead field
             del params_obj["rPrime"]
@@ -99,9 +107,9 @@ class WitnessReport:
             "formatVersion": FORMAT_VERSION,
             "kind": "witness",
             "params": params_obj,
-            "depth": str(self.depth),
+            "depth": str(t.depth),
             "crossed": self.crossed,
-            "hRule": self.h_rule,
+            "hRule": t.h_rule,
             "rho": fraction_to_json(self.rho),
             "n": str(self.n),
             "M": str(self.M),
@@ -109,8 +117,8 @@ class WitnessReport:
             "checkedDepths": [str(m) for m in self.checked_depths],
             "ledger": [row.to_json_obj() for row in self.ledger],
         }
-        if self.h_override is not None:
-            obj["hSeqOverride"] = [str(x) for x in self.h_override]
+        if t.h_override is not None:
+            obj["hSeqOverride"] = [str(x) for x in t.h_override]
         return obj
 
 
@@ -130,77 +138,53 @@ def search_witness(tables: GrowthTables, rho: Fraction,
     if rho <= 0:
         raise ValueError("rho must be positive")
     side = tables.side(crossed)
-    if not side.radius.is_infinite and not rho < side.radius.finite_value:
+    infinite = side.radius.is_infinite
+    if not infinite and not rho < side.radius.finite_value:
         raise ValueError(f"rho must stay below the target radius {side.radius}")
 
     t = tables
-    d = t.params.d
     kap, s_of, h_of = side.kappa, side.s, side.h
-    finite = not side.radius.is_infinite
+    n = next((n for n in range(1, t.depth + 1)
+              if Fraction(1, t.r(n)) < kap * h_of(_origin(side, n)) - rho),
+             None)
+    if n is None:
+        raise ValueError("no witness at this depth; regenerate deeper tables")
+    origin = _origin(side, n)
+    H = h_of(origin)
+    T = H * s_of(origin)            # the pattern's trace; s(0) = 1
+    M = math.floor(t.r(n) * (rho + T)) + 1
 
-    rows: list[LedgerRow] = []
-    if finite:
-        h0 = h_of(0)
-        gap = kap - rho / h0
-        n = next((n for n in range(1, t.depth + 1)
-                  if Fraction(1, h0 * t.r(n)) < gap), None)
-        if n is None:
-            raise ValueError("no witness at this depth; regenerate deeper tables")
-        M = math.floor(t.r(n) * (rho + h0)) + 1
-        origin = 0
-        rows.append(LedgerRow.compare(f"depth window (n={n})",
-                                      Fraction(1, h0 * t.r(n)), "<", gap))
-        norm = Fraction(M, h0 * t.r(n))
-        rows.append(LedgerRow.compare(f"normalized rank floor (n={n})",
-                                      rho / h0 + 1, "<", norm))
-        rows.append(LedgerRow.compare(f"normalized rank ceiling (n={n})",
-                                      norm, "<", kap + 1))
-    else:
-        c = kap            # exact limit of s(m)/r(m), by construction
-        n = next((n for n in range(1, t.depth + 1)
-                  if h_of(n) > rho / c
-                  and Fraction(1, t.r(n)) < c * h_of(n) - rho), None)
-        if n is None:
-            raise ValueError("no witness at this depth; regenerate deeper tables")
-        M = math.floor(t.r(n) * (rho + h_of(n) * s_of(n))) + 1
-        origin = n
-        rows.append(LedgerRow.compare(f"multiplier floor (n={n})",
-                                      h_of(n), ">", rho / c))
-        rows.append(LedgerRow.compare(f"depth window (n={n})",
-                                      Fraction(1, t.r(n)), "<",
-                                      c * h_of(n) - rho))
-        norm = Fraction(M, t.r(n))
-        rows.append(LedgerRow.compare(f"normalized rank floor (n={n})",
-                                      rho + h_of(n) * s_of(n), "<", norm))
-        rows.append(LedgerRow.compare(f"normalized rank ceiling (n={n})",
-                                      norm, "<", c * h_of(n) + h_of(n) * s_of(n)))
-    # the pattern's normalized trace; s(0) = 1 at the level-0 anchor
-    base_trace = h_of(origin) * s_of(origin)
+    # the window, divided by h(0) for a finite radius
+    u = 1 if infinite else H
+    norm = Fraction(M, u * t.r(n))
+    window = [("multiplier floor", H, ">", rho / kap)] if infinite else []
+    window += [("depth window", Fraction(1, u * t.r(n)), "<",
+                (kap * H - rho) / u),
+               ("normalized rank floor", (rho + T) / u, "<", norm),
+               ("normalized rank ceiling", norm, "<", (kap * H + T) / u)]
+    rows = [LedgerRow.compare(f"{name} (n={n})", *comparison)
+            for name, *comparison in window]
 
-    checked = tuple(range(n + 1, t.depth + 1))
-    for m in checked:
+    trace, floor = Fraction(M, t.r(n)), rho + T
+    for m in range(n + 1, t.depth + 1):
         small_rank = M * (t.r(m) // t.r(n))
-        if not finite:
+        if infinite:
             rows.append(LedgerRow.compare(f"ratio floor (m={m})",
                                           kap * t.r(m), "<=", s_of(m)))
         rows.append(LedgerRow.compare(
             f"rank bound (m={m})", small_rank, "<",
             projection_pair(t, m, origin, crossed).threshold))
-        rows.append(LedgerRow.compare(f"trace bound (m={m})",
-                                      Fraction(M, t.r(n)), ">",
-                                      base_trace + rho))
+        rows.append(LedgerRow.compare(f"trace bound (m={m})", trace, ">",
+                                      floor))
         if crossed:
-            big_rank = M * (t.r(m) // t.r(n)) * 2 ** (d * m)
-            big_trace = Fraction(big_rank, t.r(m) * 2 ** (d * m))
+            big_rank = small_rank * t.torus_points(m)
+            big_trace = Fraction(big_rank, t.r(m) * t.torus_points(m))
             rows.append(LedgerRow.compare(f"trace match (m={m})",
                                           big_trace, "=",
                                           Fraction(small_rank, t.r(m))))
 
-    return WitnessReport(params=t.params, depth=t.depth, crossed=crossed,
-                         h_rule=t.h_rule,
-                         h_override=t.h_override,
-                         rho=rho, n=n, M=M, origin=origin,
-                         checked_depths=checked, ledger=tuple(rows))
+    return WitnessReport(tables=t, crossed=crossed, rho=rho, n=n, M=M,
+                         ledger=tuple(rows))
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,8 @@ from .diagram import (DIAGRAM_DOCUMENT, build_diagram_document, dot_blocks,
                       export_diagram)
 from .rational import document_text, parse_fraction
 from .report import Checker, CheckReport
-from .sequences import (TABLES_DOCUMENT, GrowthTables, tables_from_cli,
-                        verify_document, verify_tables)
+from .sequences import (FORMAT_VERSION, TABLES_DOCUMENT, GrowthTables,
+                        tables_from_cli, verify_document, verify_tables)
 from .tower import ConnectingMap, lattice_maps, verify_tower
 
 
@@ -90,18 +90,24 @@ def emit(text: str | Iterable[str], out: str | None) -> None:
     (stdout if None; opened once the first chunk exists), ending in one
     newline that is added only when the text lacks it.  A single ``str``
     is one write; chunks reach an ``out`` file through a buffer of
-    ``STREAM_BUFFER`` bytes."""
+    ``STREAM_BUFFER`` bytes.  If a chunk or a write raises, an ``out``
+    that is a regular file is removed (never a device or a FIFO)."""
     streamed = not isinstance(text, str)
     chunks = iter(text if streamed else (text,))
     last = next(chunks, "")
-    with (open(out, "w", encoding="utf-8",
-               buffering=STREAM_BUFFER if streamed else -1)
-          if out is not None
-          else contextlib.nullcontext(sys.stdout)) as handle:
-        handle.write(last)
-        for last in chunks:
+    target = (open(out, "w", encoding="utf-8",
+                   buffering=STREAM_BUFFER if streamed else -1)
+              if out is not None else contextlib.nullcontext(sys.stdout))
+    try:
+        with target as handle:
             handle.write(last)
-        handle.write("" if last.endswith("\n") else "\n")
+            for last in chunks:
+                handle.write(last)
+            handle.write("" if last.endswith("\n") else "\n")
+    except BaseException:
+        if out is not None and os.path.isfile(out):
+            os.remove(out)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +131,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def cmd_chern(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise ValueError("--k must be a positive integer")
-    doc = {"formatVersion": "1", "kind": "chern", "maxK": str(args.k),
+    doc = {"formatVersion": FORMAT_VERSION, "kind": "chern",
+           "maxK": str(args.k),
            "ranks": [str(rank) for rank in chern_min_embedding_ranks(args.k)]}
     emit(document_text(doc), args.out)
     return 0

@@ -643,8 +643,9 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
     recursion ratio(n) = ratio(n-1)*d(n)/l(n) follows from "r(n)
     multiplicative" and "s(n) multiplicative".  Nothing here calls
     `levels`, so it checks the excess recursion there against the
-    definitions rather than restating it.  A quotient with a zero denominator, which only a corrupted table
-    holds, fails the entries that read it.
+    definitions rather than restating it.  A quotient with a zero
+    denominator, which only a corrupted table holds, fails the entries
+    that read it.
     """
     c = Checker()
     t = tables

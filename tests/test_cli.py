@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import ahtower.cli
 import ahtower.tower
 from ahtower.action import check_equivariance
 from ahtower.certificates import search_witness, verify_witness_json
@@ -294,6 +296,39 @@ def test_emit_opens_nothing_before_the_first_chunk(tmp_path):
     with pytest.raises(ValueError, match="refused"):
         emit(refused(), str(path))
     assert not path.exists()
+
+
+def disk_fills_after_one_chunk():
+    yield "digraph tower {\n"
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_emit_removes_a_partial_file(tmp_path):
+    path = tmp_path / "out"
+    with pytest.raises(OSError) as caught:
+        emit(disk_fills_after_one_chunk(), str(path))
+    assert caught.value.errno == errno.ENOSPC
+    assert not path.exists()
+
+
+def test_export_that_fails_midway_exits_2_and_leaves_no_file(
+        capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(ahtower.cli, "dot_blocks",
+                        lambda doc: disk_fills_after_one_chunk())
+    path = tmp_path / "diagram.dot"
+    code, out, err = run(capsys, "export", "--format", "dot", "--out",
+                         str(path))
+    assert (code, out, err) == (2, "", "error: [Errno 28] No space left "
+                                       "on device\n")
+    assert not path.exists()
+
+
+def test_emit_never_removes_a_device(monkeypatch):
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    with pytest.raises(OSError):
+        emit(disk_fills_after_one_chunk(), os.devnull)
+    assert removed == []
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
