@@ -1,8 +1,9 @@
 """Render the two-row diagram of a shallow tower as graph text.
 
 The JSON document is the authoritative serialization; the DOT text is a
-pure function of it, so regenerating the graph from a parsed document
-reproduces the bytes exactly.  Run with --out to write the DOT file for
+pure function of it.  The JSON is read back by regeneration: it must equal
+the document rebuilt from the params, depth and h override it declares,
+so drawing that rebuilt document reproduces the bytes exactly.  Run with --out to write the DOT file for
 graphviz, or without to inspect it on stdout.
 """
 
@@ -13,11 +14,12 @@ from ahtower import (
     build_connecting_map,
     build_diagram_document,
     build_stage,
-    diagram_from_json_obj,
     export_diagram,
     render_dot,
     tables_from_cli,
 )
+from ahtower.diagram import DIAGRAM_DOCUMENT
+from ahtower.sequences import declared_tables, verify_document
 
 
 def describe_stages(tables):
@@ -55,8 +57,10 @@ def main():
     print("connecting maps:")
     describe_maps(tables)
 
-    document = export_diagram(tables)
-    reparsed = diagram_from_json_obj(json.loads(document))
+    document = json.loads(export_diagram(tables))
+    assert verify_document(document, DIAGRAM_DOCUMENT).ok
+    reparsed = build_diagram_document(
+        declared_tables(document, int(document["depthRange"]["hi"])))
     dot = render_dot(reparsed)
     assert dot == render_dot(build_diagram_document(tables))
 

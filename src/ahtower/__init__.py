@@ -9,8 +9,7 @@ from .comparison import (ProjectionSymbol, chern_min_embedding_rank,
                          projection_pair)
 from .crossed import check_crossed_sizes, check_upper_bound_gap
 from .diagram import (DiagramDocument, build_diagram_document,
-                      diagram_from_json_obj, diagram_to_json_obj,
-                      export_diagram, render_dot)
+                      diagram_to_json_obj, export_diagram, render_dot)
 from .rational import ExtendedRational, parse_fraction
 from .sequences import (GrowthTables, TargetParams, build_tables,
                         derive_kappa, tables_from_cli, verify_tables)
@@ -39,7 +38,6 @@ __all__ = [
     "check_upper_bound_gap",
     "chern_min_embedding_rank",
     "derive_kappa",
-    "diagram_from_json_obj",
     "diagram_to_json_obj",
     "export_diagram",
     "lattice_maps",

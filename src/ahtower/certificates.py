@@ -36,8 +36,8 @@ from typing import Any
 from .comparison import projection_pair
 from .rational import fraction_from_json, fraction_to_json
 from .report import Checker, CheckReport
-from .sequences import (FORMAT_VERSION, DocumentKind, GrowthTables, Side,
-                        TargetParams, h_override_from_json, verify_document)
+from .sequences import (DocumentKind, GrowthTables, Side, declared_tables,
+                        verify_document)
 
 RELATIONS = {
     "<": lambda a, b: a < b,
@@ -98,18 +98,10 @@ class WitnessReport:
 
     def to_json_obj(self) -> dict[str, Any]:
         t = self.tables
-        params_obj = t.params.to_json_obj()
-        if not self.crossed and not t.params.r.is_infinite:
-            # the plain-tower ledger never reads the primed radius, so a
-            # certificate that carried it would have one dead field
-            del params_obj["rPrime"]
         obj: dict[str, Any] = {
-            "formatVersion": FORMAT_VERSION,
-            "kind": "witness",
-            "params": params_obj,
+            **WITNESS_DOCUMENT.head(t),
             "depth": str(t.depth),
             "crossed": self.crossed,
-            "hRule": t.h_rule,
             "rho": fraction_to_json(self.rho),
             "n": str(self.n),
             "M": str(self.M),
@@ -117,8 +109,10 @@ class WitnessReport:
             "checkedDepths": [str(m) for m in self.checked_depths],
             "ledger": [row.to_json_obj() for row in self.ledger],
         }
-        if t.h_override is not None:
-            obj["hSeqOverride"] = [str(x) for x in t.h_override]
+        if not self.crossed and not t.params.r.is_infinite:
+            # the plain-tower ledger never reads the primed radius, so a
+            # certificate that carried it would have one dead field
+            del obj["params"]["rPrime"]
         return obj
 
 
@@ -194,12 +188,12 @@ def search_witness(tables: GrowthTables, rho: Fraction,
 def _read_witness(doc: dict) -> tuple:
     if not isinstance(doc.get("crossed"), bool):
         raise ValueError("crossed flag must be a boolean")
-    params_obj = doc["params"]
-    if isinstance(params_obj, dict) and "rPrime" not in params_obj:
-        params_obj = {**params_obj, "rPrime": params_obj.get("r")}
-    params = TargetParams.from_json_obj(params_obj)
     depth, rho = int(doc["depth"]), fraction_from_json(doc["rho"])
-    return params, depth, h_override_from_json(doc), rho, doc["crossed"]
+    params = doc["params"]
+    if isinstance(params, dict) and "rPrime" not in params:
+        # the dead field the writer leaves out: r' defaults to r
+        doc = {**doc, "params": {**params, "rPrime": params.get("r")}}
+    return declared_tables(doc, depth), rho, doc["crossed"]
 
 
 def _regenerate_witness(tables: GrowthTables, rho: Fraction, crossed: bool
@@ -212,7 +206,8 @@ def _regenerate_witness(tables: GrowthTables, rho: Fraction, crossed: bool
 
 WITNESS_DOCUMENT = DocumentKind(
     tag="witness", parsed="document parses and recomputes",
-    matches="matches canonical recomputation", strict=True,
+    matches="matches canonical recomputation",
+    passed="witness certificate: {entries} checks pass", strict=True,
     read=_read_witness, regenerate=_regenerate_witness)
 
 

@@ -18,14 +18,16 @@ import sys
 from typing import Iterable, Sequence
 
 from .action import check_equivariance
-from .certificates import search_witness, verify_witness_json
-from .comparison import chern_min_embedding_ranks
+from .certificates import (WITNESS_DOCUMENT, search_witness,
+                           verify_witness_json)
+from .comparison import (CHERN_DOCUMENT, chern_document,
+                         chern_min_embedding_ranks)
 from .crossed import check_crossed_sizes, check_upper_bound_gap
 from .diagram import (DIAGRAM_DOCUMENT, build_diagram_document, dot_blocks,
                       export_diagram)
 from .rational import document_text, parse_fraction
 from .report import Checker, CheckReport
-from .sequences import (FORMAT_VERSION, TABLES_DOCUMENT, GrowthTables,
+from .sequences import (TABLES_DOCUMENT, GrowthTables, declared_kind,
                         tables_from_cli, verify_document, verify_tables)
 from .tower import ConnectingMap, lattice_maps, verify_tower
 
@@ -129,12 +131,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_chern(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise ValueError("--k must be a positive integer")
-    doc = {"formatVersion": FORMAT_VERSION, "kind": "chern",
-           "maxK": str(args.k),
-           "ranks": [str(rank) for rank in chern_min_embedding_ranks(args.k)]}
-    emit(document_text(doc), args.out)
+    emit(document_text(chern_document(args.k)), args.out)
     return 0
 
 
@@ -211,18 +208,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-# kind tag -> (its re-verification, what a passing document prints).  The
-# lambdas look verify_witness_json up when called, so a rebound global (a
-# tracing span) is the one that runs.
-DOCUMENT_KINDS = {
-    "tables": (lambda doc: verify_document(doc, TABLES_DOCUMENT),
-               "tables: {checks} checks pass\n"
-               "tables match canonical regeneration"),
-    "witness": (lambda doc: verify_witness_json(doc),
-                "witness certificate: {entries} checks pass"),
-    "diagram": (lambda doc: verify_document(doc, DIAGRAM_DOCUMENT),
-                "diagram matches canonical regeneration"),
-}
+# tag -> kind, for every kind a command writes
+DOCUMENT_KINDS = {kind.tag: kind for kind in (
+    TABLES_DOCUMENT, WITNESS_DOCUMENT, DIAGRAM_DOCUMENT, CHERN_DOCUMENT)}
 
 
 def verify_document_file(path: str, out: str | None) -> int:
@@ -236,17 +224,18 @@ def verify_document_file(path: str, out: str | None) -> int:
     except (ValueError, RecursionError) as exc:
         emit(f"invariant violated: document parses ({exc})", out)
         return 3
-    tag = obj.get("kind") if isinstance(obj, dict) else None
+    tag = declared_kind(obj)
     if not isinstance(tag, str) or tag not in DOCUMENT_KINDS:
         emit(f"invariant violated: recognized document kind (got {tag!r})",
              out)
         return 3
-    verify, passed = DOCUMENT_KINDS[tag]
-    report = verify(obj)
+    kind = DOCUMENT_KINDS[tag]
+    # a witness goes through verify_witness_json, looked up when called, so
+    # that a rebound global (a tracing span) is the one that runs
+    report = (verify_witness_json(obj) if kind is WITNESS_DOCUMENT
+              else verify_document(obj, kind))
     ok, line = report_lines(tag, report)
-    entries = len(report.entries)     # the parse entry, the kind's, the match
-    emit(passed.format(entries=entries, checks=entries - 2) if ok else line,
-         out)
+    emit(kind.passing_line(report) if ok else line, out)
     return 0 if ok else 3
 
 

@@ -8,7 +8,8 @@ Two ingredients, all in integer or rational arithmetic:
     class of the would-be inverse survives in degree k).  It runs on a
     dense table of 2^k coefficients indexed by monomial mask: the inverse
     is built in O(2^k) by doubling, and the identity is certified by
-    folding each factor (1 + x_i) into it, O(k 2^k) in all;
+    folding each factor (1 + x_i) into it, O(k 2^k) in all, for k up to
+    ``MAX_CHERN_K``;
   * the projection symbols of the construction: a patterned projection of
     rank h(n)s(m) plus trivial padding, of total rank h(n)s(n)r(m), against
     an entirely trivial companion on the other row with the same
@@ -22,8 +23,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import Any
 
-from .sequences import GrowthTables
+from .rational import ints_to_json
+from .report import CheckReport
+from .sequences import DocumentKind, GrowthTables
 
 
 # ----------------------------------------------------------------------
@@ -60,6 +64,10 @@ def _doubled_inverse(k: int) -> list[int]:
     return table
 
 
+# k = 20 takes about 0.5 s and 44 MB (CPython 3.11.7); each step doubles both
+MAX_CHERN_K = 20
+
+
 def chern_min_embedding_ranks(k: int) -> list[int]:
     """Least trivial rank into which the j-fold line-bundle product embeds,
     for each j = 1..k, all certified from one table.
@@ -75,10 +83,10 @@ def chern_min_embedding_ranks(k: int) -> list[int]:
     prefix right after the fold of x_j.  The inverse survives in top
     degree j with coefficient (-1)^j; a complement inside trivial rank N
     would need the inverse to vanish above degree N - j, so N = 2j is the
-    least possibility.
+    least possibility.  k must lie in [1, MAX_CHERN_K].
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    if not 1 <= k <= MAX_CHERN_K:
+        raise ValueError(f"k must be an integer in [1, {MAX_CHERN_K}]")
     inverse = _doubled_inverse(k)
     product = inverse.copy()
     ranks = []
@@ -101,6 +109,21 @@ def chern_min_embedding_rank(k: int) -> int:
     """Least trivial rank into which the k-fold line-bundle product embeds
     (see ``chern_min_embedding_ranks``)."""
     return chern_min_embedding_ranks(k)[-1]
+
+
+def chern_document(k: int) -> dict[str, Any]:
+    """The chern document: the ranks of ``chern_min_embedding_ranks(k)``."""
+    return {**CHERN_DOCUMENT.head(), "maxK": str(k),
+            "ranks": ints_to_json(chern_min_embedding_ranks(k))}
+
+
+# every leaf is a string, so == is exact
+CHERN_DOCUMENT = DocumentKind(
+    tag="chern", parsed="chern document well formed",
+    matches="chern table matches canonical regeneration",
+    passed="chern table matches canonical regeneration", strict=False,
+    read=lambda doc: (int(doc["maxK"]),),
+    regenerate=lambda k: (chern_document(k), CheckReport(())))
 
 
 # ----------------------------------------------------------------------

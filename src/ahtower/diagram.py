@@ -4,12 +4,12 @@ A document is the tables with the stage and connecting map out of every
 level 0..depth, the tower's own ``StageSpec``s and ``ConnectingMap``s.
 Its JSON holds one stage entry per level with the component counts and
 block sizes, and one map entry per gap with the arrows and projection
-spans into each target row and the block multiplicity matrix.  The
-reader is regeneration: it rebuilds the document from the params, depth
-and h override that the JSON declares, and accepts the JSON only where it
-equals the rebuilt document's.  The DOT drawing is a pure function of the
-document, so the drawing of a read document matches the one drawn from
-the original tables.
+spans into each target row and the block multiplicity matrix.  Its one
+reader is ``verify_document(obj, DIAGRAM_DOCUMENT)``, by regeneration: it
+rebuilds the document from the params, depth and h override that the
+JSON declares, and accepts the JSON only where it equals the rebuilt
+document's.  The DOT drawing is a pure function of the document, so a
+JSON that passes is drawn by drawing the document of its tables.
 
 Node identifiers are stable: C_{n}_{k} for the lattice component whose
 point has index k in lexicographic enumeration, B_{n} for the merged
@@ -23,10 +23,8 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .rational import document_text, ints_to_json
-from .report import CheckReport, first_difference
-from .sequences import (FORMAT_VERSION, MALFORMED, DocumentKind,
-                        GrowthTables, TargetParams, build_tables,
-                        h_override_from_json, require_document)
+from .report import CheckReport
+from .sequences import DocumentKind, GrowthTables, declared_tables
 from .tower import (BLOCK_B, BLOCK_C, KIND_COORD_PROJECTION,
                     KIND_POINT_EVAL_X, KIND_STAR_EVAL, ArrowSpan,
                     ConnectingMap, LatticeArrows, StageSpec, build_stage,
@@ -102,11 +100,8 @@ def diagram_to_json_obj(doc: DiagramDocument) -> dict[str, Any]:
     """The document's JSON.  Lists in it may be shared (each map's run
     sits under both targets), so a caller that edits it copies it first."""
     tables = doc.tables
-    obj: dict[str, Any] = {
-        "formatVersion": FORMAT_VERSION,
-        "kind": "diagram",
-        "params": tables.params.to_json_obj(),
-        "hRule": tables.h_rule,
+    return {
+        **DIAGRAM_DOCUMENT.head(tables),
         "depthRange": {"lo": "0", "hi": str(tables.depth)},
         "stages": [{
             "level": str(s.level),
@@ -118,44 +113,24 @@ def diagram_to_json_obj(doc: DiagramDocument) -> dict[str, Any]:
         } for s in doc.stages],
         "maps": [_map_to_json(tables, m) for m in doc.maps],
     }
-    if tables.h_override is not None:
-        obj["hSeqOverride"] = [str(x) for x in tables.h_override]
-    return obj
 
 
 def _read_diagram(doc: dict) -> tuple:
-    """Params, depth and h override: all that regeneration reads."""
-    params = TargetParams.from_json_obj(doc["params"])
+    """The tables of the params, depth and h override the document
+    declares: all that regeneration reads."""
     depth_range = doc["depthRange"]
     depth = int(depth_range["hi"])
     # levels the document does not list are refused before they are built
     if len(doc["stages"]) != depth - int(depth_range["lo"]) + 1:
         raise ValueError("stage levels must run contiguously over the band")
-    return params, depth, h_override_from_json(doc)
+    return (declared_tables(doc, depth),)
 
 
-def diagram_from_json_obj(obj: Any) -> DiagramDocument:
-    """The document ``obj`` declares, read by regeneration: ``obj`` must
-    equal the JSON of the document rebuilt from its params, depth and h
-    override, else ValueError names the path of the first difference.
-    Every leaf of that JSON is a string, so == is exact.  A document
-    ``verify FILE`` finds not well formed raises ValueError too."""
-    try:
-        params, depth, override = _read_diagram(
-            require_document(obj, "diagram"))
-        doc = build_diagram_document(build_tables(params, depth, override))
-    except MALFORMED as exc:
-        raise ValueError(f"diagram document not well formed: {exc}") from exc
-    canonical = diagram_to_json_obj(doc)
-    if obj != canonical:
-        raise ValueError("diagram differs from its canonical regeneration "
-                         f"({first_difference(obj, canonical)})")
-    return doc
-
-
+# every leaf of a diagram is a string, so == is exact
 DIAGRAM_DOCUMENT = DocumentKind(
     tag="diagram", parsed="diagram document well formed",
-    matches="diagram matches canonical regeneration", strict=False,
+    matches="diagram matches canonical regeneration",
+    passed="diagram matches canonical regeneration", strict=False,
     read=_read_diagram, regenerate=lambda tables: (
         diagram_to_json_obj(build_diagram_document(tables)),
         CheckReport(())))

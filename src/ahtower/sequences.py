@@ -307,20 +307,6 @@ def levels(rate: RateChoice, d: int, depth: int,
 # the assembled table
 # ----------------------------------------------------------------------
 
-FORMAT_VERSION = "1"
-
-
-def require_document(doc: Any, tag: str) -> dict:
-    """``doc`` if it is a ``tag`` document of this format; else ValueError."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{tag} document must be an object")
-    if doc.get("formatVersion") != FORMAT_VERSION:
-        raise ValueError(f"unknown formatVersion {doc.get('formatVersion')!r}")
-    if doc.get("kind") != tag:
-        raise ValueError(f"not a {tag} document: kind={doc.get('kind')!r}")
-    return doc
-
-
 @dataclass(frozen=True)
 class Side:
     """What one side of the construction reads: the radius, the ratio
@@ -423,15 +409,12 @@ class GrowthTables:
 
     def to_json_obj(self) -> dict[str, Any]:
         levels = range(self.depth + 1)
-        obj: dict[str, Any] = {
-            "formatVersion": FORMAT_VERSION,
-            "kind": "tables",
-            "params": self.params.to_json_obj(),
+        return {
+            **TABLES_DOCUMENT.head(self),
             "depth": str(self.depth),
             "regime": self.regime,
             "kappa": fraction_to_json(self.kappa),
             "kappaPrime": fraction_to_json(self.kappa_prime),
-            "hRule": self.h_rule,
             "h": ints_to_json(self.h_seq),
             "hPrime": ints_to_json(self.h_prime_seq),
             "d": ints_to_json(self.d_seq[1:]),
@@ -444,13 +427,10 @@ class GrowthTables:
             "gamma": [fraction_to_json(self.gamma(n)) for n in levels],
             "bitLengths": self.bit_lengths(),
         }
-        if self.h_override is not None:
-            obj["hSeqOverride"] = ints_to_json(self.h_override)
-        return obj
 
     @classmethod
     def from_json_obj(cls, obj: Any) -> "GrowthTables":
-        require_document(obj, "tables")
+        require_document(obj, TABLES_DOCUMENT.tag)
         depth = int(obj["depth"])
         d_seq = (0,) + ints_from_json(obj["d"])
         l_seq = (1,) + ints_from_json(obj["l"])
@@ -508,29 +488,69 @@ def tables_from_cli(r: str, r_prime: str, d: int, depth: int,
 
 
 # ----------------------------------------------------------------------
-# re-verifying a document
+# documents
 # ----------------------------------------------------------------------
 
-def h_override_from_json(doc: dict) -> tuple[int, ...] | None:
-    """A document's ``hSeqOverride``, or None where it declares none."""
-    if "hSeqOverride" not in doc:
-        return None
-    return ints_from_json(doc["hSeqOverride"])
+FORMAT_VERSION = "1"
+
+
+def declared_kind(doc: Any) -> Any:
+    """The ``kind`` tag ``doc`` declares; None where it is not an object."""
+    return doc.get("kind") if isinstance(doc, dict) else None
+
+
+def require_document(doc: Any, tag: str) -> dict:
+    """``doc`` if it is a ``tag`` document of this format; else ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{tag} document must be an object")
+    if doc.get("formatVersion") != FORMAT_VERSION:
+        raise ValueError(f"unknown formatVersion {doc.get('formatVersion')!r}")
+    if declared_kind(doc) != tag:
+        raise ValueError(f"not a {tag} document: kind={declared_kind(doc)!r}")
+    return doc
 
 
 @dataclass(frozen=True)
 class DocumentKind:
-    """``read`` returns a document's declared params, depth and h override,
-    then the kind's own inputs; ``regenerate`` takes the tables built from
-    the first three and the own inputs, and returns the canonical JSON and
-    a report of the kind's own checks."""
+    """One kind of document.  ``read`` returns what ``regenerate`` takes,
+    building the declared tables where the kind is built from tables;
+    ``regenerate`` returns the canonical JSON and a report of the kind's
+    own checks."""
 
     tag: str
     parsed: str         # the entry that a read or regeneration error fails
     matches: str        # the entry of the comparison
+    passed: str         # a passing one's line: {checks} own, {entries} all
     strict: bool        # has non-string leaves, where == takes true for 1
     read: Callable[[dict], tuple]
     regenerate: Callable[..., tuple[Any, CheckReport]]
+
+    def head(self, tables: GrowthTables | None = None) -> dict[str, Any]:
+        """The fields a document of this kind opens with: format and tag,
+        and for a kind built from ``tables`` their params, h rule and h
+        override (``declared_tables`` reads params and override back)."""
+        head: dict[str, Any] = {"formatVersion": FORMAT_VERSION,
+                                "kind": self.tag}
+        if tables is not None:
+            head["params"] = tables.params.to_json_obj()
+            head["hRule"] = tables.h_rule
+            if tables.h_override is not None:
+                head["hSeqOverride"] = ints_to_json(tables.h_override)
+        return head
+
+    def passing_line(self, report: CheckReport) -> str:
+        """``passed`` for a passing ``report`` of ``verify_document``,
+        whose entries are ``parsed``, the kind's own, then ``matches``."""
+        entries = len(report.entries)
+        return self.passed.format(entries=entries, checks=entries - 2)
+
+
+def declared_tables(doc: dict, depth: int) -> GrowthTables:
+    """The tables a document's head declares, built to ``depth``."""
+    override = (ints_from_json(doc["hSeqOverride"])
+                if "hSeqOverride" in doc else None)
+    return build_tables(TargetParams.from_json_obj(doc["params"]), depth,
+                        override)
 
 
 # what reading or regenerating a document raises when it is not well formed:
@@ -545,10 +565,8 @@ def verify_document(doc: Any, kind: DocumentKind) -> CheckReport:
     ``kind.parsed``, the kind's own checks, then ``kind.matches``."""
     c = Checker()
     try:
-        params, depth, override, *own = kind.read(
-            require_document(doc, kind.tag))
         canonical, checks = kind.regenerate(
-            build_tables(params, depth, override), *own)
+            *kind.read(require_document(doc, kind.tag)))
     except MALFORMED as exc:
         c.check(kind.parsed, False, str(exc))
         return c.report()
@@ -562,18 +580,18 @@ def verify_document(doc: Any, kind: DocumentKind) -> CheckReport:
     return c.report()
 
 
-def _read_tables(doc: dict) -> tuple:
-    tables = GrowthTables.from_json_obj(doc)
-    return tables.params, tables.depth, tables.h_override, tables
-
-
 # verify_tables replays the presented tables, so that a corrupted field is
 # named by the identity it breaks
 TABLES_DOCUMENT = DocumentKind(
     tag="tables", parsed="tables document well formed",
-    matches="tables match canonical regeneration", strict=True,
-    read=_read_tables, regenerate=lambda rebuilt, presented: (
-        rebuilt.to_json_obj(), verify_tables(presented)))
+    matches="tables match canonical regeneration",
+    passed="tables: {checks} checks pass\n"
+           "tables match canonical regeneration", strict=True,
+    read=lambda doc: (GrowthTables.from_json_obj(doc),),
+    regenerate=lambda presented: (
+        build_tables(presented.params, presented.depth,
+                     presented.h_override).to_json_obj(),
+        verify_tables(presented)))
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from ahtower import (
     check_equivariance,
     check_upper_bound_gap,
     chern_min_embedding_rank,
-    diagram_from_json_obj,
     diagram_to_json_obj,
     export_diagram,
     lattice_maps,
@@ -30,7 +29,9 @@ from ahtower import (
     verify_tower,
     verify_witness_json,
 )
+from ahtower.diagram import DIAGRAM_DOCUMENT
 from ahtower.rational import ExtendedRational
+from ahtower.sequences import declared_tables, verify_document
 from ahtower.tower import TorusSlot
 
 import oracle
@@ -380,7 +381,10 @@ def test_c11_diagram_export_round_trip():
     t = finite_tables("1/2", "1/3", depth=4)
     text = export_diagram(t)
     obj = json.loads(text)
-    parsed = diagram_from_json_obj(obj)
+    need(failures, verify_document(obj, DIAGRAM_DOCUMENT).ok,
+         "the export fails its re-verification")
+    parsed = build_diagram_document(
+        declared_tables(obj, int(obj["depthRange"]["hi"])))
     need(failures, parsed == build_diagram_document(t),
          "parsed document differs from a fresh build")
     need(failures, diagram_to_json_obj(parsed) == obj,

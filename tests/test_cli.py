@@ -12,14 +12,15 @@ from pathlib import Path
 import pytest
 
 import ahtower.cli
+import ahtower.comparison
 import ahtower.tower
 from ahtower.action import check_equivariance
 from ahtower.certificates import search_witness, verify_witness_json
 from ahtower.cli import (STREAM_BUFFER, emit, main, run_suites,
                          standard_generators)
-from ahtower.diagram import (build_diagram_document, diagram_from_json_obj,
+from ahtower.diagram import (DIAGRAM_DOCUMENT, build_diagram_document,
                              diagram_to_json_obj, render_dot)
-from ahtower.sequences import tables_from_cli
+from ahtower.sequences import tables_from_cli, verify_document
 from ahtower.tower import build_connecting_map, check_unital
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -168,6 +169,22 @@ def test_chern_table(capsys):
 def test_chern_rejects_zero(capsys):
     code, _, err = run(capsys, "chern", "--k", "0")
     assert code == 2
+
+
+def refuse_chern_tables(monkeypatch):
+    """Make building a chern table fail, so a test that meets a bug
+    allocates nothing."""
+    def refuse(k):
+        raise AssertionError(f"a table of 2^{k} entries was built")
+    monkeypatch.setattr(ahtower.comparison, "_doubled_inverse", refuse)
+
+
+BOUND = f"k must be an integer in [1, {ahtower.comparison.MAX_CHERN_K}]"
+
+
+def test_chern_refuses_k_above_the_bound(capsys, monkeypatch):
+    refuse_chern_tables(monkeypatch)
+    assert run(capsys, "chern", "--k", "30") == (2, "", f"error: {BOUND}\n")
 
 
 # ----------------------------------------------------------------------
@@ -662,8 +679,8 @@ def test_verify_refuses_a_band_above_level_zero(capsys, tmp_path,
     assert run(capsys, "verify", str(path)) == (3, line, "")
     # the reader refuses it with the text in that line's parentheses
     refusal = line[line.index("(") + 1:-len(")\n")]
-    with pytest.raises(ValueError, match=re.escape(refusal)):
-        diagram_from_json_obj(obj)
+    assert verify_document(obj, DIAGRAM_DOCUMENT).first_failure.detail \
+        == refusal
 
 
 def test_verify_unparseable_file(capsys, tmp_path):
@@ -767,6 +784,97 @@ def test_verify_file_with_an_infinite_integer_field(capsys, tmp_path, argv,
     assert (code, err) == (3, "")
     assert out.startswith("invariant violated: ")
     assert out.endswith("(cannot convert float infinity to integer)\n")
+
+
+def test_verify_refuses_a_chern_document_past_the_bound(capsys, tmp_path,
+                                                        monkeypatch):
+    # its maxK would demand a table of 2^40 entries: it is refused first
+    path = tmp_path / "chern.json"
+    main(["chern", "--k", "6", "--out", str(path)])
+    path.write_text(json.dumps({**json.loads(path.read_text()),
+                                "maxK": "40"}))
+    refuse_chern_tables(monkeypatch)
+    assert run(capsys, "verify", str(path)) == (
+        3, f"invariant violated: chern document well formed ({BOUND})\n", "")
+
+
+def test_verify_refuses_every_single_leaf_edit_of_a_chern_document(
+        capsys, tmp_path):
+    path = tmp_path / "chern.json"
+    main(["chern", "--k", "6", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    edits = [{**doc, key: value} for key in ("formatVersion", "kind", "maxK")
+             for value in (doc[key] + "0", int(doc[key])
+                           if doc[key].isdigit() else None)]
+    edits += [{**doc, "ranks": [*doc["ranks"][:i], value,
+                                *doc["ranks"][i + 1:]]}
+              for i, rank in enumerate(doc["ranks"])
+              for value in (str(int(rank) + 1), int(rank))]
+    edits += [{**doc, "ranks": doc["ranks"][:-1]}, {**doc, "extra": "1"}]
+    for edited in edits:
+        path.write_text(json.dumps(edited))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (3, ""), edited
+        assert out.startswith("invariant violated: "), edited
+
+
+def written_documents():
+    """(kind, argv) for every document a command writes: `plan`, `witness`,
+    `witness --crossed` and `export --format json` in each regime, and
+    `chern`."""
+    cases = [("chern", ["chern", "--k", "6"])]
+    for r, r_prime, c in REGIME_TARGETS.values():
+        flags = ["--r", r, "--r-prime", r_prime, *(["--c", c] if c else [])]
+        witness = ["witness", *flags, "--depth", "4", "--rho", "1/4"]
+        cases += [("tables", ["plan", *flags, "--depth", "4"]),
+                  ("witness", witness),
+                  ("witness", [*witness, "--crossed"]),
+                  ("diagram", ["export", "--format", "json", *flags,
+                               "--depth", "2"])]
+    return cases
+
+
+# kind -> the line `verify FILE` prints on one that passes
+PASSING_LINES = {
+    "tables": r"tables: \d+ checks pass\ntables match canonical regeneration",
+    "witness": r"witness certificate: 3 checks pass",
+    "diagram": r"diagram matches canonical regeneration",
+    "chern": r"chern table matches canonical regeneration",
+}
+
+
+def with_last_leaf_edited(doc):
+    """A copy of ``doc`` whose last leaf in key order is changed: a
+    number or a string of digits to the next number, other strings by a
+    suffix."""
+    copy = json.loads(json.dumps(doc))
+    node = copy
+    while isinstance(node, (dict, list)):
+        parent = node
+        key = max(node) if isinstance(node, dict) else len(node) - 1
+        node = node[key]
+    parent[key] = (node + 1 if isinstance(node, int)
+                   else str(int(node) + 1) if node.isdigit() else node + " x")
+    return copy
+
+
+@pytest.mark.parametrize("kind, argv", written_documents(),
+                         ids=lambda x: x if isinstance(x, str) else
+                         " ".join(x))
+def test_verify_reads_every_written_document(capsys, tmp_path, kind, argv):
+    # it passes the document with its kind's line, and refuses the
+    # document with one leaf edited
+    path = tmp_path / "document.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert doc["kind"] == kind
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (0, "")
+    assert re.fullmatch(PASSING_LINES[kind] + "\n", out), out
+    path.write_text(json.dumps(with_last_leaf_edited(doc)))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (3, "")
+    assert out.startswith("invariant violated: ")
 
 
 def test_verify_unknown_kind(capsys, tmp_path):

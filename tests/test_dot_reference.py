@@ -12,11 +12,10 @@ import json
 import pytest
 
 from ahtower.cli import main
-from ahtower.diagram import (EVAL_STYLE, PROJECTION_STYLE,
-                             build_diagram_document, diagram_from_json_obj,
-                             diagram_to_json_obj, dot_blocks, lattice_index,
-                             render_dot)
-from ahtower.sequences import tables_from_cli
+from ahtower.diagram import (DIAGRAM_DOCUMENT, EVAL_STYLE, PROJECTION_STYLE,
+                             build_diagram_document, diagram_to_json_obj,
+                             dot_blocks, lattice_index, render_dot)
+from ahtower.sequences import declared_tables, tables_from_cli, verify_document
 from ahtower.tower import (KIND_COORD_PROJECTION, KIND_POINT_EVAL_X,
                            KIND_STAR_EVAL, TorusSlot, torus_lattice)
 
@@ -115,8 +114,9 @@ def test_every_band_matches_reference(r, r_prime, d, depth):
 @pytest.mark.parametrize("d, depth", SETTINGS)
 def test_reparsed_document_matches_reference(d, depth):
     doc = build_diagram_document(tables("1/2", "1/3", d, depth))
-    parsed = diagram_from_json_obj(
-        json.loads(json.dumps(diagram_to_json_obj(doc))))
+    obj = json.loads(json.dumps(diagram_to_json_obj(doc)))
+    assert verify_document(obj, DIAGRAM_DOCUMENT).ok
+    parsed = build_diagram_document(declared_tables(obj, depth))
     assert parsed == doc
     assert_same(parsed)
 

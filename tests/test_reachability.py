@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import ahtower
-from ahtower.cli import main
+from ahtower.cli import DOCUMENT_KINDS, main
 
 SRC = Path(ahtower.__file__).resolve().parent
 
@@ -40,9 +40,6 @@ ALLOWED = {
     "comparison.chern_min_embedding_rank":
         "perfbench span: comparison.chern_min_embedding_rank_s; also "
         "demo 04",
-    "diagram.diagram_from_json_obj":
-        "README library API: reads a diagram document back (demo 02, "
-        "gate C11, perfbench span diagram.json_s)",
     "diagram.render_dot":
         "README library API: the drawing as one string (demo 02, gate C11, "
         "perfbench span diagram.render_dot_s)",
@@ -96,6 +93,15 @@ def functions():
 
 TARGETS = [("1/2", "1/3"), ("inf", "5/2"), ("inf", "inf")]
 
+# kind -> what writes one, and the leaf and value of its edited copy
+DOCUMENTS = {
+    "tables": (["plan", "--depth", "3"], ("params", "d"), "2"),
+    "witness": (["witness", "--depth", "4", "--rho", "1/4"], ("params", "d"),
+                "2"),
+    "diagram": (["export", "--depth", "2"], ("params", "d"), "2"),
+    "chern": (["chern", "--k", "4"], ("ranks", 0), "3"),
+}
+
 
 def matrix(where):
     """The CLI calls: each command in each regime, `verify FILE` of each
@@ -114,17 +120,13 @@ def matrix(where):
     calls += [["chern", "--k", "4"],
               ["plan", "--r", "inf", "--r-prime", "inf", "--c", "1/3"],
               ["verify", "--r", "inf", "--depth", "3", "--h-seq", "1,2,2,4"]]
-    documents = {
-        "tables": ["plan", "--depth", "3"],
-        "witness": ["witness", "--depth", "4", "--rho", "1/4"],
-        "diagram": ["export", "--depth", "2"],
-    }
-    for kind, argv in documents.items():
+    for kind, (argv, (key, leaf), value) in DOCUMENTS.items():
         path = os.path.join(where, f"{kind}.json")
         assert main([*argv, "--out", path]) == 0
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-        doc["params"]["d"] = "2"
+        assert doc["kind"] == kind
+        doc[key][leaf] = value
         edited = os.path.join(where, f"{kind}.edited.json")
         with open(edited, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
@@ -171,6 +173,12 @@ def test_every_function_is_reached_or_allowed(tmp_path, capsys):
     assert not stale, f"allowed but not defined: {stale}"
     needless = sorted(set(ALLOWED) & hit)
     assert not needless, f"allowed but reached by the CLI: {needless}"
+
+
+def test_the_matrix_verifies_every_document_kind():
+    # a kind that `verify FILE` reads but no matrix document exercises
+    # would leave its reader's failure paths unchecked
+    assert set(DOCUMENTS) == set(DOCUMENT_KINDS)
 
 
 @pytest.mark.parametrize("name", ALLOWED)
