@@ -11,10 +11,9 @@ import argparse
 import json
 
 from ahtower import (
-    build_connecting_map,
     build_diagram_document,
-    build_stage,
     export_diagram,
+    multiplicity_matrix,
     render_dot,
     tables_from_cli,
 )
@@ -24,18 +23,16 @@ from ahtower.sequences import declared_tables, verify_document
 
 def describe_stages(tables):
     for n in range(tables.depth + 1):
-        stage = build_stage(tables, n)
-        c, b = stage.c_block, stage.b_block
-        print(f"  level {n}: C row {c.components} x M_{c.matrix_size} "
-              f"over a {c.base_dimension}-dimensional base, "
-              f"B row M_{b.matrix_size} "
-              f"over a {b.base_dimension}-dimensional base")
+        size = tables.r(n)
+        print(f"  level {n}: C row {tables.torus_points(n)} x M_{size} "
+              f"over a {2 * tables.h(n) * tables.s(n)}-dimensional base, "
+              f"B row M_{size} over a "
+              f"{2 * tables.h_prime(n) * tables.s_prime(n)}-dimensional base")
 
 
 def describe_maps(tables):
     for n in range(tables.depth):
-        cmap = build_connecting_map(tables, n)
-        m = cmap.multiplicity
+        m = multiplicity_matrix(tables, n)
         rows = [[m.cc, m.cb], [m.bc, m.bb]]
         print(f"  map {n}->{n + 1}: multiplicity {rows}, "
               f"column totals all equal l({n + 1}) = {tables.l(n + 1)}")

@@ -13,9 +13,8 @@ from .diagram import (DiagramDocument, build_diagram_document,
 from .rational import ExtendedRational, parse_fraction
 from .sequences import (GrowthTables, TargetParams, build_tables,
                         derive_kappa, tables_from_cli, verify_tables)
-from .tower import (ConnectingMap, StageSpec, build_connecting_map,
-                    build_stage, check_unital, lattice_maps,
-                    multiplicity_matrix, verify_tower)
+from .tower import (ConnectingMap, build_connecting_map, check_unital,
+                    lattice_maps, multiplicity_matrix, verify_tower)
 
 __all__ = [
     "ConnectingMap",
@@ -25,12 +24,10 @@ __all__ = [
     "LedgerRow",
     "LevelPermutation",
     "ProjectionSymbol",
-    "StageSpec",
     "TargetParams",
     "WitnessReport",
     "build_connecting_map",
     "build_diagram_document",
-    "build_stage",
     "build_tables",
     "check_crossed_sizes",
     "check_equivariance",

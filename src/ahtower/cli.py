@@ -44,8 +44,9 @@ def add_target_flags(p: argparse.ArgumentParser) -> None:
                    help="ratio limit when both radii are inf "
                         "(default 1/2)")
     p.add_argument("--h-seq", default=None,
-                   help="explicit comma-separated h sequence of length "
-                        "depth+1 (growing regimes only)")
+                   help="explicit comma-separated h sequence of at least "
+                        "depth+1 entries; later ones are ignored (growing "
+                        "regimes only)")
     p.add_argument("--out", default=None,
                    help="write output here instead of stdout")
 
@@ -54,7 +55,7 @@ def add_verify_arguments(p: argparse.ArgumentParser) -> None:
     add_target_flags(p)
     p.add_argument("file", nargs="?", default=None,
                    help="a previously emitted JSON document "
-                        "(tables, witness, or diagram)")
+                        "(tables, witness, diagram, or chern)")
 
 
 def add_witness_arguments(p: argparse.ArgumentParser) -> None:

@@ -1,10 +1,11 @@
 """Serialized views of the tower: a JSON document and a DOT drawing.
 
-A document is the tables with the stage and connecting map out of every
-level 0..depth, the tower's own ``StageSpec``s and ``ConnectingMap``s.
-Its JSON holds one stage entry per level with the component counts and
-block sizes, and one map entry per gap with the arrows and projection
-spans into each target row and the block multiplicity matrix.  Its one
+A document is the tables with the connecting map out of every level,
+the tower's own ``ConnectingMap``s.  Its JSON holds one stage entry per
+level 0..depth with the component counts, block sizes and base
+dimensions, written straight from the tables, and one map entry per gap
+with the arrows and projection spans into each target row and the block
+multiplicity matrix of ``multiplicity_matrix``.  Its one
 reader is ``verify_document(obj, DIAGRAM_DOCUMENT)``, by regeneration: it
 rebuilds the document from the params, depth and h override that the
 JSON declares, and accepts the JSON only where it equals the rebuilt
@@ -27,8 +28,8 @@ from .report import CheckReport
 from .sequences import DocumentKind, GrowthTables, declared_tables
 from .tower import (BLOCK_B, BLOCK_C, KIND_COORD_PROJECTION,
                     KIND_POINT_EVAL_X, KIND_STAR_EVAL, ArrowSpan,
-                    ConnectingMap, LatticeArrows, StageSpec, build_stage,
-                    lattice_maps, torus_lattice)
+                    ConnectingMap, LatticeArrows, lattice_maps,
+                    multiplicity_matrix, torus_lattice)
 
 
 # ----------------------------------------------------------------------
@@ -38,15 +39,11 @@ from .tower import (BLOCK_B, BLOCK_C, KIND_COORD_PROJECTION,
 @dataclass(frozen=True)
 class DiagramDocument:
     tables: GrowthTables
-    stages: tuple[StageSpec, ...]
     maps: tuple[ConnectingMap, ...]
 
 
 def build_diagram_document(tables: GrowthTables) -> DiagramDocument:
-    return DiagramDocument(
-        tables=tables,
-        stages=tuple(build_stage(tables, n) for n in range(tables.depth + 1)),
-        maps=lattice_maps(tables))
+    return DiagramDocument(tables=tables, maps=lattice_maps(tables))
 
 
 # ----------------------------------------------------------------------
@@ -81,19 +78,29 @@ def _run_to_json(arrows: LatticeArrows) -> list[dict[str, Any]]:
 
 def _map_to_json(tables: GrowthTables, m: ConnectingMap) -> dict[str, Any]:
     run = _run_to_json(_described(m))
+    counts = multiplicity_matrix(tables, m.level)
     return {
         "level": str(m.level),
         "dNext": str(tables.d(m.level + 1)),
         "dPrimeNext": str(tables.d_prime(m.level + 1)),
-        "multiplicity": {"cc": str(m.multiplicity.cc),
-                         "cb": str(m.multiplicity.cb),
-                         "bc": str(m.multiplicity.bc),
-                         "bb": str(m.multiplicity.bb)},
+        "multiplicity": {"cc": str(counts.cc), "cb": str(counts.cb),
+                         "bc": str(counts.bc), "bb": str(counts.bb)},
         "into": {target: {"arrows": run,
                           "spans": [_span_to_json(s)
                                     for s in m.spans_into(target)]}
                  for target in (BLOCK_C, BLOCK_B)},
     }
+
+
+def _stage_to_json(tables: GrowthTables, n: int) -> dict[str, str]:
+    """Stage n: 2^(nd) C components and one B component, all of size
+    r(n), over bases of dimension 2*h(n)*s(n) and 2*h'(n)*s'(n)."""
+    size = str(tables.r(n))
+    return {"level": str(n), "cComponents": str(tables.torus_points(n)),
+            "cMatrixSize": size,
+            "cBaseDimension": str(2 * tables.h(n) * tables.s(n)),
+            "bMatrixSize": size,
+            "bBaseDimension": str(2 * tables.h_prime(n) * tables.s_prime(n))}
 
 
 def diagram_to_json_obj(doc: DiagramDocument) -> dict[str, Any]:
@@ -103,14 +110,8 @@ def diagram_to_json_obj(doc: DiagramDocument) -> dict[str, Any]:
     return {
         **DIAGRAM_DOCUMENT.head(tables),
         "depthRange": {"lo": "0", "hi": str(tables.depth)},
-        "stages": [{
-            "level": str(s.level),
-            "cComponents": str(s.c_block.components),
-            "cMatrixSize": str(s.c_block.matrix_size),
-            "cBaseDimension": str(s.c_block.base_dimension),
-            "bMatrixSize": str(s.b_block.matrix_size),
-            "bBaseDimension": str(s.b_block.base_dimension),
-        } for s in doc.stages],
+        "stages": [_stage_to_json(tables, n)
+                   for n in range(tables.depth + 1)],
         "maps": [_map_to_json(tables, m) for m in doc.maps],
     }
 
@@ -173,11 +174,12 @@ def dot_blocks(doc: DiagramDocument) -> Iterator[str]:
     block is yielded, so a drawing refused at the int->str digit limit
     yields nothing.
     """
-    d = doc.tables.params.d
+    tables = doc.tables
+    d = tables.params.d
     out = ["digraph tower {", "  rankdir=LR;",
            "  node [shape=box, fontsize=10];"]
-    for stage in doc.stages:
-        n, size_label = stage.level, f"M={stage.c_block.matrix_size}"
+    for n in range(tables.depth + 1):
+        size_label = f"M={tables.r(n)}"
         out += [f"  subgraph cluster_L{n}_C {{",
                 f'    label="level {n} C row";']
         for k, z in enumerate(torus_lattice(d, n)):
@@ -185,7 +187,7 @@ def dot_blocks(doc: DiagramDocument) -> Iterator[str]:
             out.append(f'    C_{n}_{k} [label="z=({zs})\\n{size_label}"];')
         out += ["  }", f"  subgraph cluster_L{n}_B {{",
                 f'    label="level {n} B row";',
-                f'    B_{n} [label="M={stage.b_block.matrix_size}"];', "  }"]
+                f'    B_{n} [label="{size_label}"];', "  }"]
     maps = []
     for m in doc.maps:
         n = m.level

@@ -31,8 +31,8 @@ def test_permutation_moves_lattice_only():
     # the star and projection slots of a map stay put under the shift
     cmap = build_connecting_map(tables_for("3/4", "1/4", d=2, depth=3), 2)
     rep = check_equivariance(cmap, (1, 6))
-    fixed = [e for e in rep.entries if "non-lattice" in e.name]
-    assert len(fixed) == 2 and all(e.ok for e in fixed)
+    assert [(e.name, e.ok) for e in rep.entries] \
+        == [("census invariant under shift (lemma)", True)]
 
 
 def test_tower_permutations_shape():
@@ -89,7 +89,7 @@ def test_equivariance_negative_control():
     rep = check_equivariance(mutated, (1,))
     assert not rep.ok
     bad = rep.first_failure
-    assert bad.name == "C-target census invariant under shift"
+    assert bad.name == "census invariant under shift (lemma)"
     assert bad.detail == "arrows are not LatticeArrows(d=1, level=2)"
 
 

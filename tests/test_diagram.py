@@ -120,8 +120,9 @@ def test_lattice_index_matches_enumeration():
 def test_higher_rank_document():
     t = tables_for("1/2", "1/3", d=2, depth=2)
     doc = build_diagram_document(t)
-    assert doc.stages[2].c_block.components == 16
-    parsed = read_back(json.loads(export_diagram(t)))
+    obj = json.loads(export_diagram(t))
+    assert obj["stages"][2]["cComponents"] == "16"
+    parsed = read_back(obj)
     assert parsed == doc
     dot = render_dot(doc)
     assert 'z=(3,3)' in dot

@@ -49,10 +49,26 @@ from ahtower.sequences import (FORMAT_VERSION, GrowthTables, TargetParams,
 from ahtower.tower import (BLOCK_B, BLOCK_C, KIND_COORD_PROJECTION,
                            KIND_POINT_EVAL_X, KIND_POINT_EVAL_Y,
                            KIND_STAR_EVAL, STAR, Arrow, ArrowSpan,
-                           BlockMatrix, BlockSpec, StageSpec, TorusSlot)
+                           BlockMatrix, TorusSlot)
 
 
 # -- the diagram parser the old diagram path called, as it was -----------------
+
+# the stage records it parsed into, which the package no longer has
+
+@dataclass(frozen=True)
+class BlockSpec:
+    components: int
+    base_dimension: int
+    matrix_size: int
+
+
+@dataclass(frozen=True)
+class StageSpec:
+    level: int
+    c_block: BlockSpec
+    b_block: BlockSpec
+
 
 @dataclass(frozen=True)
 class TargetArrows:

@@ -34,18 +34,18 @@ def reference_render_dot(doc):
     out = ["digraph tower {",
            "  rankdir=LR;",
            "  node [shape=box, fontsize=10];"]
-    for stage in doc.stages:
-        n = stage.level
+    for n in range(doc.tables.depth + 1):
+        # both rows of stage n hold matrices of size r(n)
         out.append(f"  subgraph cluster_L{n}_C {{")
         out.append(f'    label="level {n} C row";')
-        size_label = f"M={stage.c_block.matrix_size}"
+        size_label = f"M={doc.tables.r(n)}"
         for k, z in enumerate(torus_lattice(d, n)):
             zs = ",".join(str(c) for c in z)
             out.append(f'    C_{n}_{k} [label="z=({zs})\\n{size_label}"];')
         out.append("  }")
         out.append(f"  subgraph cluster_L{n}_B {{")
         out.append(f'    label="level {n} B row";')
-        out.append(f'    B_{n} [label="M={stage.b_block.matrix_size}"];')
+        out.append(f'    B_{n} [label="M={doc.tables.r(n)}"];')
         out.append("  }")
     for dmap in doc.maps:
         n = dmap.level

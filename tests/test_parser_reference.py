@@ -2,7 +2,10 @@
 
 ``build_parser`` now builds the root parser and only the subparser its
 ``argv`` names, or all five when ``argv`` names none.  The parser it
-replaced, which always built all five, is copied below as it was.  On
+replaced, which always built all five, is copied below as it was, with
+two help texts updated as the package's were (``verify``'s FILE names
+chern documents, and ``--h-seq`` says that entries past depth+1 are
+ignored).  On
 root and subcommand help, and on every kind of usage error, ``main``
 through either parser must print the same bytes to stdout and stderr and
 exit with the same code, at ``COLUMNS=80``.  Since the reference runs on
@@ -39,8 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ratio limit when both radii are inf "
                             "(default 1/2)")
         p.add_argument("--h-seq", default=None,
-                       help="explicit comma-separated h sequence of length "
-                            "depth+1 (growing regimes only)")
+                       help="explicit comma-separated h sequence of at "
+                            "least depth+1 entries; later ones are ignored "
+                            "(growing regimes only)")
         p.add_argument("--out", default=None,
                        help="write output here instead of stdout")
 
@@ -53,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_target_flags(p_verify)
     p_verify.add_argument("file", nargs="?", default=None,
                           help="a previously emitted JSON document "
-                               "(tables, witness, or diagram)")
+                               "(tables, witness, diagram, or chern)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_witness = sub.add_parser(

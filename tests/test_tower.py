@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahtower.diagram import build_diagram_document, diagram_to_json_obj
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, build_tables
 from ahtower.tower import (STAR, ArrowSpan, BlockMatrix, TorusSlot,
-                           build_connecting_map, build_stage, check_unital,
-                           lattice_maps, multiplicity_matrix, verify_tower)
+                           build_connecting_map, check_unital, lattice_maps,
+                           multiplicity_matrix, verify_tower)
+from test_cli import UNITAL_ENTRIES
 from test_verify_reference import compose_multiplicities, identity
 
 
@@ -25,16 +27,16 @@ def half_third():
 
 
 def test_stage_shapes(half_third):
-    s2 = build_stage(half_third, 2)
-    assert s2.c_block.components == 4
-    assert s2.c_block.base_dimension == 96     # 2 * h(2) * s(2) = 2*1*48
-    assert s2.c_block.matrix_size == 95
-    assert s2.b_block.components == 1
-    assert s2.b_block.base_dimension == 64     # 2 * h'(2) * s'(2) = 2*1*32
-    assert s2.b_block.matrix_size == 95
-    s0 = build_stage(half_third, 0)
-    assert s0.c_block.components == 1
-    assert s0.c_block.base_dimension == 2
+    # a stage is read off the tables; the diagram writes it from them
+    stages = diagram_to_json_obj(build_diagram_document(half_third))["stages"]
+    assert stages[2] == {
+        "level": "2", "cComponents": "4",
+        "cBaseDimension": "96",                # 2 * h(2) * s(2) = 2*1*48
+        "cMatrixSize": "95",
+        "bBaseDimension": "64",                # 2 * h'(2) * s'(2) = 2*1*32
+        "bMatrixSize": "95"}
+    assert stages[0]["cComponents"] == "1"
+    assert stages[0]["cBaseDimension"] == "2"
 
 
 def test_root_map_census(half_third):
@@ -67,23 +69,15 @@ def test_check_unital_green(half_third):
         rep = check_unital(half_third, build_connecting_map(half_third, n))
         assert rep.ok, rep.first_failure
     rep = check_unital(half_third, build_connecting_map(half_third, 1))
-    names = [e.name for e in rep.entries]
-    assert "r(1)*l(2) = r(2)" in names         # 5 * 19 = 95
-
-
-# the entries of check_unital that read the lattice and star arrows
-ARROW_ENTRIES = [f"{row}-target {entry}" for row in ("C", "B")
-                 for entry in ("total l(3)", "lattice slots covered once",
-                               "star slot covered once", "census",
-                               "sources", "evaluation labels")]
+    assert [e.name for e in rep.entries] == UNITAL_ENTRIES
 
 
 def assert_edited_map_fails(tables, cmap):
-    """An edited map fails each entry that reads its lattice and star
+    """An edited map fails the entry that reads its lattice and star
     arrows, and no other, with a detail naming the description."""
     rep = check_unital(tables, cmap)
     failed = [e for e in rep.entries if not e.ok]
-    assert [e.name for e in failed] == ARROW_ENTRIES
+    assert [e.name for e in failed] == UNITAL_ENTRIES[:1]
     assert {e.detail for e in failed} \
         == {f"arrows are not LatticeArrows(d=1, level={cmap.level})"}
 
@@ -97,7 +91,7 @@ def test_check_unital_catches_deleted_arrow(half_third):
     rep = check_unital(half_third, mutated)
     assert not rep.ok
     bad = rep.first_failure
-    assert bad.name == "C-target total l(2)"
+    assert bad.name == "lattice and star arrows described (lemma)"
     assert bad.detail == "arrows are not LatticeArrows(d=1, level=1)"
 
 
@@ -139,14 +133,15 @@ def test_check_unital_catches_span_gap(half_third):
     assert any("C-target" in e.name and not e.ok for e in rep.entries)
 
 
-def test_check_unital_catches_wrong_matrix(half_third):
+@pytest.mark.parametrize("target", ["C", "B"])
+def test_check_unital_fails_a_row_with_no_spans(half_third, target):
+    # a failed entry, not an IndexError
     cmap = build_connecting_map(half_third, 1)
-    wrong = dataclasses.replace(
-        cmap, multiplicity=dataclasses.replace(cmap.multiplicity, cb=3))
-    rep = check_unital(half_third, wrong)
-    assert not rep.ok
-    assert any(e.name == "multiplicity matrix matches census" and not e.ok
-               for e in rep.entries)
+    spans = tuple(s for s in cmap.spans if s.target != target)
+    rep = check_unital(half_third, dataclasses.replace(cmap, spans=spans))
+    assert [e.name for e in rep.entries if not e.ok] == [
+        f"{target}-target projection slots covered once",
+        f"{target}-target census"]
 
 
 def test_multiplicity_examples(half_third):
