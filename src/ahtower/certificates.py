@@ -31,10 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .comparison import projection_pair
-from .rational import fraction_from_json, fraction_to_json
+from .rational import IntLeaf, fraction_from_json, fraction_to_json
 from .report import Checker, CheckReport
 from .sequences import (DocumentKind, GrowthTables, Side, declared_tables,
                         verify_document)
@@ -62,10 +62,11 @@ class LedgerRow:
         lhs, rhs = Fraction(lhs), Fraction(rhs)
         return cls(name, lhs, relation, rhs, RELATIONS[relation](lhs, rhs))
 
-    def to_json_obj(self) -> dict[str, Any]:
-        return {"name": self.name, "lhs": fraction_to_json(self.lhs),
-                "relation": self.relation, "rhs": fraction_to_json(self.rhs),
-                "holds": self.holds}
+    def to_json_obj(self, leaf: Callable[[int], Any] = str
+                    ) -> dict[str, Any]:
+        return {"name": self.name, "lhs": fraction_to_json(self.lhs, leaf),
+                "relation": self.relation,
+                "rhs": fraction_to_json(self.rhs, leaf), "holds": self.holds}
 
 
 def _origin(side: Side, n: int) -> int:
@@ -96,7 +97,10 @@ class WitnessReport:
     def all_hold(self) -> bool:
         return all(row.holds for row in self.ledger)
 
-    def to_json_obj(self) -> dict[str, Any]:
+    def to_json_obj(self, leaf: Callable[[int], Any] = str
+                    ) -> dict[str, Any]:
+        """The certificate, each integer of the ledger's operands made by
+        ``leaf``: ``str`` to write, ``IntLeaf`` to compare."""
         t = self.tables
         obj: dict[str, Any] = {
             **WITNESS_DOCUMENT.head(t),
@@ -107,13 +111,24 @@ class WitnessReport:
             "M": str(self.M),
             "origin": str(self.origin),
             "checkedDepths": [str(m) for m in self.checked_depths],
-            "ledger": [row.to_json_obj() for row in self.ledger],
+            "ledger": [row.to_json_obj(leaf) for row in self.ledger],
         }
         if not self.crossed and not t.params.r.is_infinite:
             # the plain-tower ledger never reads the primed radius, so a
             # certificate that carried it would have one dead field
             del obj["params"]["rPrime"]
         return obj
+
+
+def _reduced(num: int, den: int, factor: int) -> Fraction:
+    """num/den, where ``factor`` divides both (else the plain quotient):
+    two exact divisions, with small quotients, leave a small gcd.
+
+    >>> _reduced(6 * 10**40, 4 * 10**40, 10**40)
+    Fraction(3, 2)
+    """
+    (a, x), (b, y) = divmod(num, factor), divmod(den, factor)
+    return Fraction(num, den) if x or y else Fraction(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +176,8 @@ def search_witness(tables: GrowthTables, rho: Fraction,
 
     trace, floor = Fraction(M, t.r(n)), rho + T
     for m in range(n + 1, t.depth + 1):
-        small_rank = M * (t.r(m) // t.r(n))
+        block = t.r(m) // t.r(n)
+        small_rank = M * block
         if infinite:
             rows.append(LedgerRow.compare(f"ratio floor (m={m})",
                                           kap * t.r(m), "<=", s_of(m)))
@@ -171,11 +187,14 @@ def search_witness(tables: GrowthTables, rho: Fraction,
         rows.append(LedgerRow.compare(f"trace bound (m={m})", trace, ">",
                                       floor))
         if crossed:
-            big_rank = small_rank * t.torus_points(m)
-            big_trace = Fraction(big_rank, t.r(m) * t.torus_points(m))
-            rows.append(LedgerRow.compare(f"trace match (m={m})",
-                                          big_trace, "=",
-                                          Fraction(small_rank, t.r(m))))
+            # r(m)/r(n) divides both ranks and r(m), and 2^(md) the big
+            # pair too: dividing them out leaves gcd(M, r(n)) to take
+            points = t.torus_points(m)
+            big_rank = small_rank * points
+            rows.append(LedgerRow.compare(
+                f"trace match (m={m})",
+                _reduced(big_rank, t.r(m) * points, block * points), "=",
+                _reduced(small_rank, t.r(m), block)))
 
     return WitnessReport(tables=t, crossed=crossed, rho=rho, n=n, M=M,
                          ledger=tuple(rows))
@@ -201,7 +220,7 @@ def _regenerate_witness(tables: GrowthTables, rho: Fraction, crossed: bool
     canonical = search_witness(tables, rho, crossed)
     c = Checker()
     c.check("all ledger rows hold", canonical.all_hold)
-    return canonical.to_json_obj(), c.report()
+    return canonical.to_json_obj(IntLeaf), c.report()
 
 
 WITNESS_DOCUMENT = DocumentKind(

@@ -158,9 +158,9 @@ def standard_generators(d: int) -> list[tuple[int, ...]]:
 def equivariance_report(tables: GrowthTables,
                         maps: tuple[ConnectingMap, ...]) -> CheckReport:
     c = Checker()
-    for cmap in maps:
+    for n, cmap in enumerate(maps):
         for g in standard_generators(tables.params.d):
-            c.merge(check_equivariance(cmap, g), prefix=f"g={g} ")
+            c.merge(check_equivariance(cmap, g), prefix=f"map {n}: g={g} ")
     return c.report()
 
 

@@ -10,6 +10,14 @@ radius may be infinite, so the CLI-facing value type is a nonnegative
 integers are plain decimal strings, so documents survive readers with
 bounded int types.
 
+A document is re-verified by regenerating it and comparing.  The writers
+take a leaf maker: ``str`` writes each integer, and ``IntLeaf`` keeps it
+unwritten, to be compared with the presented text, which is read once
+by the strict reader ``text_int``.  Tables and witnesses compare this way,
+since ``str`` of a 13 kbit integer costs two to three times ``int`` of
+its digits; a diagram's or chern table's thousands of small integers are
+written and compared as text by ``==``, which runs in C.
+
 Every document the package writes (tables, witness certificates, chern
 tables, diagrams) is made by one writer, ``document_text``, whose output
 is byte-identical to ``json.dumps(obj, sort_keys=True, indent=2)``.  Before
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Callable
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -97,8 +105,65 @@ def quotient_text(num: int, den: int) -> str:
     return str(Fraction(num, den)) if den else f"{num}/0"
 
 
-def fraction_to_json(value: Fraction) -> dict[str, str]:
-    return {"num": str(value.numerator), "den": str(value.denominator)}
+def is_decimal(text: Any) -> bool:
+    """Whether ``text`` is a str in the one form a document spells an
+    integer: ASCII digits with no leading zero, as ``str`` writes an int
+    >= 0.  ``int`` reads more: a sign, spaces, ``_``, other scripts'
+    digits, and JSON numbers and booleans.
+
+    >>> is_decimal("120"), is_decimal("0"), is_decimal("05"), is_decimal(5)
+    (True, True, False, False)
+    """
+    return (type(text) is str and text.isascii() and text.isdigit()
+            and (text[0] != "0" or len(text) == 1))
+
+
+def text_int(text: Any) -> int:
+    """The integer a decimal leaf spells, read strictly: ValueError where
+    ``text`` is not ``is_decimal`` or has more digits than the int->str
+    limit allows.
+
+    >>> text_int("4096")
+    4096
+    """
+    if not is_decimal(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
+class IntLeaf:
+    """An integer of a regenerated document, left unwritten.  It matches
+    the presented leaf that ``text_int`` reads to ``value``; ``read``, where
+    a reader has already parsed that very leaf, is its value, and only the
+    form is checked again.  Its repr is the ``repr`` of the text ``str``
+    would write, so a failed comparison's detail reads as if the document
+    had been written.
+    """
+
+    __slots__ = ("value", "read")
+
+    def __init__(self, value: int, read: int | None = None) -> None:
+        self.value, self.read = value, read
+
+    def matches(self, text: Any) -> bool:
+        if self.read is not None:
+            return is_decimal(text) and self.read == self.value
+        try:
+            return text_int(text) == self.value
+        except ValueError:
+            return False
+
+    def __repr__(self) -> str:
+        try:
+            return repr(str(self.value))
+        except ValueError:      # past the int->str digit limit
+            return (f"<{self.value.bit_length()}-bit integer past the "
+                    "int->str digit limit>")
+
+
+def fraction_to_json(value: Fraction, leaf: Callable[[int], Any] = str
+                     ) -> dict[str, Any]:
+    return {"num": leaf(value.numerator), "den": leaf(value.denominator)}
 
 
 def fraction_from_json(obj: Any) -> Fraction:
@@ -167,8 +232,8 @@ def _joined_text(obj: Any, newline: str, memo: dict | None = None) -> str:
     return json.dumps(obj)
 
 
-def ints_to_json(values) -> list[str]:
-    return [str(v) for v in values]
+def ints_to_json(values, leaf: Callable[[int], Any] = str) -> list[Any]:
+    return list(map(leaf, values))
 
 
 def ints_from_json(values) -> tuple[int, ...]:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
+from .rational import IntLeaf
+
 
 class CheckEntry(NamedTuple):
     name: str
@@ -62,7 +64,8 @@ class Checker:
 
 def first_difference(a: Any, b: Any) -> str | None:
     """Path of the first difference between two JSON values; unlike ==,
-    it tells true and 2.0 from 1 and 2."""
+    it tells true and 2.0 from 1 and 2.  ``b`` may hold ``IntLeaf``s,
+    each of which stands for the decimal string of its integer."""
     found = _difference(a, b)
     if found is None:
         return None
@@ -74,6 +77,10 @@ def _difference(a: Any, b: Any) -> tuple[list[str], str] | None:
     """What differs first, and the steps to it from the innermost out.  A
     step is made only on the way back from a difference, so a walk over
     equal values formats no path."""
+    if type(b) is IntLeaf:
+        if type(a) is not str:
+            return [], f"{type(a).__name__} vs str"
+        return None if b.matches(a) else ([], f"{a!r} vs {b!r}")
     if type(a) is not type(b):
         return [], f"{type(a).__name__} vs {type(b).__name__}"
     if isinstance(a, dict):

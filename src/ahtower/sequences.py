@@ -91,9 +91,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterator, NamedTuple
 
-from .rational import (ExtendedRational, cross_sign, fraction_from_json,
-                       fraction_to_json, ints_from_json, ints_to_json,
-                       parse_fraction, quotient_sign, quotient_text)
+from .rational import (ExtendedRational, IntLeaf, cross_sign,
+                       fraction_from_json, fraction_to_json, ints_from_json,
+                       ints_to_json, parse_fraction, quotient_sign,
+                       quotient_text)
 from .report import Checker, CheckReport, first_difference
 
 REGIME_FINITE_FINITE = "finite-finite"
@@ -407,7 +408,18 @@ class GrowthTables:
 
     # -- serialization --------------------------------------------------
 
-    def to_json_obj(self) -> dict[str, Any]:
+    def columns(self) -> dict[str, tuple[int, ...]]:
+        """The integer columns as a document holds them, by key: d, d'
+        and l from level 1."""
+        return {"h": self.h_seq, "hPrime": self.h_prime_seq,
+                "d": self.d_seq[1:], "dPrime": self.d_prime_seq[1:],
+                "l": self.l_seq[1:], "r": self.r_seq, "s": self.s_seq,
+                "sPrime": self.s_prime_seq}
+
+    def to_json_obj(self, leaf: Callable[[int], Any] = str
+                    ) -> dict[str, Any]:
+        """The tables document, each integer of the columns, ratio and
+        gamma made by ``leaf``: ``str`` to write, ``IntLeaf`` to compare."""
         levels = range(self.depth + 1)
         return {
             **TABLES_DOCUMENT.head(self),
@@ -415,16 +427,10 @@ class GrowthTables:
             "regime": self.regime,
             "kappa": fraction_to_json(self.kappa),
             "kappaPrime": fraction_to_json(self.kappa_prime),
-            "h": ints_to_json(self.h_seq),
-            "hPrime": ints_to_json(self.h_prime_seq),
-            "d": ints_to_json(self.d_seq[1:]),
-            "dPrime": ints_to_json(self.d_prime_seq[1:]),
-            "l": ints_to_json(self.l_seq[1:]),
-            "r": ints_to_json(self.r_seq),
-            "s": ints_to_json(self.s_seq),
-            "sPrime": ints_to_json(self.s_prime_seq),
-            "ratio": [fraction_to_json(self.ratio(n)) for n in levels],
-            "gamma": [fraction_to_json(self.gamma(n)) for n in levels],
+            **{key: ints_to_json(column, leaf)
+               for key, column in self.columns().items()},
+            "ratio": [fraction_to_json(self.ratio(n), leaf) for n in levels],
+            "gamma": [fraction_to_json(self.gamma(n), leaf) for n in levels],
             "bitLengths": self.bit_lengths(),
         }
 
@@ -521,7 +527,7 @@ class DocumentKind:
     parsed: str         # the entry that a read or regeneration error fails
     matches: str        # the entry of the comparison
     passed: str         # a passing one's line: {checks} own, {entries} all
-    strict: bool        # has non-string leaves, where == takes true for 1
+    strict: bool        # compared by the walk: IntLeaf or non-str leaves
     read: Callable[[dict], tuple]
     regenerate: Callable[..., tuple[Any, CheckReport]]
 
@@ -562,7 +568,15 @@ MALFORMED = (KeyError, ValueError, TypeError, OverflowError, RuntimeError)
 
 def verify_document(doc: Any, kind: DocumentKind) -> CheckReport:
     """Re-verify ``doc``, trusting nothing in it.  A passing report holds
-    ``kind.parsed``, the kind's own checks, then ``kind.matches``."""
+    ``kind.parsed``, the kind's own checks, then ``kind.matches``.
+
+    A strict kind (tables, witness) regenerates its integers as
+    ``IntLeaf``s, and the type-strict walk ``first_difference`` reads each
+    presented decimal once and compares integers: nothing is written
+    unless a comparison fails.  The other kinds (diagram, chern) hold
+    thousands of small integers and no leaf but strings, so they are
+    regenerated as text and compared by ``==``, in C; the walk runs only
+    to name the path of a difference."""
     c = Checker()
     try:
         canonical, checks = kind.regenerate(
@@ -572,26 +586,34 @@ def verify_document(doc: Any, kind: DocumentKind) -> CheckReport:
         return c.report()
     c.check(kind.parsed, True)
     c.merge(checks)
-    # == decides fast; the type-strict walk names the path, and runs on an
-    # equal document only where == cannot see a difference of type
     diff = (first_difference(doc, canonical)
             if kind.strict or doc != canonical else None)
     c.check(kind.matches, diff is None, diff or "")
     return c.report()
 
 
-# verify_tables replays the presented tables, so that a corrupted field is
-# named by the identity it breaks
+def _regenerate_tables(presented: GrowthTables
+                       ) -> tuple[dict[str, Any], CheckReport]:
+    """The canonical tables, rebuilt from the presented params, depth and
+    h, as ``IntLeaf``s; and ``verify_tables`` replayed on the presented
+    tables, so that a corrupted field is named by the identity it breaks.
+    ``from_json_obj`` has read every column leaf already, so each column
+    leaf compares that read and checks only the leaf's form again."""
+    canonical = build_tables(presented.params, presented.depth,
+                             presented.h_override).to_json_obj(IntLeaf)
+    for key, column in presented.columns().items():
+        for leaf, read in zip(canonical[key], column):
+            leaf.read = read
+    return canonical, verify_tables(presented)
+
+
 TABLES_DOCUMENT = DocumentKind(
     tag="tables", parsed="tables document well formed",
     matches="tables match canonical regeneration",
     passed="tables: {checks} checks pass\n"
            "tables match canonical regeneration", strict=True,
     read=lambda doc: (GrowthTables.from_json_obj(doc),),
-    regenerate=lambda presented: (
-        build_tables(presented.params, presented.depth,
-                     presented.h_override).to_json_obj(),
-        verify_tables(presented)))
+    regenerate=_regenerate_tables)
 
 
 # ----------------------------------------------------------------------

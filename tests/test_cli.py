@@ -463,7 +463,7 @@ def test_verify_checks_every_level_in_full():
     assert all(report.ok for report in suites.values())
     cmap = build_connecting_map(t, 6)
     action = suites["action"]
-    per_map = [f"g={g} " + e.name for g in standard_generators(3)
+    per_map = [f"map 6: g={g} " + e.name for g in standard_generators(3)
                for e in check_equivariance(cmap, g).entries]
     assert len(action.entries) == 7 * len(per_map)
     assert [e.name for e in action.entries[-len(per_map):]] == per_map

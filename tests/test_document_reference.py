@@ -20,9 +20,17 @@ exactly:
     the running decoder parses it, both paths refuse it as a document of
     no kind);
   * a document whose canonical regeneration passes the int->str digit
-    limit raised ValueError out of the old path, and one with a number no
-    int can hold (JSON 1e400) raised OverflowError; the sequence refuses
-    both at the parse entry.
+    limit raised ValueError out of the old path, which wrote it out; the
+    sequence writes no regenerated integer, so it refuses such a document
+    at the first difference of the comparison, and names an integer it
+    cannot write by its bit length;
+  * a document with a number no int can hold (JSON 1e400) raised
+    OverflowError out of the old path; the sequence refuses it at the
+    parse entry.
+
+Beyond the leaf edits, a ledger operand and a tables ``r`` entry are each
+respelt in every form ``int()`` reads but a document may not hold, and a
+ledger operand is made 5000 digits long: the outcomes are the old ones.
 
 For witness documents, ``verify_witness_json`` must also agree with the
 old one on whether the document passes and on its first failure.
@@ -31,7 +39,9 @@ old one on whether the document passes and on its first failure.
 import contextlib
 import io
 import json
+import re
 import sys
+from fractions import Fraction
 from typing import Any
 
 from dataclasses import dataclass
@@ -42,10 +52,11 @@ from ahtower import certificates, cli
 from ahtower.certificates import search_witness
 from ahtower.cli import emit, main, report_lines
 from ahtower.diagram import build_diagram_document, diagram_to_json_obj
-from ahtower.rational import fraction_from_json, ints_from_json
+from ahtower.rational import IntLeaf, fraction_from_json, ints_from_json
 from ahtower.report import Checker, CheckReport, first_difference
 from ahtower.sequences import (FORMAT_VERSION, GrowthTables, TargetParams,
-                               build_tables, require_document, verify_tables)
+                               build_tables, require_document,
+                               tables_from_cli, verify_tables)
 from ahtower.tower import (BLOCK_B, BLOCK_C, KIND_COORD_PROJECTION,
                            KIND_POINT_EVAL_X, KIND_POINT_EVAL_Y,
                            KIND_STAR_EVAL, STAR, Arrow, ArrowSpan,
@@ -436,12 +447,74 @@ def test_witness_reports_differ_only_on_a_non_object():
             "witness document must be an object")
 
 
+def format_edits(text):
+    """Spellings of the decimal ``text`` (two digits or more) that int()
+    reads, as the same value where it can, and a document may not hold."""
+    assert len(text) > 1
+    yield from ("0" + text, "+" + text, " " + text, text + " ",
+                text[0] + "_" + text[1:], text.translate(ARABIC_INDIC),
+                int(text), float(text), True)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(
+    chr(0x660 + k) for k in range(10)))
+
+
+def decimal_leaves(doc):
+    """A ledger operand of each witness, and the deepest r of each tables
+    document, that has two digits or more."""
+    if doc["kind"] == "tables":
+        return [("r", len(doc["r"]) - 1)]
+    return [next(("ledger", i, side, part)
+                 for i, row in enumerate(doc["ledger"])
+                 for side in ("lhs", "rhs") for part in ("num", "den")
+                 if len(row[side][part]) > 1)]
+
+
+def test_format_edits_of_a_decimal_leaf_match_the_old_paths(tmp_path):
+    path = tmp_path / "document.json"
+    edits = 0
+    for name, doc in documents(tmp_path):
+        if doc["kind"] not in ("tables", "witness"):
+            continue
+        for leaf in decimal_leaves(doc):
+            target = doc
+            for step in leaf:
+                target = target[step]
+            for value in format_edits(target):
+                mutated = edited(doc, leaf, value)
+                path.write_text(json.dumps(mutated))
+                assert outcome(cli.verify_document_file, path)[0] == 3, \
+                    (name, leaf, value)
+                assert not assert_same_outcome(path), (name, leaf, value)
+                if doc["kind"] == "witness":
+                    assert_same_witness_report(mutated)
+                edits += 1
+    # nine spellings of one leaf in each of 4 tables and 7 witnesses
+    assert edits == 9 * 11
+
+
+def test_a_5000_digit_ledger_operand_is_a_mismatch(tmp_path):
+    # past the int->str digit limit: text_int refuses to read it, so it
+    # matches no integer; nothing raises, on either path
+    doc = emitted(tmp_path, "witness", "--rho", "1/4")
+    path = tmp_path / "long-operand.json"
+    path.write_text(json.dumps(edited(doc, ("ledger", 0, "lhs", "num"),
+                                      "7" * 5000)))
+    code, out = outcome(cli.verify_document_file, path)
+    assert code == 3
+    assert out.startswith("invariant violated: matches canonical "
+                          "recomputation ($.ledger[0].lhs.num: '7777")
+    assert not assert_same_outcome(path)
+
+
 def test_regeneration_past_the_digit_limit_is_refused_in_the_sequence(
         tmp_path):
     # at d=1 the canonical certificate of depth 13 has integers past the
     # int->str digit limit: the old path let that ValueError out of
-    # verify_document_file (exit 2 from main), the sequence refuses the
-    # document at its parse entry
+    # verify_document_file (exit 2 from main); the sequence writes no
+    # regenerated integer, and refuses the document at its first
+    # difference
     if not 0 < sys.get_int_max_str_digits() <= 5000:
         pytest.skip("needs an int->str digit limit near the default")
     doc = emitted(tmp_path, "witness", "--rho", "1/4", "--depth", "12")
@@ -449,10 +522,39 @@ def test_regeneration_past_the_digit_limit_is_refused_in_the_sequence(
     path.write_text(json.dumps({**doc, "depth": "13"}))
     with pytest.raises(ValueError, match="Exceeds the limit"):
         outcome(verify_document_file, path)
+    assert outcome(cli.verify_document_file, path) == (
+        3, "invariant violated: matches canonical recomputation "
+           "($.checkedDepths: length 11 vs 12)\n")
+
+
+def test_an_unwritable_regenerated_integer_is_named_by_its_bits(tmp_path):
+    # the depth-13 certificate itself, with each integer past the limit
+    # spelt "0": the comparison reaches one it cannot write
+    if not 0 < sys.get_int_max_str_digits() <= 5000:
+        pytest.skip("needs an int->str digit limit near the default")
+    canonical = search_witness(tables_from_cli("1/2", "1/2", 1, 13),
+                               Fraction(1, 4)).to_json_obj(IntLeaf)
+
+    def spelt(node):
+        if isinstance(node, dict):
+            return {key: spelt(value) for key, value in node.items()}
+        if isinstance(node, list):
+            return [spelt(value) for value in node]
+        if isinstance(node, IntLeaf):
+            try:
+                return str(node.value)
+            except ValueError:
+                return "0"
+        return node
+
+    path = tmp_path / "deep-witness.json"
+    path.write_text(json.dumps(spelt(canonical)))
     code, out = outcome(cli.verify_document_file, path)
     assert code == 3
-    assert out.startswith("invariant violated: document parses and "
-                          "recomputes (Exceeds the limit")
+    assert re.fullmatch(
+        r"invariant violated: matches canonical recomputation "
+        r"\(\$\.ledger\[\d+\]\.(lhs|rhs)\.(num|den): '0' vs "
+        r"<\d+-bit integer past the int->str digit limit>\)\n", out), out
 
 
 @pytest.mark.parametrize("argv, field, entry", [

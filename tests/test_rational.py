@@ -1,5 +1,6 @@
 import doctest
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ahtower.rational as rational
-from ahtower.rational import (ExtendedRational, _joined_text,
+from ahtower.rational import (ExtendedRational, IntLeaf, _joined_text,
                               document_text, fraction_from_json,
-                              fraction_to_json, parse_fraction)
+                              fraction_to_json, ints_to_json, parse_fraction,
+                              text_int)
+from ahtower.report import first_difference
 
 
 def test_doctests():
@@ -86,6 +89,52 @@ def test_fraction_json_is_decimal_strings():
 def test_fraction_json_rejects(bad):
     with pytest.raises(ValueError):
         fraction_from_json(bad)
+
+
+# every integer a document writes stays below 2^14000, inside the int->str
+# digit limit
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 14000 - 1))
+def test_text_int_reads_what_str_writes(value):
+    assert text_int(str(value)) == value
+    assert IntLeaf(value).matches(str(value))
+    assert first_difference(str(value), IntLeaf(value)) is None
+
+
+# int() reads the first nine (as 5, 50 or 1), and none of these is a
+# spelling a document may hold
+@pytest.mark.parametrize("text", [
+    "05", "+5", " 5", "5 ", "5_0", "\u0665", 5, 5.0, True,
+    "-5", "", "5.0", "0x5", None, ["5"]], ids=repr)
+def test_text_int_refuses_what_int_reads_but_the_format_forbids(text):
+    with pytest.raises(ValueError, match="^not a decimal integer: "):
+        text_int(text)
+    assert not IntLeaf(5).matches(text)
+    assert not IntLeaf(5, read=5).matches(text)
+
+
+def test_int_leaf_detail_reads_as_the_written_text():
+    assert first_difference(["05"], [IntLeaf(5)]) == "$[0]: '05' vs '5'"
+    assert first_difference({"n": 5}, {"n": IntLeaf(5)}) == \
+        "$.n: int vs str"
+    assert first_difference(fraction_to_json(Fraction(3, 4)),
+                            fraction_to_json(Fraction(3, 4), IntLeaf)) is None
+    assert ints_to_json([7, 0], IntLeaf)[1].value == 0
+
+
+def test_int_leaf_past_the_digit_limit_is_a_mismatch_not_an_error():
+    digits = sys.get_int_max_str_digits()
+    if not 0 < digits <= 5000:
+        pytest.skip("needs an int->str digit limit near the default")
+    big = 10 ** (digits + 10)
+    # the presented text cannot be read, and the regenerated integer
+    # cannot be written: both are mismatches, each with a detail
+    assert not IntLeaf(5).matches("9" * (digits + 1))
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        text_int("9" * (digits + 1))
+    assert first_difference("0", IntLeaf(big)) == (
+        f"$: '0' vs <{big.bit_length()}-bit integer past the int->str "
+        "digit limit>")
 
 
 @given(st.integers(min_value=0, max_value=10 ** 30),
