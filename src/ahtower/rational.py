@@ -131,13 +131,30 @@ def text_int(text: Any) -> int:
     return int(text)
 
 
+# a failure detail shows a longer string by its head and its length
+SHOWN_CHARACTERS = 80
+
+
+def shown_text(text: str) -> str:
+    """``repr`` of a string for a failure detail, bounded: a string of
+    more than ``SHOWN_CHARACTERS`` characters shows its first ones and its
+    length.
+
+    >>> print(shown_text("120"), shown_text("7" * 5000)[76:])
+    '120' 77777'... (5000 characters)
+    """
+    if len(text) <= SHOWN_CHARACTERS:
+        return repr(text)
+    return f"{text[:SHOWN_CHARACTERS]!r}... ({len(text)} characters)"
+
+
 class IntLeaf:
     """An integer of a regenerated document, left unwritten.  It matches
     the presented leaf that ``text_int`` reads to ``value``; ``read``, where
     a reader has already parsed that very leaf, is its value, and only the
-    form is checked again.  Its repr is the ``repr`` of the text ``str``
-    would write, so a failed comparison's detail reads as if the document
-    had been written.
+    form is checked again.  Its repr is the ``shown_text`` of the text
+    ``str`` would write, so a failed comparison's detail reads as if the
+    document had been written.
     """
 
     __slots__ = ("value", "read")
@@ -155,7 +172,7 @@ class IntLeaf:
 
     def __repr__(self) -> str:
         try:
-            return repr(str(self.value))
+            return shown_text(str(self.value))
         except ValueError:      # past the int->str digit limit
             return (f"<{self.value.bit_length()}-bit integer past the "
                     "int->str digit limit>")
@@ -200,8 +217,10 @@ def document_text(obj: Any) -> str:
 def _joined_text(obj: Any, newline: str, memo: dict | None = None) -> str:
     """``obj`` as indented JSON whose lines start at ``newline``'s indent.
 
-    String items are quoted in place, saving a call per leaf.  Keys must
-    be strings: ``encode_basestring_ascii`` raises TypeError on any other.
+    String items are quoted in place, saving a call per leaf, and bools,
+    None and ints are written as the encoder writes them, without calling
+    it.  Keys must be strings: ``encode_basestring_ascii`` raises
+    TypeError on any other.
     A list met a second time at the same indent is rendered once: ``memo``
     keeps each list's text under ``(id(list), newline)`` until its second
     use pops it (ids stay unique while ``obj`` holds the lists).
@@ -229,6 +248,14 @@ def _joined_text(obj: Any, newline: str, memo: dict | None = None) -> str:
                  else _joined_text(v, inner, memo)
                  for v in obj]) + newline + "]")
         return text
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     return json.dumps(obj)
 
 

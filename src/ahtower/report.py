@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
-from .rational import IntLeaf
+from .rational import IntLeaf, shown_text
 
 
 class CheckEntry(NamedTuple):
@@ -65,7 +65,8 @@ class Checker:
 def first_difference(a: Any, b: Any) -> str | None:
     """Path of the first difference between two JSON values; unlike ==,
     it tells true and 2.0 from 1 and 2.  ``b`` may hold ``IntLeaf``s,
-    each of which stands for the decimal string of its integer."""
+    each of which stands for the decimal string of its integer.  A string
+    leaf in the detail is bounded by ``shown_text``."""
     found = _difference(a, b)
     if found is None:
         return None
@@ -80,7 +81,7 @@ def _difference(a: Any, b: Any) -> tuple[list[str], str] | None:
     if type(b) is IntLeaf:
         if type(a) is not str:
             return [], f"{type(a).__name__} vs str"
-        return None if b.matches(a) else ([], f"{a!r} vs {b!r}")
+        return None if b.matches(a) else ([], f"{shown_text(a)} vs {b!r}")
     if type(a) is not type(b):
         return [], f"{type(a).__name__} vs {type(b).__name__}"
     if isinstance(a, dict):
@@ -104,5 +105,10 @@ def _difference(a: Any, b: Any) -> tuple[list[str], str] | None:
                 return found
         return None
     if a != b:
-        return [], f"{a!r} vs {b!r}"
+        return [], f"{_shown(a)} vs {_shown(b)}"
     return None
+
+
+def _shown(leaf: Any) -> str:
+    """A leaf as a failure detail shows it, a long string bounded."""
+    return shown_text(leaf) if type(leaf) is str else repr(leaf)

@@ -22,7 +22,8 @@ def test_examples_are_collected():
     # a module whose examples stop being found would pass vacuously above
     finder = doctest.DocTestFinder()
     for name, at_least in (("ahtower.rational", 3), ("ahtower.diagram", 1),
-                           ("ahtower.sequences", 1), ("ahtower.tower", 4)):
+                           ("ahtower.sequences", 1), ("ahtower.tower", 4),
+                           ("ahtower.comparison", 1)):
         module = importlib.import_module(name)
         examples = sum(len(t.examples) for t in finder.find(module))
         assert examples >= at_least, name

@@ -30,7 +30,8 @@ exactly:
 
 Beyond the leaf edits, a ledger operand and a tables ``r`` entry are each
 respelt in every form ``int()`` reads but a document may not hold, and a
-ledger operand is made 5000 digits long: the outcomes are the old ones.
+ledger operand is made 5000 and 10^6 digits long: the outcomes are the
+old ones, and the detail shows a long leaf by its head and length.
 
 For witness documents, ``verify_witness_json`` must also agree with the
 old one on whether the document passes and on its first failure.
@@ -505,6 +506,21 @@ def test_a_5000_digit_ledger_operand_is_a_mismatch(tmp_path):
     assert code == 3
     assert out.startswith("invariant violated: matches canonical "
                           "recomputation ($.ledger[0].lhs.num: '7777")
+    assert not assert_same_outcome(path)
+
+
+def test_a_million_character_ledger_operand_has_a_short_detail(tmp_path):
+    # the detail shows the leaf by its head and length, on both paths
+    doc = emitted(tmp_path, "witness", "--rho", "1/4")
+    path = tmp_path / "long-operand.json"
+    path.write_text(json.dumps(edited(doc, ("ledger", 0, "lhs", "num"),
+                                      "7" * 10 ** 6)))
+    code, out = outcome(cli.verify_document_file, path)
+    assert code == 3
+    assert out.startswith("invariant violated: matches canonical "
+                          "recomputation ($.ledger[0].lhs.num: '7777")
+    assert "'... (1000000 characters) vs '" in out
+    assert len(out) < 200
     assert not assert_same_outcome(path)
 
 

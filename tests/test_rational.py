@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ahtower.rational as rational
-from ahtower.rational import (ExtendedRational, IntLeaf, _joined_text,
-                              document_text, fraction_from_json,
+from ahtower.rational import (SHOWN_CHARACTERS, ExtendedRational, IntLeaf,
+                              _joined_text, document_text, fraction_from_json,
                               fraction_to_json, ints_to_json, parse_fraction,
                               text_int)
 from ahtower.report import first_difference
@@ -122,6 +122,18 @@ def test_int_leaf_detail_reads_as_the_written_text():
     assert ints_to_json([7, 0], IntLeaf)[1].value == 0
 
 
+def test_a_long_string_detail_shows_its_head_and_length():
+    head = "'" + "7" * SHOWN_CHARACTERS + "'"
+    assert first_difference(["5"], ["7" * 10 ** 6]) == \
+        f"$[0]: '5' vs {head}... (1000000 characters)"
+    assert first_difference({"n": "7" * 10 ** 6}, {"n": IntLeaf(5)}) == \
+        f"$.n: {head}... (1000000 characters) vs '5'"
+    assert first_difference("0", IntLeaf(7 * (10 ** 100 - 1) // 9)) == \
+        f"$: '0' vs {head}... (100 characters)"
+    short = "7" * SHOWN_CHARACTERS
+    assert first_difference("0", short) == f"$: '0' vs {short!r}"
+
+
 def test_int_leaf_past_the_digit_limit_is_a_mismatch_not_an_error():
     digits = sys.get_int_max_str_digits()
     if not 0 < digits <= 5000:
@@ -202,6 +214,18 @@ SHARED = {
 def test_joined_writer_renders_shared_lists_as_json_dumps(value):
     assert _joined_text(value, "\n") == json.dumps(value, sort_keys=True,
                                                    indent=2)
+
+
+def test_joined_writer_writes_scalars_without_the_encoder(monkeypatch):
+    # the leaves a ledger row, the crossed flag and bitLengths hold
+    value = {"holds": True, "crossed": False, "none": None, "n": 12,
+             "bitLengths": [0, 7, -3, 10 ** 40], "rows": [[True, None]]}
+    expected = json.dumps(value, sort_keys=True, indent=2)
+
+    def refuse(obj, *args, **kwargs):
+        raise AssertionError(f"json.dumps called on {obj!r}")
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert _joined_text(value, "\n") == expected
 
 
 @pytest.mark.parametrize("bad", [{1: "x"}, {"a": {None: []}}, {"a": 1, 2: 3}])
