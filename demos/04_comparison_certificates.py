@@ -29,7 +29,7 @@ def show_ledger(witness):
 def main():
     # ------------------------------------------------------------------
     # the source of all non-comparison is a bundle whose k-fold product
-    # needs rank 2k to embed trivially; the ring computation is exact
+    # needs rank 2k to embed trivially, by a lemma in Z[x_i]/(x_i^2)
     # ------------------------------------------------------------------
     ranks = [chern_min_embedding_rank(k) for k in range(1, 7)]
     print("minimal trivial-embedding ranks:", ranks)

@@ -25,7 +25,7 @@ from .comparison import (CHERN_DOCUMENT, chern_document,
 from .crossed import check_crossed_sizes, check_upper_bound_gap
 from .diagram import (DIAGRAM_DOCUMENT, build_diagram_document, dot_blocks,
                       export_diagram)
-from .rational import document_text, parse_fraction
+from .rational import document_text, parse_fraction, shown_text
 from .report import Checker, CheckReport
 from .sequences import (TABLES_DOCUMENT, GrowthTables, declared_kind,
                         tables_from_cli, verify_document, verify_tables)
@@ -227,8 +227,8 @@ def verify_document_file(path: str, out: str | None) -> int:
         return 3
     tag = declared_kind(obj)
     if not isinstance(tag, str) or tag not in DOCUMENT_KINDS:
-        emit(f"invariant violated: recognized document kind (got {tag!r})",
-             out)
+        emit("invariant violated: recognized document kind "
+             f"(got {shown_text(tag)})", out)
         return 3
     kind = DOCUMENT_KINDS[tag]
     # a witness goes through verify_witness_json, looked up when called, so

@@ -57,13 +57,13 @@ def parse_fraction(text: str) -> Fraction:
     """
     body = text.strip()
     if "_" in body or any(ch.isspace() for ch in body):
-        raise ValueError(f"not a rational: {text!r}")
+        raise ValueError(f"not a rational: {shown_text(text)}")
     try:
         value = Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise ValueError(f"not a rational: {shown_text(text)}") from exc
     if value < 0:
-        raise ValueError(f"negative rational not allowed: {text!r}")
+        raise ValueError(f"negative rational not allowed: {shown_text(text)}")
     return value
 
 
@@ -127,7 +127,7 @@ def text_int(text: Any) -> int:
     4096
     """
     if not is_decimal(text):
-        raise ValueError(f"not a decimal integer: {text!r}")
+        raise ValueError(f"not a decimal integer: {shown_text(text)}")
     return int(text)
 
 
@@ -135,17 +135,29 @@ def text_int(text: Any) -> int:
 SHOWN_CHARACTERS = 80
 
 
-def shown_text(text: str) -> str:
-    """``repr`` of a string for a failure detail, bounded: a string of
+def shown_text(text: Any) -> str:
+    """``repr`` of a value for a failure detail, bounded: a string of
     more than ``SHOWN_CHARACTERS`` characters shows its first ones and its
-    length.
+    length, and any other value its repr as ``bounded`` shows it.
 
     >>> print(shown_text("120"), shown_text("7" * 5000)[76:])
     '120' 77777'... (5000 characters)
+    >>> print(shown_text({"num": "1"}), shown_text([0] * 5000)[76:])
+    {'num': '1'} 0, 0... (15000 characters)
     """
+    if type(text) is not str:
+        return bounded(repr(text))
     if len(text) <= SHOWN_CHARACTERS:
         return repr(text)
     return f"{text[:SHOWN_CHARACTERS]!r}... ({len(text)} characters)"
+
+
+def bounded(text: str) -> str:
+    """``text`` itself, or, past ``SHOWN_CHARACTERS`` characters, its first
+    ones and its length."""
+    if len(text) <= SHOWN_CHARACTERS:
+        return text
+    return f"{text[:SHOWN_CHARACTERS]}... ({len(text)} characters)"
 
 
 class IntLeaf:
@@ -185,13 +197,13 @@ def fraction_to_json(value: Fraction, leaf: Callable[[int], Any] = str
 
 def fraction_from_json(obj: Any) -> Fraction:
     if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
-        raise ValueError(f"malformed rational object: {obj!r}")
+        raise ValueError(f"malformed rational object: {shown_text(obj)}")
     num, den = int(obj["num"]), int(obj["den"])
     if den <= 0 or num < 0:
-        raise ValueError(f"malformed rational object: {obj!r}")
+        raise ValueError(f"malformed rational object: {shown_text(obj)}")
     value = Fraction(num, den)
     if (value.numerator, value.denominator) != (num, den):
-        raise ValueError(f"rational not in lowest terms: {obj!r}")
+        raise ValueError(f"rational not in lowest terms: {shown_text(obj)}")
     return value
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
-from .rational import IntLeaf, shown_text
+from .rational import IntLeaf, bounded, shown_text
 
 
 class CheckEntry(NamedTuple):
@@ -65,8 +65,9 @@ class Checker:
 def first_difference(a: Any, b: Any) -> str | None:
     """Path of the first difference between two JSON values; unlike ==,
     it tells true and 2.0 from 1 and 2.  ``b`` may hold ``IntLeaf``s,
-    each of which stands for the decimal string of its integer.  A string
-    leaf in the detail is bounded by ``shown_text``."""
+    each of which stands for the decimal string of its integer.  A leaf in
+    the detail is bounded by ``shown_text``, and a key in the path by
+    ``bounded``."""
     found = _difference(a, b)
     if found is None:
         return None
@@ -87,12 +88,12 @@ def _difference(a: Any, b: Any) -> tuple[list[str], str] | None:
     if isinstance(a, dict):
         for key in sorted(set(a) | set(b)):
             if key not in a:
-                return [f".{key}"], "missing on the left"
+                return [f".{bounded(key)}"], "missing on the left"
             if key not in b:
-                return [f".{key}"], "unexpected key"
+                return [f".{bounded(key)}"], "unexpected key"
             found = _difference(a[key], b[key])
             if found:
-                found[0].append(f".{key}")
+                found[0].append(f".{bounded(key)}")
                 return found
         return None
     if isinstance(a, list):
@@ -105,10 +106,5 @@ def _difference(a: Any, b: Any) -> tuple[list[str], str] | None:
                 return found
         return None
     if a != b:
-        return [], f"{_shown(a)} vs {_shown(b)}"
+        return [], f"{shown_text(a)} vs {shown_text(b)}"
     return None
-
-
-def _shown(leaf: Any) -> str:
-    """A leaf as a failure detail shows it, a long string bounded."""
-    return shown_text(leaf) if type(leaf) is str else repr(leaf)

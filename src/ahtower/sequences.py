@@ -94,7 +94,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 from .rational import (ExtendedRational, IntLeaf, cross_sign,
                        fraction_from_json, fraction_to_json, ints_from_json,
                        ints_to_json, parse_fraction, quotient_sign,
-                       quotient_text)
+                       quotient_text, shown_text)
 from .report import Checker, CheckReport, first_difference
 
 REGIME_FINITE_FINITE = "finite-finite"
@@ -510,9 +510,11 @@ def require_document(doc: Any, tag: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{tag} document must be an object")
     if doc.get("formatVersion") != FORMAT_VERSION:
-        raise ValueError(f"unknown formatVersion {doc.get('formatVersion')!r}")
+        raise ValueError(
+            f"unknown formatVersion {shown_text(doc.get('formatVersion'))}")
     if declared_kind(doc) != tag:
-        raise ValueError(f"not a {tag} document: kind={declared_kind(doc)!r}")
+        raise ValueError(
+            f"not a {tag} document: kind={shown_text(declared_kind(doc))}")
     return doc
 
 

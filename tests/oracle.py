@@ -6,8 +6,9 @@ a literal unit-step scan while the answer is small, switching to galloping
 plus bisection on the monotone predicate once the scan cap is passed, and
 in both cases the boundary pair (predicate true at k, false at k-1) is
 certified before the value is accepted.  ``SquareZeroPoly`` multiplies term
-by term, the sparse product that the dense kernel of
-``comparison.chern_min_embedding_rank`` is checked against.
+by term, the sparse product that the dense list kernel of
+``test_chern_reference``, the computed check of the rank-doubling lemma, is
+checked against.
 """
 
 from __future__ import annotations

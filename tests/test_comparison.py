@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahtower import comparison
 from ahtower.certificates import search_witness
 from ahtower.comparison import (ProjectionSymbol, chern_min_embedding_rank,
                                 chern_min_embedding_ranks, projection_pair)
 from ahtower.rational import ExtendedRational
 from ahtower.sequences import TargetParams, build_tables
 
+import test_chern_reference as reference
 from oracle import SquareZeroPoly
 
 
@@ -79,24 +79,6 @@ def sparse(k, table):
     return SquareZeroPoly.from_dict(k, dict(enumerate(table)))
 
 
-def packed(k, table):
-    """The (positive, negative) parts of a table, in the kernel's fields."""
-    size = comparison._field_width(k) // 8
-    return tuple(
-        int.from_bytes(b"".join(max(sign * c, 0).to_bytes(size, "little")
-                                for c in table), "little")
-        for sign in (1, -1))
-
-
-def unpacked(k, pos, neg):
-    """The coefficients of a packed k-variable table, by mask."""
-    width = comparison._field_width(k)
-    field = (1 << width) - 1
-    assert max(pos.bit_length(), neg.bit_length()) <= width << k
-    return [(pos >> m * width & field) - (neg >> m * width & field)
-            for m in range(1 << k)]
-
-
 @given(st.integers(min_value=1, max_value=6), st.data())
 @settings(max_examples=80, deadline=None)
 def test_fold_is_the_linear_factor_product(k, data):
@@ -105,9 +87,8 @@ def test_fold_is_the_linear_factor_product(k, data):
     i = data.draw(st.integers(min_value=1, max_value=k))
     factor = SquareZeroPoly.one(k).add(SquareZeroPoly.linear(k, i))
     expected = sparse(k, table).mul(factor)
-    assert unpacked(k, *packed(k, table)) == table
-    folded = comparison._fold_one_plus(*packed(k, table), 1 << (i - 1), k)
-    assert sparse(k, unpacked(k, *folded)) == expected
+    reference._fold_one_plus(table, 1 << (i - 1))
+    assert sparse(k, table) == expected
 
 
 def test_doubled_inverse_is_the_sparse_product():
@@ -116,37 +97,37 @@ def test_doubled_inverse_is_the_sparse_product():
         for i in range(1, k + 1):
             inverse = inverse.mul(SquareZeroPoly.one(k).add(
                 SquareZeroPoly.linear(k, i, -1)))
-        table = unpacked(k, *comparison._doubled_inverse(k))
+        table = reference._doubled_inverse(k)
+        assert len(table) == 1 << k
         assert [inverse.coefficient(m) for m in range(1 << k)] == table
 
 
 def test_chern_computes_the_identity(monkeypatch):
-    fold = comparison._fold_one_plus
+    # the list kernel folds, so a fold that skips a variable must fail
+    fold = reference._fold_one_plus
 
-    def skip_third_variable(pos, neg, bit, k):
-        return (pos, neg) if bit == 0b100 else fold(pos, neg, bit, k)
-    monkeypatch.setattr(comparison, "_fold_one_plus", skip_third_variable)
-    assert chern_min_embedding_rank(2) == 4
-    assert chern_min_embedding_ranks(2) == [2, 4]
+    def skip_third_variable(table, bit):
+        if bit != 0b100:
+            fold(table, bit)
+    monkeypatch.setattr(reference, "_fold_one_plus", skip_third_variable)
+    assert reference.chern_min_embedding_ranks(2) == [2, 4]
     with pytest.raises(RuntimeError,
                        match="class inverse failed its defining identity"):
-        chern_min_embedding_rank(3)
+        reference.chern_min_embedding_ranks(3)
     with pytest.raises(RuntimeError,
                        match="class inverse failed its defining identity"):
-        chern_min_embedding_ranks(14)
+        reference.chern_min_embedding_ranks(14)
 
 
 def rank_from_scratch(k: int) -> int:
-    """One rank on its own table, as computed before every rank came from
-    one table: the reference for ``chern_min_embedding_ranks``."""
-    inverse = comparison._doubled_inverse(k)
-    pos, neg = inverse
+    """One rank on its own list table: the identity and the top class of
+    the k-fold product, computed."""
+    inverse = reference._doubled_inverse(k)
+    product = inverse.copy()
     for i in range(k):
-        pos, neg = comparison._fold_one_plus(pos, neg, 1 << i, k)
-    product = unpacked(k, pos, neg)
+        reference._fold_one_plus(product, 1 << i)
     if product[0] != 1 or product.count(0) != len(product) - 1:
         raise RuntimeError("class inverse failed its defining identity")
-    inverse = unpacked(k, *inverse)
     full_mask = len(inverse) - 1
     top = (k if inverse[full_mask] else
            max(m.bit_count() for m, c in enumerate(inverse) if c))
@@ -187,7 +168,7 @@ def test_chern_rejects_bad_k():
 
 
 def test_inverse_class_top_coefficient():
-    # the obstruction read off inside chern_min_embedding_rank, by hand
+    # the lemma's top coefficient (-1)^k of the inverse class, by hand
     k = 4
     inverse = SquareZeroPoly.one(k)
     for i in range(1, k + 1):

@@ -53,7 +53,8 @@ from ahtower import certificates, cli
 from ahtower.certificates import search_witness
 from ahtower.cli import emit, main, report_lines
 from ahtower.diagram import build_diagram_document, diagram_to_json_obj
-from ahtower.rational import IntLeaf, fraction_from_json, ints_from_json
+from ahtower.rational import (SHOWN_CHARACTERS, IntLeaf, fraction_from_json,
+                              ints_from_json)
 from ahtower.report import Checker, CheckReport, first_difference
 from ahtower.sequences import (FORMAT_VERSION, GrowthTables, TargetParams,
                                build_tables, require_document,
@@ -522,6 +523,31 @@ def test_a_million_character_ledger_operand_has_a_short_detail(tmp_path):
     assert "'... (1000000 characters) vs '" in out
     assert len(out) < 200
     assert not assert_same_outcome(path)
+
+
+def test_a_million_character_key_has_a_short_path(tmp_path):
+    # the path shows a long key by its head and length, as the detail
+    # shows a leaf
+    doc = emitted(tmp_path, "witness", "--rho", "1/4")
+    path = tmp_path / "long-key.json"
+    path.write_text(json.dumps({**doc, "x" * 10 ** 6: "1"}))
+    code, out = outcome(cli.verify_document_file, path)
+    assert (code, out) == (3, "invariant violated: matches canonical "
+                           f"recomputation ($.{'x' * SHOWN_CHARACTERS}... "
+                           "(1000000 characters): unexpected key)\n")
+    assert len(out) < 200
+
+
+@pytest.mark.parametrize("key", ["kind", "formatVersion"])
+def test_a_million_character_tag_is_echoed_bounded(tmp_path, key):
+    doc = emitted(tmp_path, "witness", "--rho", "1/4")
+    path = tmp_path / "long-tag.json"
+    path.write_text(json.dumps({**doc, key: "x" * 10 ** 6}))
+    code, out = outcome(cli.verify_document_file, path)
+    assert code == 3
+    assert out.startswith("invariant violated: ")
+    assert out.endswith("... (1000000 characters))\n")
+    assert len(out) < 200
 
 
 def test_regeneration_past_the_digit_limit_is_refused_in_the_sequence(

@@ -11,7 +11,7 @@ import ahtower.rational as rational
 from ahtower.rational import (SHOWN_CHARACTERS, ExtendedRational, IntLeaf,
                               _joined_text, document_text, fraction_from_json,
                               fraction_to_json, ints_to_json, parse_fraction,
-                              text_int)
+                              shown_text, text_int)
 from ahtower.report import first_difference
 
 
@@ -132,6 +132,52 @@ def test_a_long_string_detail_shows_its_head_and_length():
         f"$: '0' vs {head}... (100 characters)"
     short = "7" * SHOWN_CHARACTERS
     assert first_difference("0", short) == f"$: '0' vs {short!r}"
+
+
+def test_a_long_key_shows_its_head_and_length_in_the_path():
+    key = "k" * 10 ** 6
+    step = f".{'k' * SHOWN_CHARACTERS}... (1000000 characters)"
+    assert first_difference({key: "1"}, {}) == f"${step}: unexpected key"
+    assert first_difference({}, {key: "1"}) == f"${step}: missing on the left"
+    assert first_difference({key: ["1"]}, {key: ["2"]}) == \
+        f"${step}[0]: '1' vs '2'"
+    short = "k" * SHOWN_CHARACTERS
+    assert first_difference({short: "1"}, {}) == f"$.{short}: unexpected key"
+
+
+def test_shown_text_bounds_any_value():
+    assert shown_text(["5"]) == "['5']"
+    assert shown_text(None) == "None"
+    long = [0] * 10 ** 4
+    assert shown_text(long) == f"{repr(long)[:SHOWN_CHARACTERS]}... " \
+        f"({len(repr(long))} characters)"
+
+
+def test_parse_errors_echo_a_bounded_input():
+    text = "1/1" + "0" * 5000
+    shown = f"{text[:SHOWN_CHARACTERS]!r}... (5003 characters)"
+    with pytest.raises(ValueError) as exc:
+        parse_fraction(text)
+    assert str(exc.value) == f"not a rational: {shown}"
+    with pytest.raises(ValueError) as exc:
+        parse_fraction("-" + text)
+    assert str(exc.value).endswith("... (5004 characters)")
+    with pytest.raises(ValueError) as exc:
+        text_int("0" + "7" * 5000)
+    assert str(exc.value).endswith("... (5001 characters)")
+    for obj in ({"num": "1", "den": "0" * 1000},
+                {"num": "2" * 1000, "den": "2" * 1000}):
+        with pytest.raises(ValueError) as exc:
+            fraction_from_json(obj)
+        assert len(str(exc.value)) < 200
+    # an echo of at most SHOWN_CHARACTERS characters is the repr
+    text = "x" * SHOWN_CHARACTERS
+    with pytest.raises(ValueError, match=f"^not a rational: {text!r}$"):
+        parse_fraction(text)
+    with pytest.raises(ValueError) as exc:
+        fraction_from_json({"num": "2", "den": "4"})
+    assert str(exc.value) == \
+        "rational not in lowest terms: {'num': '2', 'den': '4'}"
 
 
 def test_int_leaf_past_the_digit_limit_is_a_mismatch_not_an_error():
