@@ -22,7 +22,7 @@ h'(n) * (gamma_n - kappa') + d / (2 r(n)).
 
 from __future__ import annotations
 
-from .rational import cross_sign, quotient_sign, quotient_text
+from .rational import cross_sign, quotient_sign, quotient_text, shown_int
 from .report import Checker, CheckReport
 from .sequences import GrowthTables, gamma_rho_signs
 
@@ -40,7 +40,8 @@ def check_crossed_sizes(tables: GrowthTables) -> CheckReport:
         big_next = tables.r(n + 1) * tables.torus_points(n + 1)
         c.check(f"size recursion at level {n}",
                 big_next == big_now * tables.l(n + 1) * 2 ** d,
-                lambda: f"{big_next} vs {big_now}*{tables.l(n + 1)}*{2 ** d}")
+                lambda: (f"{shown_int(big_next)} vs {shown_int(big_now)}*"
+                         f"{shown_int(tables.l(n + 1))}*{2 ** d}"))
     return c.report()
 
 

@@ -10,13 +10,15 @@ radius may be infinite, so the CLI-facing value type is a nonnegative
 integers are plain decimal strings, so documents survive readers with
 bounded int types.
 
-A document is re-verified by regenerating it and comparing.  The writers
-take a leaf maker: ``str`` writes each integer, and ``IntLeaf`` keeps it
-unwritten, to be compared with the presented text, which is read once
-by the strict reader ``text_int``.  Tables and witnesses compare this way,
-since ``str`` of a 13 kbit integer costs two to three times ``int`` of
-its digits; a diagram's or chern table's thousands of small integers are
-written and compared as text by ``==``, which runs in C.
+A document is re-verified by regenerating it from the inputs it declares
+and comparing.  The writers take a leaf maker: ``str`` writes each
+integer, and ``IntLeaf`` keeps it unwritten, to be compared with the
+presented text, which is read once by the strict reader ``text_int``.
+Tables and witnesses compare this way, since ``str`` of a 13 kbit integer
+costs two to three times ``int`` of its digits; a diagram's or chern
+table's thousands of small integers are written and compared as text by
+``==``, which runs in C.  Failure text writes an integer by ``shown_int``,
+which names one past the int->str digit limit by its bit length.
 
 Every document the package writes (tables, witness certificates, chern
 tables, diagrams) is made by one writer, ``document_text``, whose output
@@ -96,37 +98,33 @@ def cross_sign(a: int, b: int, c: int, e: int) -> int | None:
 
 
 def quotient_text(num: int, den: int) -> str:
-    """num/den as a reduced fraction, or num/0 where den is 0: failure
-    text that never divides by zero.
+    """num/den as a reduced fraction, or num/0 where den is 0, each part
+    written by ``shown_int``: failure text that never divides by zero and
+    never raises.
 
-    >>> quotient_text(6, -4), quotient_text(3, 0)
-    ('-3/2', '3/0')
+    >>> quotient_text(6, -4), quotient_text(3, 0), quotient_text(4, 2)
+    ('-3/2', '3/0', '2')
     """
-    return str(Fraction(num, den)) if den else f"{num}/0"
-
-
-def is_decimal(text: Any) -> bool:
-    """Whether ``text`` is a str in the one form a document spells an
-    integer: ASCII digits with no leading zero, as ``str`` writes an int
-    >= 0.  ``int`` reads more: a sign, spaces, ``_``, other scripts'
-    digits, and JSON numbers and booleans.
-
-    >>> is_decimal("120"), is_decimal("0"), is_decimal("05"), is_decimal(5)
-    (True, True, False, False)
-    """
-    return (type(text) is str and text.isascii() and text.isdigit()
-            and (text[0] != "0" or len(text) == 1))
+    if not den:
+        return f"{shown_int(num)}/0"
+    value = Fraction(num, den)
+    if value.denominator == 1:
+        return shown_int(value.numerator)
+    return f"{shown_int(value.numerator)}/{shown_int(value.denominator)}"
 
 
 def text_int(text: Any) -> int:
-    """The integer a decimal leaf spells, read strictly: ValueError where
-    ``text`` is not ``is_decimal`` or has more digits than the int->str
-    limit allows.
+    """The integer a decimal leaf spells, read strictly: ValueError unless
+    ``text`` is a str in the one form a document spells an integer, ASCII
+    digits with no leading zero as ``str`` writes an int >= 0, within the
+    int->str digit limit.  ``int`` reads more: a sign, spaces, ``_``, other
+    scripts' digits, and JSON numbers and booleans.
 
-    >>> text_int("4096")
-    4096
+    >>> text_int("4096"), text_int("0")
+    (4096, 0)
     """
-    if not is_decimal(text):
+    if not (type(text) is str and text.isascii() and text.isdigit()
+            and (text[0] != "0" or len(text) == 1)):
         raise ValueError(f"not a decimal integer: {shown_text(text)}")
     return int(text)
 
@@ -160,34 +158,41 @@ def bounded(text: str) -> str:
     return f"{text[:SHOWN_CHARACTERS]}... ({len(text)} characters)"
 
 
+def shown_int(value: int, show: Callable[[str], str] = str) -> str:
+    """``show`` of ``str(value)``, or, for an integer past the int->str
+    digit limit, which ``str`` refuses to write, its sign and bit length:
+    failure text that never raises.
+
+    >>> print(shown_int(-12), shown_int(12, shown_text))
+    -12 '12'
+    """
+    try:
+        return show(str(value))
+    except ValueError:      # past the int->str digit limit
+        return ("-" * (value < 0) + f"<{value.bit_length()}-bit integer "
+                "past the int->str digit limit>")
+
+
 class IntLeaf:
     """An integer of a regenerated document, left unwritten.  It matches
-    the presented leaf that ``text_int`` reads to ``value``; ``read``, where
-    a reader has already parsed that very leaf, is its value, and only the
-    form is checked again.  Its repr is the ``shown_text`` of the text
-    ``str`` would write, so a failed comparison's detail reads as if the
-    document had been written.
+    the presented leaf that ``text_int`` reads to ``value``.  Its repr is
+    ``shown_int``'s with the ``shown_text`` quotes, so a failed comparison's
+    detail reads as if the document had been written.
     """
 
-    __slots__ = ("value", "read")
+    __slots__ = ("value",)
 
-    def __init__(self, value: int, read: int | None = None) -> None:
-        self.value, self.read = value, read
+    def __init__(self, value: int) -> None:
+        self.value = value
 
     def matches(self, text: Any) -> bool:
-        if self.read is not None:
-            return is_decimal(text) and self.read == self.value
         try:
             return text_int(text) == self.value
         except ValueError:
             return False
 
     def __repr__(self) -> str:
-        try:
-            return shown_text(str(self.value))
-        except ValueError:      # past the int->str digit limit
-            return (f"<{self.value.bit_length()}-bit integer past the "
-                    "int->str digit limit>")
+        return shown_int(self.value, shown_text)
 
 
 def fraction_to_json(value: Fraction, leaf: Callable[[int], Any] = str

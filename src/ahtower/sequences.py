@@ -408,14 +408,6 @@ class GrowthTables:
 
     # -- serialization --------------------------------------------------
 
-    def columns(self) -> dict[str, tuple[int, ...]]:
-        """The integer columns as a document holds them, by key: d, d'
-        and l from level 1."""
-        return {"h": self.h_seq, "hPrime": self.h_prime_seq,
-                "d": self.d_seq[1:], "dPrime": self.d_prime_seq[1:],
-                "l": self.l_seq[1:], "r": self.r_seq, "s": self.s_seq,
-                "sPrime": self.s_prime_seq}
-
     def to_json_obj(self, leaf: Callable[[int], Any] = str
                     ) -> dict[str, Any]:
         """The tables document, each integer of the columns, ratio and
@@ -427,39 +419,16 @@ class GrowthTables:
             "regime": self.regime,
             "kappa": fraction_to_json(self.kappa),
             "kappaPrime": fraction_to_json(self.kappa_prime),
-            **{key: ints_to_json(column, leaf)
-               for key, column in self.columns().items()},
+            # the integer columns; d, d' and l from level 1
+            **{key: ints_to_json(column, leaf) for key, column in (
+                ("h", self.h_seq), ("hPrime", self.h_prime_seq),
+                ("d", self.d_seq[1:]), ("dPrime", self.d_prime_seq[1:]),
+                ("l", self.l_seq[1:]), ("r", self.r_seq), ("s", self.s_seq),
+                ("sPrime", self.s_prime_seq))},
             "ratio": [fraction_to_json(self.ratio(n), leaf) for n in levels],
             "gamma": [fraction_to_json(self.gamma(n), leaf) for n in levels],
             "bitLengths": self.bit_lengths(),
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: Any) -> "GrowthTables":
-        require_document(obj, TABLES_DOCUMENT.tag)
-        depth = int(obj["depth"])
-        d_seq = (0,) + ints_from_json(obj["d"])
-        l_seq = (1,) + ints_from_json(obj["l"])
-        r_seq, s_seq = ints_from_json(obj["r"]), ints_from_json(obj["s"])
-        d_prime_seq = (0,) + ints_from_json(obj["dPrime"])
-        s_prime_seq = ints_from_json(obj["sPrime"])
-        tables = cls(
-            params=TargetParams.from_json_obj(obj["params"]),
-            depth=depth,
-            regime=str(obj["regime"]),
-            kappa=fraction_from_json(obj["kappa"]),
-            kappa_prime=fraction_from_json(obj["kappaPrime"]),
-            h_rule=str(obj["hRule"]),
-            h_seq=ints_from_json(obj["h"]),
-            h_prime_seq=ints_from_json(obj["hPrime"]),
-            d_seq=d_seq, l_seq=l_seq, r_seq=r_seq, s_seq=s_seq,
-            d_prime_seq=d_prime_seq, s_prime_seq=s_prime_seq)
-        lengths = {len(d_seq), len(l_seq), len(r_seq), len(s_seq),
-                   len(d_prime_seq), len(s_prime_seq), len(tables.h_seq),
-                   len(tables.h_prime_seq)}
-        if lengths != {depth + 1}:
-            raise ValueError("tables document has inconsistent sequence lengths")
-        return tables
 
 
 def build_tables(params: TargetParams, depth: int,
@@ -569,8 +538,12 @@ MALFORMED = (KeyError, ValueError, TypeError, OverflowError, RuntimeError)
 
 
 def verify_document(doc: Any, kind: DocumentKind) -> CheckReport:
-    """Re-verify ``doc``, trusting nothing in it.  A passing report holds
-    ``kind.parsed``, the kind's own checks, then ``kind.matches``.
+    """Re-verify ``doc``, trusting nothing in it.  ``kind.read`` takes
+    only the inputs the document declares (params, depth and h override,
+    or a chern table's ``maxK``); the kind's own checks run on the
+    regeneration, and ``doc`` passes only where it equals that regeneration
+    leaf for leaf.  A passing report holds ``kind.parsed``, the kind's own
+    checks, then ``kind.matches``.
 
     A strict kind (tables, witness) regenerates its integers as
     ``IntLeaf``s, and the type-strict walk ``first_difference`` reads each
@@ -594,19 +567,12 @@ def verify_document(doc: Any, kind: DocumentKind) -> CheckReport:
     return c.report()
 
 
-def _regenerate_tables(presented: GrowthTables
-                       ) -> tuple[dict[str, Any], CheckReport]:
-    """The canonical tables, rebuilt from the presented params, depth and
-    h, as ``IntLeaf``s; and ``verify_tables`` replayed on the presented
-    tables, so that a corrupted field is named by the identity it breaks.
-    ``from_json_obj`` has read every column leaf already, so each column
-    leaf compares that read and checks only the leaf's form again."""
-    canonical = build_tables(presented.params, presented.depth,
-                             presented.h_override).to_json_obj(IntLeaf)
-    for key, column in presented.columns().items():
-        for leaf, read in zip(canonical[key], column):
-            leaf.read = read
-    return canonical, verify_tables(presented)
+def _read_tables(doc: dict) -> tuple:
+    depth = int(doc["depth"])
+    # levels the document does not list are refused before they are built
+    if len(doc["r"]) != depth + 1:
+        raise ValueError("tables document has inconsistent sequence lengths")
+    return (declared_tables(doc, depth),)
 
 
 TABLES_DOCUMENT = DocumentKind(
@@ -614,8 +580,9 @@ TABLES_DOCUMENT = DocumentKind(
     matches="tables match canonical regeneration",
     passed="tables: {checks} checks pass\n"
            "tables match canonical regeneration", strict=True,
-    read=lambda doc: (GrowthTables.from_json_obj(doc),),
-    regenerate=_regenerate_tables)
+    read=_read_tables,
+    regenerate=lambda tables: (tables.to_json_obj(IntLeaf),
+                               verify_tables(tables)))
 
 
 # ----------------------------------------------------------------------

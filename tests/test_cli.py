@@ -505,11 +505,10 @@ def test_verify_corrupted_tables_file(capsys, tmp_path):
     obj["d"][2] = "477"
     path.write_text(json.dumps(obj))
     code, out, _ = run(capsys, "verify", str(path))
-    assert code == 3
-    assert "invariant violated" in out
-    assert "d(3)" in out
+    assert (code, out) == (3, "invariant violated: tables match canonical "
+                              "regeneration ($.d[2]: '477' vs '476')\n")
 
-    # the next two change only what the parser does not keep
+    # the next two change no column
     def bit_length(obj):
         obj["bitLengths"]["r"][1] = "999"
 
@@ -526,6 +525,20 @@ def test_verify_corrupted_tables_file(capsys, tmp_path):
         assert out.startswith("invariant violated: tables match canonical "
                               "regeneration")
         assert where in out
+
+
+def test_verify_reads_the_h_override_of_a_tables_file(capsys, tmp_path):
+    path = tmp_path / "tables.json"
+    assert main(["plan", "--r", "inf", "--h-seq", "1,2,2,4", "--depth", "3",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert run(capsys, "verify", str(path))[0] == 0
+    obj = json.loads(path.read_text())
+    obj["hSeqOverride"][3] = "3"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert (code, out) == (3, "invariant violated: tables match canonical "
+                              "regeneration ($.h[3]: '4' vs '3')\n")
 
 
 def test_verify_tables_file_is_strict_about_types(capsys, tmp_path):

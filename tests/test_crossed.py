@@ -1,3 +1,5 @@
+import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from ahtower.certificates import search_witness
 from ahtower.comparison import ProjectionSymbol, projection_pair
 from ahtower.crossed import check_crossed_sizes, check_upper_bound_gap
 from ahtower.rational import ExtendedRational
-from ahtower.sequences import TargetParams, build_tables
+from ahtower.sequences import TargetParams, build_tables, tables_from_cli
 
 from test_verify_reference import crossed_rc_upper
 
@@ -155,6 +157,38 @@ def test_gap_check_needs_finite_primed_radius():
     t = tables_for("inf", "inf", depth=3, c="1/2")
     with pytest.raises(ValueError, match="finite"):
         check_upper_bound_gap(t)
+
+
+# at d=1 depth 14 the integers of both suites' details are past the
+# int->str digit limit: a failure names each by its bit length, and the
+# suite reports it rather than raising
+PAST_THE_LIMIT = "-bit integer past the int->str digit limit>"
+
+
+@pytest.fixture(scope="module")
+def deep():
+    if not 0 < sys.get_int_max_str_digits() <= 5000:
+        pytest.skip("needs an int->str digit limit near the default")
+    return tables_from_cli("1/2", "1/3", 1, 14)
+
+
+def test_a_failed_size_recursion_past_the_digit_limit_is_reported(deep):
+    edited = dataclasses.replace(
+        deep, r_seq=deep.r_seq[:14] + (deep.r_seq[14] + 1,))
+    failure = check_crossed_sizes(edited).first_failure
+    assert failure.name == "size recursion at level 13"
+    assert failure.detail == (f"<40128{PAST_THE_LIMIT} vs "
+                              f"<20064{PAST_THE_LIMIT}*"
+                              f"<20064{PAST_THE_LIMIT}*2")
+
+
+def test_a_failed_gap_identity_past_the_digit_limit_is_reported(deep):
+    edited = dataclasses.replace(
+        deep, h_prime_seq=deep.h_prime_seq[:14] + (5,))
+    failure = check_upper_bound_gap(edited).first_failure
+    assert failure.name == "small-row excess identity (n=14)"
+    assert PAST_THE_LIMIT in failure.detail
+    assert len(failure.detail) < 300
 
 
 def test_collapsed_targets_tie_the_two_rows():

@@ -2,7 +2,8 @@
 against the three paths it replaced.
 
 ``verify_document_file``, ``verify_tables_document`` and
-``verify_diagram_document`` (from ``cli``), the diagram parser the last of
+``verify_diagram_document`` (from ``cli``), the tables reader the second
+called (``GrowthTables.from_json_obj``), the diagram parser the last of
 them called (from ``diagram``) and ``verify_witness_json`` (from
 ``certificates``) are copied below as they were.  The inputs are
 small ``plan``, ``witness``, ``witness --crossed`` and ``export`` documents
@@ -15,6 +16,13 @@ exactly:
   * a diagram the old parser rejected as ``diagram document well formed
     (...)`` may now be rejected by the comparison, whose line names the
     JSON path of the first difference;
+  * a tables document is now read for its params, depth and h override
+    alone, like the other kinds: one the old path rejected, by its reader
+    or by the identity it broke (``d(3) minimal``), or at another path,
+    is now rejected as ``tables match canonical regeneration ($...)`` at
+    the first difference; and an ``hSeqOverride`` edited so that it no
+    longer builds, which the old path compared, is now rejected as
+    ``tables document well formed (...)``;
   * a document nested too deep to decode raised RecursionError out of the
     old path; it is now refused as a document that does not parse (where
     the running decoder parses it, both paths refuse it as a document of
@@ -31,7 +39,10 @@ exactly:
 Beyond the leaf edits, a ledger operand and a tables ``r`` entry are each
 respelt in every form ``int()`` reads but a document may not hold, and a
 ledger operand is made 5000 and 10^6 digits long: the outcomes are the
-old ones, and the detail shows a long leaf by its head and length.
+old ones (but for a tables ``r`` entry spelt ``true``, which the old
+reader read as 1), and the detail shows a long leaf by its head and
+length.  A tables column leaf of 5000 digits, which the old reader
+refused, is now a mismatch, as a ledger operand is.
 
 For witness documents, ``verify_witness_json`` must also agree with the
 old one on whether the document passes and on its first failure.
@@ -42,6 +53,7 @@ import io
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Any
 
@@ -187,6 +199,35 @@ def diagram_from_json_obj(obj: Any) -> DiagramDocument:
                            stages=stages, maps=maps)
 
 
+# -- the tables reader the old tables path called, as it was ------------------
+
+def tables_from_json_obj(obj: Any) -> GrowthTables:
+    require_document(obj, "tables")
+    depth = int(obj["depth"])
+    d_seq = (0,) + ints_from_json(obj["d"])
+    l_seq = (1,) + ints_from_json(obj["l"])
+    r_seq, s_seq = ints_from_json(obj["r"]), ints_from_json(obj["s"])
+    d_prime_seq = (0,) + ints_from_json(obj["dPrime"])
+    s_prime_seq = ints_from_json(obj["sPrime"])
+    tables = GrowthTables(
+        params=TargetParams.from_json_obj(obj["params"]),
+        depth=depth,
+        regime=str(obj["regime"]),
+        kappa=fraction_from_json(obj["kappa"]),
+        kappa_prime=fraction_from_json(obj["kappaPrime"]),
+        h_rule=str(obj["hRule"]),
+        h_seq=ints_from_json(obj["h"]),
+        h_prime_seq=ints_from_json(obj["hPrime"]),
+        d_seq=d_seq, l_seq=l_seq, r_seq=r_seq, s_seq=s_seq,
+        d_prime_seq=d_prime_seq, s_prime_seq=s_prime_seq)
+    lengths = {len(d_seq), len(l_seq), len(r_seq), len(s_seq),
+               len(d_prime_seq), len(s_prime_seq), len(tables.h_seq),
+               len(tables.h_prime_seq)}
+    if lengths != {depth + 1}:
+        raise ValueError("tables document has inconsistent sequence lengths")
+    return tables
+
+
 # -- the three paths, as they were --------------------------------------------
 
 def verify_document_file(path: str, out: str | None) -> int:
@@ -215,7 +256,7 @@ def verify_document_file(path: str, out: str | None) -> int:
 
 def verify_tables_document(obj: dict, out: str | None) -> int:
     try:
-        tables = GrowthTables.from_json_obj(obj)
+        tables = tables_from_json_obj(obj)
         rebuilt = build_tables(
             tables.params, tables.depth,
             tables.h_seq if tables.h_rule == "explicit" else None)
@@ -374,19 +415,27 @@ def outcome(verify, path):
 
 
 def assert_same_outcome(path):
-    """The new outcome equals the old, or differs by the one diagram line
-    class; returns whether it differed."""
+    """The new outcome equals the old, or differs by one of the line
+    classes of the module docstring; returns the class, or None."""
     new, old = outcome(cli.verify_document_file, path), \
         outcome(verify_document_file, path)
     if new == old:
-        return False
+        return None
     assert new[0] == old[0] == 3, (new, old)
-    assert old[1].startswith(
-        "invariant violated: diagram document well formed ("), (new, old)
+    if new[1].startswith("invariant violated: diagram matches canonical "
+                         "regeneration ($."):
+        assert old[1].startswith(
+            "invariant violated: diagram document well formed ("), (new, old)
+        return "diagram"
+    if new[1].startswith("invariant violated: tables document well formed ("):
+        assert old[1].startswith("invariant violated: tables match canonical "
+                                 "regeneration ($.hSeqOverride["), (new, old)
+        return "h override"
     assert new[1].startswith(
-        "invariant violated: diagram matches canonical regeneration ($."), \
+        "invariant violated: tables match canonical regeneration ($."), \
         (new, old)
-    return True
+    assert old[1].startswith("invariant violated: "), (new, old)
+    return "tables"
 
 
 def assert_same_witness_report(doc):
@@ -396,7 +445,8 @@ def assert_same_witness_report(doc):
 
 def test_every_single_leaf_edit_matches_the_old_paths(tmp_path):
     path = tmp_path / "document.json"
-    edits = differed = 0
+    edits = 0
+    differed = Counter()
     for name, doc in documents(tmp_path):
         path.write_text(json.dumps(doc))
         assert outcome(cli.verify_document_file, path)[0] == 0, name
@@ -404,13 +454,15 @@ def test_every_single_leaf_edit_matches_the_old_paths(tmp_path):
         for leaf, value in leaf_edits(doc):
             mutated = edited(doc, leaf, value)
             path.write_text(json.dumps(mutated))
-            differed += assert_same_outcome(path)
+            differed[assert_same_outcome(path)] += 1
             if doc["kind"] == "witness":
                 assert_same_witness_report(mutated)
             edits += 1
     assert edits > 2000
-    # the diagram line class is exercised, and stays a minority
-    assert 0 < differed < edits // 4
+    # each line class is exercised, and together they stay a minority
+    del differed[None]
+    assert set(differed) == {"diagram", "tables", "h override"}
+    assert sum(differed.values()) < edits // 4
 
 
 @pytest.mark.parametrize("text", [
@@ -488,7 +540,11 @@ def test_format_edits_of_a_decimal_leaf_match_the_old_paths(tmp_path):
                 path.write_text(json.dumps(mutated))
                 assert outcome(cli.verify_document_file, path)[0] == 3, \
                     (name, leaf, value)
-                assert not assert_same_outcome(path), (name, leaf, value)
+                # the old tables reader read True as 1, and failed the
+                # identity it broke
+                assert assert_same_outcome(path) == (
+                    "tables" if value is True and doc["kind"] == "tables"
+                    else None), (name, leaf, value)
                 if doc["kind"] == "witness":
                     assert_same_witness_report(mutated)
                 edits += 1
@@ -507,6 +563,32 @@ def test_a_5000_digit_ledger_operand_is_a_mismatch(tmp_path):
     assert code == 3
     assert out.startswith("invariant violated: matches canonical "
                           "recomputation ($.ledger[0].lhs.num: '7777")
+    assert not assert_same_outcome(path)
+
+
+def test_a_5000_digit_column_leaf_is_a_mismatch(tmp_path):
+    # the old reader let int() refuse it at the digit limit
+    if not 0 < sys.get_int_max_str_digits() <= 5000:
+        pytest.skip("needs an int->str digit limit near the default")
+    doc = emitted(tmp_path, "plan", "--depth", "3")
+    path = tmp_path / "long-leaf.json"
+    path.write_text(json.dumps(edited(doc, ("r", 1), "7" * 5000)))
+    assert outcome(verify_document_file, path)[1].startswith(
+        "invariant violated: tables document well formed (Exceeds the limit")
+    head = "'" + "7" * SHOWN_CHARACTERS + "'"
+    assert outcome(cli.verify_document_file, path) == (
+        3, "invariant violated: tables match canonical regeneration "
+           f"($.r[1]: {head}... (5000 characters) vs '5')\n")
+
+
+def test_a_depth_past_the_listed_levels_is_refused_before_it_is_built(
+        tmp_path):
+    doc = emitted(tmp_path, "plan", "--depth", "3")
+    path = tmp_path / "deeper.json"
+    path.write_text(json.dumps({**doc, "depth": "16"}))
+    assert outcome(cli.verify_document_file, path) == (
+        3, "invariant violated: tables document well formed (tables "
+           "document has inconsistent sequence lengths)\n")
     assert not assert_same_outcome(path)
 
 

@@ -110,7 +110,6 @@ def test_text_int_refuses_what_int_reads_but_the_format_forbids(text):
     with pytest.raises(ValueError, match="^not a decimal integer: "):
         text_int(text)
     assert not IntLeaf(5).matches(text)
-    assert not IntLeaf(5, read=5).matches(text)
 
 
 def test_int_leaf_detail_reads_as_the_written_text():

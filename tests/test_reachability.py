@@ -93,14 +93,17 @@ def functions():
 
 TARGETS = [("1/2", "1/3"), ("inf", "5/2"), ("inf", "inf")]
 
-# kind -> what writes one, and the leaf and value of its edited copy
-DOCUMENTS = {
-    "tables": (["plan", "--depth", "3"], ("params", "d"), "2"),
-    "witness": (["witness", "--depth", "4", "--rho", "1/4"], ("params", "d"),
-                "2"),
-    "diagram": (["export", "--depth", "2"], ("params", "d"), "2"),
-    "chern": (["chern", "--k", "4"], ("ranks", 0), "3"),
-}
+# (kind, what writes one, and the leaf and value of its edited copy); the
+# second tables document declares an h override, which `verify FILE` reads
+DOCUMENTS = [
+    ("tables", ["plan", "--depth", "3"], ("params", "d"), "2"),
+    ("tables", ["plan", "--r", "inf", "--h-seq", "1,2,2,4", "--depth", "3"],
+     ("hSeqOverride", 3), "3"),
+    ("witness", ["witness", "--depth", "4", "--rho", "1/4"], ("params", "d"),
+     "2"),
+    ("diagram", ["export", "--depth", "2"], ("params", "d"), "2"),
+    ("chern", ["chern", "--k", "4"], ("ranks", 0), "3"),
+]
 
 
 def matrix(where):
@@ -120,14 +123,14 @@ def matrix(where):
     calls += [["chern", "--k", "4"],
               ["plan", "--r", "inf", "--r-prime", "inf", "--c", "1/3"],
               ["verify", "--r", "inf", "--depth", "3", "--h-seq", "1,2,2,4"]]
-    for kind, (argv, (key, leaf), value) in DOCUMENTS.items():
-        path = os.path.join(where, f"{kind}.json")
+    for i, (kind, argv, (key, leaf), value) in enumerate(DOCUMENTS):
+        path = os.path.join(where, f"{kind}{i}.json")
         assert main([*argv, "--out", path]) == 0
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
         assert doc["kind"] == kind
         doc[key][leaf] = value
-        edited = os.path.join(where, f"{kind}.edited.json")
+        edited = os.path.join(where, f"{kind}{i}.edited.json")
         with open(edited, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
         calls += [["verify", path], ["verify", edited]]
@@ -178,7 +181,7 @@ def test_every_function_is_reached_or_allowed(tmp_path, capsys):
 def test_the_matrix_verifies_every_document_kind():
     # a kind that `verify FILE` reads but no matrix document exercises
     # would leave its reader's failure paths unchecked
-    assert set(DOCUMENTS) == set(DOCUMENT_KINDS)
+    assert {kind for kind, *_ in DOCUMENTS} == set(DOCUMENT_KINDS)
 
 
 @pytest.mark.parametrize("name", ALLOWED)

@@ -11,9 +11,8 @@ from ahtower.cli import main
 from ahtower.crossed import check_upper_bound_gap
 from ahtower.rational import ExtendedRational
 from ahtower.report import Checker
-from ahtower.sequences import (GrowthTables, TargetParams, build_tables,
-                               derive_kappa, slot_padding, tables_from_cli,
-                               verify_tables)
+from ahtower.sequences import (TargetParams, build_tables, derive_kappa,
+                               slot_padding, tables_from_cli, verify_tables)
 
 import oracle
 
@@ -313,14 +312,6 @@ def test_checker_formats_details_only_on_failure():
         == [("passes", ""), ("fails", "formatted"), ("plain", "as given")]
 
 
-def test_tables_json_round_trip():
-    for params, depth in [(ff("1/2", "1/3"), 4),
-                          (TargetParams(INF, INF, 2), 3)]:
-        t = build_tables(params, depth)
-        doc = json.loads(json.dumps(t.to_json_obj(), sort_keys=True))
-        assert GrowthTables.from_json_obj(doc) == t
-
-
 # (r, r', c) of each regime and its (kappa, kappa'), stated independently
 REGIME_TARGETS = [
     (("1/2", "1/3", None), (Fraction(1, 2), Fraction(1, 3))),
@@ -398,14 +389,6 @@ def test_shallower_tables_are_prefixes(params, override, d):
             for n in range(1 if name in ("d", "d_prime") else 0, k + 1):
                 assert getattr(part, name)(n) == getattr(full, name)(n), \
                     (name, n)
-
-
-def test_tables_json_rejects_bad_version():
-    t = build_tables(ff(), 2)
-    doc = t.to_json_obj()
-    doc["formatVersion"] = "99"
-    with pytest.raises(ValueError):
-        GrowthTables.from_json_obj(doc)
 
 
 def test_tables_from_cli_strings():
