@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .comparison import projection_pair
-from .rational import IntLeaf, fraction_from_json, fraction_to_json
+from .rational import IntLeaf, fraction_from_json, fraction_to_json, text_int
 from .report import Checker, CheckReport
 from .sequences import (DocumentKind, GrowthTables, Side, declared_tables,
                         verify_document)
@@ -207,7 +207,7 @@ def search_witness(tables: GrowthTables, rho: Fraction,
 def _read_witness(doc: dict) -> tuple:
     if not isinstance(doc.get("crossed"), bool):
         raise ValueError("crossed flag must be a boolean")
-    depth, rho = int(doc["depth"]), fraction_from_json(doc["rho"])
+    depth, rho = text_int(doc["depth"]), fraction_from_json(doc["rho"])
     params = doc["params"]
     if isinstance(params, dict) and "rPrime" not in params:
         # the dead field the writer leaves out: r' defaults to r

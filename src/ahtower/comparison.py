@@ -6,12 +6,10 @@ Two ingredients, all in integer or rational arithmetic:
     with first class x_1 + ... + x_k embeds in no trivial bundle of rank
     below 2k, and ``chern_min_embedding_ranks(k)`` returns 2, 4, ..., 2k;
   * the projection symbols of the construction: a patterned projection of
-    rank h(n)s(m) plus trivial padding, of total rank h(n)s(n)r(m), against
-    an entirely trivial companion on the other row with the same
-    normalized trace h(n)s(n), together with the trivial rank that absorbs
-    the pattern, which the witness ledgers of ``certificates`` compare
-    against.  The transform reads the primed sequences (see
-    ``GrowthTables.side``).
+    rank h(n)s(m) plus trivial padding, of total rank h(n)s(n)r(m), and the
+    trivial rank that absorbs the pattern, which the witness ledgers of
+    ``certificates`` compare against.  The transform reads the primed
+    sequences (see ``GrowthTables.side``).
 
 The lemma, in Z[x_1..x_k]/(x_i^2 = 0).  The total class of the product
 is prod(1 + x_i), and since (1 + x)(1 - x) = 1 - x^2 = 1 for each factor,
@@ -29,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .rational import ints_to_json
+from .rational import ints_to_json, text_int
 from .report import CheckReport
 from .sequences import DocumentKind, GrowthTables
 
@@ -73,7 +71,7 @@ CHERN_DOCUMENT = DocumentKind(
     tag="chern", parsed="chern document well formed",
     matches="chern table matches canonical regeneration",
     passed="chern table matches canonical regeneration", strict=False,
-    read=lambda doc: (int(doc["maxK"]),),
+    read=lambda doc: (text_int(doc["maxK"]),),
     regenerate=lambda k: (chern_document(k), CheckReport(())))
 
 
@@ -83,23 +81,14 @@ CHERN_DOCUMENT = DocumentKind(
 
 @dataclass(frozen=True)
 class ProjectionSymbol:
-    """The distinguished projection pair of origin n evaluated at level m.
+    """The distinguished projection of origin n at level m, patterned on
+    the k-fold bundle product over h(n)s(m) coordinates and padded with a
+    trivial rest to rank h(n)s(n)r(m), on the C row of the tower or the
+    small B row of its transform.  (Its trivial companion on the other row
+    has the same trace, as the crossed "trace match" rows certify.)"""
 
-    One member is patterned on the k-fold bundle product over h(n)s(m)
-    coordinates and padded with a trivial rest; it sits on the C row of
-    the tower, or on the small B row of its transform.  The companion on
-    the other row is entirely trivial and has the same normalized trace.
-    """
-
-    origin: int
-    stage: int
     patterned_rank: int
-    padding_rank: int
-    companion_rank: int
-
-    @property
-    def total_rank(self) -> int:
-        return self.patterned_rank + self.padding_rank
+    total_rank: int
 
     @property
     def threshold(self) -> int:
@@ -112,21 +101,13 @@ class ProjectionSymbol:
 
 def projection_pair(tables: GrowthTables, m: int, n: int,
                     crossed: bool = False) -> ProjectionSymbol:
-    """Build the symbol of origin n at evaluation level m >= n.
-
-    The transform reads the primed sequences, and its companion row is
-    2^(md) times larger than the row carrying the pattern.
-    """
+    """Build the symbol of origin n at evaluation level m >= n; the
+    transform reads the primed sequences."""
     if not 0 <= n <= m <= tables.depth:
         raise ValueError(f"need 0 <= n <= m <= depth, got n={n} m={m}")
     side = tables.side(crossed)
-    total = side.h(n) * side.s(n) * tables.r(m)
-    patterned = side.h(n) * side.s(m)
-    widen = tables.torus_points(m) if crossed else 1
-    symbol = ProjectionSymbol(origin=n, stage=m,
-                              patterned_rank=patterned,
-                              padding_rank=total - patterned,
-                              companion_rank=total * widen)
-    if symbol.padding_rank < 0:
+    symbol = ProjectionSymbol(patterned_rank=side.h(n) * side.s(m),
+                              total_rank=side.h(n) * side.s(n) * tables.r(m))
+    if symbol.patterned_rank > symbol.total_rank:
         raise RuntimeError("patterned rank exceeded the total rank")
     return symbol

@@ -12,8 +12,10 @@ is the plain size recursion r(n+1) = r(n) l(n+1) times one extra 2^d.
 
 The distinguished projection pair swaps sides here: the patterned member
 lives on the small row (the one carrying the bundle data of the torus
-factor), while the big row contributes the entirely trivial companion
-(``comparison.projection_pair`` with ``crossed=True``).
+factor), and its ranks are ``comparison.projection_pair`` with
+``crossed=True``, while the big row contributes the entirely trivial
+companion, whose trace the crossed witness ledger's "trace match" rows
+certify.
 Upper bounds gain a d/(2r(n)) torus term on the small row and a
 d/(2^(nd+1) r(n)) term on the big row, so the big-row part is crushed by
 2^(nd) while the small-row part exceeds the target radius r' by exactly

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .rational import document_text, ints_to_json
+from .rational import document_text, ints_to_json, text_int
 from .report import CheckReport
 from .sequences import DocumentKind, GrowthTables, declared_tables
 from .tower import (BLOCK_B, BLOCK_C, KIND_COORD_PROJECTION,
@@ -120,9 +120,9 @@ def _read_diagram(doc: dict) -> tuple:
     """The tables of the params, depth and h override the document
     declares: all that regeneration reads."""
     depth_range = doc["depthRange"]
-    depth = int(depth_range["hi"])
+    depth = text_int(depth_range["hi"])
     # levels the document does not list are refused before they are built
-    if len(doc["stages"]) != depth - int(depth_range["lo"]) + 1:
+    if len(doc["stages"]) != depth - text_int(depth_range["lo"]) + 1:
         raise ValueError("stage levels must run contiguously over the band")
     return (declared_tables(doc, depth),)
 

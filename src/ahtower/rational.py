@@ -13,7 +13,9 @@ bounded int types.
 A document is re-verified by regenerating it from the inputs it declares
 and comparing.  The writers take a leaf maker: ``str`` writes each
 integer, and ``IntLeaf`` keeps it unwritten, to be compared with the
-presented text, which is read once by the strict reader ``text_int``.
+presented text, which is read once by the strict reader ``text_int``;
+the inputs a document declares (depths, radii, h overrides) are read by
+``text_int`` too, so a document has one integer grammar.
 Tables and witnesses compare this way, since ``str`` of a 13 kbit integer
 costs two to three times ``int`` of its digits; a diagram's or chern
 table's thousands of small integers are written and compared as text by
@@ -203,8 +205,8 @@ def fraction_to_json(value: Fraction, leaf: Callable[[int], Any] = str
 def fraction_from_json(obj: Any) -> Fraction:
     if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
         raise ValueError(f"malformed rational object: {shown_text(obj)}")
-    num, den = int(obj["num"]), int(obj["den"])
-    if den <= 0 or num < 0:
+    num, den = text_int(obj["num"]), text_int(obj["den"])
+    if not den:
         raise ValueError(f"malformed rational object: {shown_text(obj)}")
     value = Fraction(num, den)
     if (value.numerator, value.denominator) != (num, den):
@@ -281,7 +283,7 @@ def ints_to_json(values, leaf: Callable[[int], Any] = str) -> list[Any]:
 
 
 def ints_from_json(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+    return tuple(map(text_int, values))
 
 
 @total_ordering

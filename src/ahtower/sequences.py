@@ -2,7 +2,7 @@
 
 The tower is an inductive limit built one level at a time, and so are its
 tables: `levels` computes the row of level n, that is d(n), l(n), r(n),
-s(n), d'(n), s'(n), h(n) and h'(n), from the row of level n-1 alone.
+s(n), d'(n) and s'(n), from the row of level n-1 alone.
 d(n) is chosen against a rational ratio target kappa in (0,1), and d'(n)
 against a target kappa' <= kappa.  The definitions, in exact arithmetic,
 with d the torus rank and pad(n) = 1 + 2^(d*n - d) for n >= 1:
@@ -80,8 +80,9 @@ each radius may be "inf":
 
 Growing h-sequences default to h(n) = n + 1, which satisfies the three
 constraints that matter (h(0) = 1, nondecreasing, h(n)/2^(nd) -> 0).
-`build_tables` takes the rows of levels 0..depth and stores them as
-columns, so a table of depth k is the first k + 1 rows of any deeper one.
+`levels` does not end; `build_tables` stores its rows 0..depth as
+columns beside the inputs (params, depth, an explicit h), so a table of
+depth k is the first k + 1 rows of any deeper one.
 """
 
 from __future__ import annotations
@@ -89,12 +90,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import count, islice
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .rational import (ExtendedRational, IntLeaf, cross_sign,
                        fraction_from_json, fraction_to_json, ints_from_json,
                        ints_to_json, parse_fraction, quotient_sign,
-                       quotient_text, shown_text)
+                       quotient_text, shown_text, text_int)
 from .report import Checker, CheckReport, first_difference
 
 REGIME_FINITE_FINITE = "finite-finite"
@@ -157,7 +160,7 @@ class TargetParams:
         kwargs: dict[str, Any] = {
             "r": ExtendedRational.from_json(obj["r"]),
             "r_prime": ExtendedRational.from_json(obj["rPrime"]),
-            "d": int(obj["d"]),
+            "d": text_int(obj["d"]),
         }
         if "cInfinite" in obj:
             kwargs["c_infinite"] = fraction_from_json(obj["cInfinite"])
@@ -173,7 +176,6 @@ def least_integer_above(x: Fraction) -> int:
 class RateChoice:
     """Output of derive_kappa: the exact ratio targets and the h rules."""
 
-    regime: str
     kappa: Fraction
     kappa_prime: Fraction
     h_base: int | None        # None means "growing"
@@ -199,15 +201,15 @@ def derive_kappa(params: TargetParams) -> RateChoice:
     if regime == REGIME_FINITE_FINITE:
         r = params.r.finite_value
         h = least_integer_above(r)
-        return RateChoice(regime, Fraction(r, h),
+        return RateChoice(Fraction(r, h),
                           Fraction(params.r_prime.finite_value, h), h, h)
     if regime == REGIME_INFINITE_FINITE:
         rp = params.r_prime.finite_value
         hp = least_integer_above(rp)
         kappa = Fraction(rp, hp)
-        return RateChoice(regime, kappa, kappa, None, hp)
+        return RateChoice(kappa, kappa, None, hp)
     c = params.c_infinite
-    return RateChoice(regime, c, c, None, None)
+    return RateChoice(c, c, None, None)
 
 
 # ----------------------------------------------------------------------
@@ -215,9 +217,9 @@ def derive_kappa(params: TargetParams) -> RateChoice:
 # ----------------------------------------------------------------------
 
 class Level(NamedTuple):
-    """One row of the tables: d(n), l(n), r(n), s(n), d'(n), s'(n), h(n)
-    and h'(n).  Level 0 holds the empty products l = r = s = s' = 1 and
-    the placeholders d = d' = 0, which must not be read."""
+    """One row of the tables: d(n), l(n), r(n), s(n), d'(n) and s'(n).
+    Level 0 holds the empty products l = r = s = s' = 1 and the
+    placeholders d = d' = 0, which must not be read."""
 
     d: int
     l: int
@@ -225,8 +227,6 @@ class Level(NamedTuple):
     s: int
     d_prime: int
     s_prime: int
-    h: int
-    h_prime: int
 
 
 def slot_padding(d: int, n: int) -> int:
@@ -234,14 +234,10 @@ def slot_padding(d: int, n: int) -> int:
     return 1 + 2 ** (d * n - d)
 
 
-def levels(rate: RateChoice, d: int, depth: int,
-           h_override: tuple[int, ...] | None = None) -> Iterator[Level]:
-    """Levels 0..depth of one construction, each row from the one before.
-
-    An h override only applies where h grows.  It must start at 1, be
-    nondecreasing and keep h(n)/2^(nd) nonincreasing, so that the
-    downstream smallness arguments hold; it is checked before the first
-    row.  Where kappa' = kappa, d' = d and s' = s.
+def levels(rate: RateChoice, d: int) -> Iterator[Level]:
+    """The rows of one construction from level 0 on, each from the one
+    before; the iterator does not end.  Where kappa' = kappa, d' = d and
+    s' = s.
 
     Each row is solved from the excesses e and g of the row before and
     certified by the bounds of the module docstring's lemma.  At r = 1/2,
@@ -251,29 +247,9 @@ def levels(rate: RateChoice, d: int, depth: int,
     >>> rate = derive_kappa(TargetParams(ExtendedRational.parse("1/2"),
     ...                                  ExtendedRational.parse("1/3"), 1))
     >>> [(2 * row.s - row.r, 3 * row.s_prime - 2 * row.s)
-    ...  for row in levels(rate, 1, 5)]
+    ...  for row in islice(levels(rate, 1), 6)]
     [(1, 1), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0)]
     """
-    if h_override is not None:
-        if not rate.h_grows:
-            raise ValueError("h-sequence override only applies when h grows")
-        h = tuple(int(x) for x in h_override)
-        if len(h) < depth + 1:
-            raise ValueError(f"h-sequence override needs {depth + 1} entries")
-        h = h[:depth + 1]
-        if h[0] != 1:
-            raise ValueError("h(0) must equal 1")
-        if any(y < x for x, y in zip(h, h[1:])):
-            raise ValueError("h-sequence must be nondecreasing")
-        # h(n+1)/2^(d(n+1)) > h(n)/2^(dn) is h(n+1) > h(n)*2^d
-        if any(y > x * 2 ** d for x, y in zip(h, h[1:])):
-            raise ValueError("h(n)/2^(nd) must be nonincreasing")
-    elif rate.h_grows:
-        h = tuple(range(1, depth + 2))
-    else:
-        h = (rate.h_base,) * (depth + 1)
-    h_prime = h if rate.h_prime_grows else (rate.h_prime_base,) * (depth + 1)
-
     p, q = rate.kappa.numerator, rate.kappa.denominator
     collapses = rate.kappa_prime == rate.kappa
     a = p * rate.kappa_prime.denominator
@@ -281,8 +257,8 @@ def levels(rate: RateChoice, d: int, depth: int,
     den = q * rate.kappa_prime.denominator
     r = s = s_prime = 1
     e, g = q - p, a - b
-    yield Level(0, 1, r, s, 0, s_prime, h[0], h_prime[0])
-    for n in range(1, depth + 1):
+    yield Level(0, 1, r, s, 0, s_prime)
+    for n in count(1):
         pad = slot_padding(d, n)
         bar = pad * p * r
         dn = bar // e + 1
@@ -301,7 +277,7 @@ def levels(rate: RateChoice, d: int, depth: int,
             # gamma(n)*rho(n) - kappa' is g/(den*s(n))
             if not (0 <= g < step and g * ln < den * s):
                 raise RuntimeError(f"gamma*rho window missed at level {n}")
-        yield Level(dn, ln, r, s, m, s_prime, h[n], h_prime[n])
+        yield Level(dn, ln, r, s, m, s_prime)
 
 
 # ----------------------------------------------------------------------
@@ -324,27 +300,48 @@ class Side:
 class GrowthTables:
     """Every governing sequence of one construction, to a finite depth.
 
-    The columns run over levels 0..depth, in ``Level``'s order.  Accessors
-    take the level n directly; sequences that start at n = 1 reject index
-    0.  All members are exact.
+    A table stores its inputs, ``params``, ``depth`` and ``h_override``
+    (the explicit h cut to depth + 1 entries, or None), and the columns of
+    ``levels`` over levels 0..depth, in ``Level``'s order; the regime,
+    kappa, kappa', the h rule, h(n) and h'(n) are derived from the inputs.
+    Accessors take the level n directly; sequences that start at n = 1
+    reject index 0.  All members are exact.
     """
 
     params: TargetParams
     depth: int
-    regime: str
-    kappa: Fraction
-    kappa_prime: Fraction
-    h_rule: str
+    h_override: tuple[int, ...] | None
     d_seq: tuple[int, ...]
     l_seq: tuple[int, ...]
     r_seq: tuple[int, ...]
     s_seq: tuple[int, ...]
     d_prime_seq: tuple[int, ...]
     s_prime_seq: tuple[int, ...]
-    h_seq: tuple[int, ...]
-    h_prime_seq: tuple[int, ...]
 
-    # -- accessors ------------------------------------------------------
+    # -- what the inputs fix --------------------------------------------
+
+    @cached_property
+    def rate(self) -> RateChoice:
+        """``derive_kappa(params)``, derived once per table."""
+        return derive_kappa(self.params)
+
+    @property
+    def regime(self) -> str:
+        return self.params.regime
+
+    @property
+    def kappa(self) -> Fraction:
+        return self.rate.kappa
+
+    @property
+    def kappa_prime(self) -> Fraction:
+        return self.rate.kappa_prime
+
+    @property
+    def h_rule(self) -> str:
+        if not self.rate.h_grows:
+            return H_RULE_CONSTANT
+        return H_RULE_LINEAR if self.h_override is None else H_RULE_EXPLICIT
 
     def _level(self, n: int, lo: int = 0) -> int:
         if not lo <= n <= self.depth:
@@ -378,15 +375,18 @@ class GrowthTables:
         return Fraction(self.s_prime(n), self.r(n))
 
     def h(self, n: int) -> int:
-        return self.h_seq[self._level(n)]
+        """The constant h, or where h grows the explicit h(n) or n + 1."""
+        n = self._level(n)
+        if not self.rate.h_grows:
+            return self.rate.h_base
+        return n + 1 if self.h_override is None else self.h_override[n]
 
     def h_prime(self, n: int) -> int:
-        return self.h_prime_seq[self._level(n)]
-
-    @property
-    def h_override(self) -> tuple[int, ...] | None:
-        """The h sequence where it was given explicitly, else None."""
-        return self.h_seq if self.h_rule == H_RULE_EXPLICIT else None
+        """The constant h', or h(n) where h' grows."""
+        if self.rate.h_prime_grows:
+            return self.h(n)
+        self._level(n)
+        return self.rate.h_prime_base
 
     def side(self, crossed: bool = False) -> Side:
         """The tower's sequences, or its transform's when ``crossed``."""
@@ -421,7 +421,8 @@ class GrowthTables:
             "kappaPrime": fraction_to_json(self.kappa_prime),
             # the integer columns; d, d' and l from level 1
             **{key: ints_to_json(column, leaf) for key, column in (
-                ("h", self.h_seq), ("hPrime", self.h_prime_seq),
+                ("h", map(self.h, levels)),
+                ("hPrime", map(self.h_prime, levels)),
                 ("d", self.d_seq[1:]), ("dPrime", self.d_prime_seq[1:]),
                 ("l", self.l_seq[1:]), ("r", self.r_seq), ("s", self.s_seq),
                 ("sPrime", self.s_prime_seq))},
@@ -434,15 +435,31 @@ class GrowthTables:
 def build_tables(params: TargetParams, depth: int,
                  h_override: tuple[int, ...] | None = None) -> GrowthTables:
     """Generate the complete table for ``params`` down to ``depth``: the
-    rows of ``levels``, turned into columns."""
+    first depth + 1 rows of ``levels``, turned into columns.
+
+    An h override only applies where h grows.  It must start at 1, be
+    nondecreasing and keep h(n)/2^(nd) nonincreasing, so that the
+    downstream smallness arguments hold; it is checked, and cut to depth +
+    1 entries, before the first row is computed."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     rate = derive_kappa(params)
-    rule = (H_RULE_CONSTANT if not rate.h_grows else
-            H_RULE_LINEAR if h_override is None else H_RULE_EXPLICIT)
-    return GrowthTables(params, depth, rate.regime, rate.kappa,
-                        rate.kappa_prime, rule,
-                        *zip(*levels(rate, params.d, depth, h_override)))
+    if h_override is not None:
+        if not rate.h_grows:
+            raise ValueError("h-sequence override only applies when h grows")
+        h = tuple(int(x) for x in h_override)
+        if len(h) < depth + 1:
+            raise ValueError(f"h-sequence override needs {depth + 1} entries")
+        h_override = h = h[:depth + 1]
+        if h[0] != 1:
+            raise ValueError("h(0) must equal 1")
+        if any(y < x for x, y in zip(h, h[1:])):
+            raise ValueError("h-sequence must be nondecreasing")
+        # h(n+1)/2^(d(n+1)) > h(n)/2^(dn) is h(n+1) > h(n)*2^d
+        if any(y > x * 2 ** params.d for x, y in zip(h, h[1:])):
+            raise ValueError("h(n)/2^(nd) must be nonincreasing")
+    rows = islice(levels(rate, params.d), depth + 1)
+    return GrowthTables(params, depth, h_override, *zip(*rows))
 
 
 def tables_from_cli(r: str, r_prime: str, d: int, depth: int,
@@ -568,7 +585,7 @@ def verify_document(doc: Any, kind: DocumentKind) -> CheckReport:
 
 
 def _read_tables(doc: dict) -> tuple:
-    depth = int(doc["depth"])
+    depth = text_int(doc["depth"])
     # levels the document does not list are refused before they are built
     if len(doc["r"]) != depth + 1:
         raise ValueError("tables document has inconsistent sequence lengths")
@@ -621,7 +638,9 @@ def gamma_rho_signs(tables: GrowthTables, n: int
 def verify_tables(tables: GrowthTables) -> CheckReport:
     """Replay every defining identity and window of the table, exactly.
 
-    Each entry reads the stored integer sequences and compares integers:
+    kappa, kappa' and h are derived, not stored, so of them only their
+    constraints are checked.  Each other entry reads the stored integer
+    columns and compares integers:
     ratio(n) is the pair (s(n), r(n)), gamma(n) the pair (s'(n), r(n)) and
     rho(n) = kappa/ratio(n) the pair (p*r(n), q*s(n)), none of them
     reduced, so no gcd is taken.  With kappa = p/q, kappa' = p'/q' and
@@ -658,25 +677,14 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
     """
     c = Checker()
     t = tables
-    rate = derive_kappa(t.params)
-    c.check("regime matches params", t.regime == rate.regime)
-    c.check("kappa matches params", t.kappa == rate.kappa,
-            lambda: f"kappa={t.kappa}")
-    c.check("kappa' matches params", t.kappa_prime == rate.kappa_prime)
     c.check("kappa in (0,1)", 0 < t.kappa < 1)
     c.check("kappa' in (0, kappa]", 0 < t.kappa_prime <= t.kappa)
 
-    # h-sequences
-    if rate.h_grows:
+    # h-sequences; h' is h or a constant
+    if t.rate.h_grows:
         c.check("h(0) = 1", t.h(0) == 1)
-    else:
-        c.check("h constant", set(t.h_seq) == {rate.h_base})
     c.check("h nondecreasing",
             all(t.h(n) <= t.h(n + 1) for n in range(t.depth)))
-    if rate.h_prime_grows:
-        c.check("h' = h", t.h_prime_seq == t.h_seq)
-    else:
-        c.check("h' constant", set(t.h_prime_seq) == {rate.h_prime_base})
     c.check("h(n)/2^(nd) nonincreasing",
             all(t.h(n + 1) <= t.h(n) * 2 ** t.params.d
                 for n in range(t.depth)))

@@ -44,13 +44,12 @@ multiply along a product.  If 1^T A = c_A 1^T and 1^T B = c_B 1^T, then
 
     1^T (A B) = (1^T A) B = c_A 1^T B = c_A c_B 1^T,
 
-so when every step k -> k+1 has equal column sums c_k with
-r(k) c_k = r(k+1), the product m -> n has constant column sums
-prod c_k = r(n)/r(m).  The single steps are the rows m -> m+1 of the
-per-range check, and they imply all the others, so the one lemma row holds
-exactly when every per-range row "totals of m -> n equal r(n)/r(m)" does.
-It costs O(depth) small comparisons where the products cost O(depth^2)
-multiplications of integers as long as r(depth).
+so when every step k -> k+1 has column sums l(k+1), with r(k) l(k+1) =
+r(k+1) (the tables entry "r(k+1) multiplicative"), the product m -> n has
+constant column sums r(n)/r(m).  The single steps imply every per-range
+row "totals of m -> n equal r(n)/r(m)", so the one lemma row compares
+column sums with l(k+1), in O(depth) small comparisons where the products
+cost O(depth^2) multiplications of integers as long as r(depth).
 
 >>> from ahtower import tables_from_cli
 >>> tables = tables_from_cli("1/2", "1/3", d=1, depth=3)
@@ -314,8 +313,7 @@ def verify_tower(tables: GrowthTables,
     failed = None
     for k in range(tables.depth):
         totals = multiplicity_matrix(tables, k).into_totals()
-        if not (totals[BLOCK_C] == totals[BLOCK_B]
-                and tables.r(k) * totals[BLOCK_C] == tables.r(k + 1)):
+        if not totals[BLOCK_C] == totals[BLOCK_B] == tables.l(k + 1):
             failed = k
             break
     c.check("composed totals m->n = r(n)/r(m) (lemma)", failed is None,

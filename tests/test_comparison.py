@@ -173,9 +173,7 @@ def test_inverse_class_top_coefficient():
 
 def test_projection_pair_example(half_third):
     sym = projection_pair(half_third, m=2, n=0)
-    assert sym == ProjectionSymbol(origin=0, stage=2, patterned_rank=48,
-                                   padding_rank=47, companion_rank=95)
-    assert sym.total_rank == 95
+    assert sym == ProjectionSymbol(patterned_rank=48, total_rank=95)
     assert Fraction(sym.total_rank, half_third.r(2)) == 1
 
 
@@ -184,7 +182,6 @@ def test_projection_pair_deeper_origin(half_third):
     # h(1) s(1) r(3) = 3 * 45695, patterned part h(1) s(3) = 22848
     assert sym.total_rank == 3 * 45695
     assert sym.patterned_rank == 22848
-    assert sym.companion_rank == sym.total_rank
 
 
 def test_projection_pair_range_errors(half_third):

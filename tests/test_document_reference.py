@@ -4,8 +4,13 @@ against the three paths it replaced.
 ``verify_document_file``, ``verify_tables_document`` and
 ``verify_diagram_document`` (from ``cli``), the tables reader the second
 called (``GrowthTables.from_json_obj``), the diagram parser the last of
-them called (from ``diagram``) and ``verify_witness_json`` (from
-``certificates``) are copied below as they were.  The inputs are
+them called (from ``diagram``), ``verify_witness_json`` (from
+``certificates``) and the integer readers they called (``int``,
+``rational.ints_from_json`` and ``fraction_from_json``, and
+``TargetParams.from_json_obj``) are copied below as they were.  A table
+no longer stores the regime, kappa, kappa' or the h columns, so the old
+tables reader returns them beside the table, and the old suite's entries
+that compared them are replayed on them.  The inputs are
 small ``plan``, ``witness``, ``witness --crossed`` and ``export`` documents
 in all three regimes, every single-leaf edit of each (another value of the
 leaf's JSON type, and a value of another type), and documents that no
@@ -23,6 +28,11 @@ exactly:
     the first difference; and an ``hSeqOverride`` edited so that it no
     longer builds, which the old path compared, is now rejected as
     ``tables document well formed (...)``;
+  * a declared integer (a depth, a depth range bound, the rank d, a
+    numerator or denominator of a radius or of rho, an h override entry)
+    that ``str`` would not write, such as a JSON number, which the old
+    readers read with ``int``, is now rejected by the kind's parse entry
+    as ``... (not a decimal integer: ...)``;
   * a document nested too deep to decode raised RecursionError out of the
     old path; it is now refused as a document that does not parse (where
     the running decoder parses it, both paths refuse it as a document of
@@ -34,7 +44,8 @@ exactly:
     cannot write by its bit length;
   * a document with a number no int can hold (JSON 1e400) raised
     OverflowError out of the old path; the sequence refuses it at the
-    parse entry.
+    parse entry, as not a decimal integer, and so it refuses the spellings
+    " 4", "+4", "4_0" and Arabic-Indic digits of a declared integer.
 
 Beyond the leaf edits, a ledger operand and a tables ``r`` entry are each
 respelt in every form ``int()`` reads but a document may not hold, and a
@@ -65,16 +76,55 @@ from ahtower import certificates, cli
 from ahtower.certificates import search_witness
 from ahtower.cli import emit, main, report_lines
 from ahtower.diagram import build_diagram_document, diagram_to_json_obj
-from ahtower.rational import (SHOWN_CHARACTERS, IntLeaf, fraction_from_json,
-                              ints_from_json)
+from ahtower.rational import SHOWN_CHARACTERS, ExtendedRational, IntLeaf
 from ahtower.report import Checker, CheckReport, first_difference
 from ahtower.sequences import (FORMAT_VERSION, GrowthTables, TargetParams,
-                               build_tables, require_document,
+                               build_tables, derive_kappa, require_document,
                                tables_from_cli, verify_tables)
 from ahtower.tower import (BLOCK_B, BLOCK_C, KIND_COORD_PROJECTION,
                            KIND_POINT_EVAL_X, KIND_POINT_EVAL_Y,
                            KIND_STAR_EVAL, STAR, Arrow, ArrowSpan,
                            BlockMatrix, TorusSlot)
+
+
+# -- the integer readers the old paths called, as they were -------------------
+
+# int() reads a sign, spaces, ``_`` and other scripts' digits, and JSON
+# numbers, which the package's readers now refuse
+
+def ints_from_json(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def fraction_from_json(obj: Any) -> Fraction:
+    if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
+        raise ValueError(f"malformed rational object: {obj!r}")
+    num, den = int(obj["num"]), int(obj["den"])
+    if den <= 0 or num < 0:
+        raise ValueError(f"malformed rational object: {obj!r}")
+    value = Fraction(num, den)
+    if (value.numerator, value.denominator) != (num, den):
+        raise ValueError(f"rational not in lowest terms: {obj!r}")
+    return value
+
+
+def params_from_json(obj: Any) -> TargetParams:
+    """``TargetParams.from_json_obj`` as it was."""
+    def radius(value):
+        if value == "inf":
+            return ExtendedRational.infinite()
+        return ExtendedRational(fraction_from_json(value))
+
+    if not isinstance(obj, dict):
+        raise ValueError("params must be an object")
+    kwargs: dict[str, Any] = {
+        "r": radius(obj["r"]),
+        "r_prime": radius(obj["rPrime"]),
+        "d": int(obj["d"]),
+    }
+    if "cInfinite" in obj:
+        kwargs["c_infinite"] = fraction_from_json(obj["cInfinite"])
+    return TargetParams(**kwargs)
 
 
 # -- the diagram parser the old diagram path called, as it was -----------------
@@ -155,7 +205,7 @@ def _target_from_json(obj: Any, target: str) -> TargetArrows:
 
 def _read_diagram(doc: dict) -> tuple:
     """Params, depth and h override: all that regeneration reads."""
-    params = TargetParams.from_json_obj(doc["params"])
+    params = params_from_json(doc["params"])
     depth_range = doc["depthRange"]
     depth = int(depth_range["hi"])
     # levels the document does not list are refused before they are built
@@ -201,7 +251,11 @@ def diagram_from_json_obj(obj: Any) -> DiagramDocument:
 
 # -- the tables reader the old tables path called, as it was ------------------
 
-def tables_from_json_obj(obj: Any) -> GrowthTables:
+# A table no longer stores the regime, kappa, kappa', the h rule or the h
+# columns, so the old reader returns them beside the table it reads, and
+# ``stored_report`` replays the old suite's entries that compared them.
+
+def tables_from_json_obj(obj: Any) -> tuple[GrowthTables, tuple]:
     require_document(obj, "tables")
     depth = int(obj["depth"])
     d_seq = (0,) + ints_from_json(obj["d"])
@@ -209,23 +263,49 @@ def tables_from_json_obj(obj: Any) -> GrowthTables:
     r_seq, s_seq = ints_from_json(obj["r"]), ints_from_json(obj["s"])
     d_prime_seq = (0,) + ints_from_json(obj["dPrime"])
     s_prime_seq = ints_from_json(obj["sPrime"])
+    stored = (str(obj["regime"]), fraction_from_json(obj["kappa"]),
+              fraction_from_json(obj["kappaPrime"]), str(obj["hRule"]),
+              ints_from_json(obj["h"]), ints_from_json(obj["hPrime"]))
+    h_rule, h_seq, h_prime_seq = stored[3:]
     tables = GrowthTables(
-        params=TargetParams.from_json_obj(obj["params"]),
-        depth=depth,
-        regime=str(obj["regime"]),
-        kappa=fraction_from_json(obj["kappa"]),
-        kappa_prime=fraction_from_json(obj["kappaPrime"]),
-        h_rule=str(obj["hRule"]),
-        h_seq=ints_from_json(obj["h"]),
-        h_prime_seq=ints_from_json(obj["hPrime"]),
+        params=params_from_json(obj["params"]), depth=depth,
+        h_override=h_seq if h_rule == "explicit" else None,
         d_seq=d_seq, l_seq=l_seq, r_seq=r_seq, s_seq=s_seq,
         d_prime_seq=d_prime_seq, s_prime_seq=s_prime_seq)
     lengths = {len(d_seq), len(l_seq), len(r_seq), len(s_seq),
-               len(d_prime_seq), len(s_prime_seq), len(tables.h_seq),
-               len(tables.h_prime_seq)}
+               len(d_prime_seq), len(s_prime_seq), len(h_seq),
+               len(h_prime_seq)}
     if lengths != {depth + 1}:
         raise ValueError("tables document has inconsistent sequence lengths")
-    return tables
+    return tables, stored
+
+
+def stored_report(tables: GrowthTables, stored: tuple) -> CheckReport:
+    """The old suite's entries that read a stored regime, kappa, kappa' or
+    h column, on the stored values, as the old suite ran them; where they
+    all hold, each equals its derived value, or (a growing h) passes every
+    entry that reads it, so the rest of the old suite is ``verify_tables``.
+    """
+    regime, kappa, kappa_prime, _, h, h_prime = stored
+    rate = derive_kappa(tables.params)
+    c = Checker()
+    c.check("regime matches params", regime == tables.params.regime)
+    c.check("kappa matches params", kappa == rate.kappa,
+            lambda: f"kappa={kappa}")
+    c.check("kappa' matches params", kappa_prime == rate.kappa_prime)
+    if rate.h_grows:
+        c.check("h(0) = 1", h[0] == 1)
+    else:
+        c.check("h constant", set(h) == {rate.h_base})
+    c.check("h nondecreasing", all(x <= y for x, y in zip(h, h[1:])))
+    if rate.h_prime_grows:
+        c.check("h' = h", h_prime == h)
+    else:
+        c.check("h' constant", set(h_prime) == {rate.h_prime_base})
+    c.check("h(n)/2^(nd) nonincreasing",
+            all(y <= x * 2 ** tables.params.d for x, y in zip(h, h[1:])))
+    report = c.report()
+    return report if not report.ok else verify_tables(tables)
 
 
 # -- the three paths, as they were --------------------------------------------
@@ -256,14 +336,13 @@ def verify_document_file(path: str, out: str | None) -> int:
 
 def verify_tables_document(obj: dict, out: str | None) -> int:
     try:
-        tables = tables_from_json_obj(obj)
-        rebuilt = build_tables(
-            tables.params, tables.depth,
-            tables.h_seq if tables.h_rule == "explicit" else None)
+        tables, stored = tables_from_json_obj(obj)
+        rebuilt = build_tables(tables.params, tables.depth,
+                               tables.h_override)
     except (KeyError, ValueError, TypeError) as exc:
         emit(f"invariant violated: tables document well formed ({exc})", out)
         return 3
-    report = verify_tables(tables)
+    report = stored_report(tables, stored)
     ok, line = report_lines("tables", report)
     if not ok:
         emit(line, out)
@@ -314,7 +393,7 @@ def verify_witness_json(doc: Any) -> CheckReport:
         params_obj = doc["params"]
         if isinstance(params_obj, dict) and "rPrime" not in params_obj:
             params_obj = {**params_obj, "rPrime": params_obj.get("r")}
-        params = TargetParams.from_json_obj(params_obj)
+        params = params_from_json(params_obj)
         depth = int(doc["depth"])
         rho = fraction_from_json(doc["rho"])
         override = None
@@ -414,6 +493,13 @@ def outcome(verify, path):
     return code, out.getvalue()
 
 
+# the parse entry of each kind, failed by a declared integer that is not
+# spelt as ``str`` writes it
+DECLARED_INTEGER = re.compile(
+    r"invariant violated: (tables document well formed|document parses and "
+    r"recomputes|diagram document well formed) \(not a decimal integer: ")
+
+
 def assert_same_outcome(path):
     """The new outcome equals the old, or differs by one of the line
     classes of the module docstring; returns the class, or None."""
@@ -422,6 +508,9 @@ def assert_same_outcome(path):
     if new == old:
         return None
     assert new[0] == old[0] == 3, (new, old)
+    if DECLARED_INTEGER.match(new[1]):
+        assert old[1].startswith("invariant violated: "), (new, old)
+        return "declared integer"
     if new[1].startswith("invariant violated: diagram matches canonical "
                          "regeneration ($."):
         assert old[1].startswith(
@@ -440,6 +529,10 @@ def assert_same_outcome(path):
 
 def assert_same_witness_report(doc):
     new, old = certificates.verify_witness_json(doc), verify_witness_json(doc)
+    if (not new.ok
+            and new.first_failure.detail.startswith("not a decimal integer:")):
+        assert not old.ok
+        return
     assert (new.ok, new.first_failure) == (old.ok, old.first_failure)
 
 
@@ -461,7 +554,8 @@ def test_every_single_leaf_edit_matches_the_old_paths(tmp_path):
     assert edits > 2000
     # each line class is exercised, and together they stay a minority
     del differed[None]
-    assert set(differed) == {"diagram", "tables", "h override"}
+    assert set(differed) == {"diagram", "tables", "h override",
+                             "declared integer"}
     assert sum(differed.values()) < edits // 4
 
 
@@ -681,23 +775,43 @@ def test_an_unwritable_regenerated_integer_is_named_by_its_bits(tmp_path):
         r"<\d+-bit integer past the int->str digit limit>\)\n", out), out
 
 
+# a declared integer of each kind, read by its kind's parse entry
 @pytest.mark.parametrize("argv, field, entry", [
     (["plan"], ("depth",), "tables document well formed"),
     (["witness", "--rho", "1/4"], ("depth",),
      "document parses and recomputes"),
     (["export"], ("depthRange", "lo"), "diagram document well formed"),
+    (["export"], ("depthRange", "hi"), "diagram document well formed"),
+    (["plan"], ("params", "d"), "tables document well formed"),
+    (["plan"], ("params", "rPrime", "den"), "tables document well formed"),
+    (["witness", "--rho", "1/4"], ("rho", "num"),
+     "document parses and recomputes"),
+    (["witness", "--r", "inf", "--r-prime", "inf", "--rho", "1",
+      "--h-seq", "1,2,3,4,5"], ("hSeqOverride", 1),
+     "document parses and recomputes"),
+    (["chern", "--k", "4"], ("maxK",), "chern document well formed"),
 ])
 def test_an_integer_field_of_1e400_is_refused_in_the_sequence(
         tmp_path, argv, field, entry):
+    # JSON 1e400 (float infinity), and each spelling that int() reads but
+    # str does not write, fails the parse entry: text_int reads only
+    # canonical decimal strings
     doc = emitted(tmp_path, *argv)
-    doc = edited(doc, field, "INFINITE")
     path = tmp_path / "infinite.json"
-    path.write_text(json.dumps(doc).replace('"INFINITE"', "1e400"))
-    with pytest.raises(OverflowError):
-        outcome(verify_document_file, path)
+    path.write_text(json.dumps(edited(doc, field, "INFINITE")).replace(
+        '"INFINITE"', "1e400"))
+    # the old paths read it with int(), which raised OverflowError (they
+    # read no chern document)
+    if argv[0] != "chern":
+        with pytest.raises(OverflowError):
+            outcome(verify_document_file, path)
     assert outcome(cli.verify_document_file, path) == (
-        3, f"invariant violated: {entry} "
-           "(cannot convert float infinity to integer)\n")
+        3, f"invariant violated: {entry} (not a decimal integer: inf)\n")
+    for value in (" 4", "+4", "4_0", "\u0664"):
+        path.write_text(json.dumps(edited(doc, field, value)))
+        assert outcome(cli.verify_document_file, path) == (
+            3, f"invariant violated: {entry} "
+               f"(not a decimal integer: {value!r})\n")
 
 
 def decodes(text):

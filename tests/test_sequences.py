@@ -213,28 +213,34 @@ def test_generate_rejects():
 # h-sequences
 # ----------------------------------------------------------------------
 
+def h_columns(t):
+    """h(n) and h'(n) over levels 0..depth."""
+    return (tuple(map(t.h, range(t.depth + 1))),
+            tuple(map(t.h_prime, range(t.depth + 1))))
+
+
 def test_choose_h_constant():
     t = build_tables(ff("1/2", "1/3"), 4)
-    assert t.h_seq == t.h_prime_seq == (1, 1, 1, 1, 1)
+    assert h_columns(t) == ((1, 1, 1, 1, 1),) * 2
     assert t.h_rule == "constant"
     t = build_tables(ff("9/4", "1/4"), 2)
-    assert t.h_seq == t.h_prime_seq == (3, 3, 3)
+    assert h_columns(t) == ((3, 3, 3),) * 2
 
 
 def test_choose_h_growing():
     fi = TargetParams(INF, ExtendedRational.parse("5/2"), 1)
     t = build_tables(fi, 3)
-    assert t.h_seq == (1, 2, 3, 4) and t.h_prime_seq == (3, 3, 3, 3)
+    assert h_columns(t) == ((1, 2, 3, 4), (3, 3, 3, 3))
     assert t.h_rule == "linear"
     ii = TargetParams(INF, INF, 1)
     t = build_tables(ii, 3)
-    assert t.h_seq == t.h_prime_seq == (1, 2, 3, 4)
+    assert h_columns(t) == ((1, 2, 3, 4),) * 2
 
 
 def test_choose_h_override():
     ii = TargetParams(INF, INF, 1)
     t = build_tables(ii, 3, (1, 1, 2, 2))
-    assert t.h_seq == t.h_prime_seq == (1, 1, 2, 2)
+    assert h_columns(t) == ((1, 1, 2, 2),) * 2
     assert t.h_rule == "explicit" and t.h_override == (1, 1, 2, 2)
     with pytest.raises(ValueError):
         build_tables(ii, 3, (2, 3, 4, 5))      # h(0) != 1
@@ -291,9 +297,10 @@ def test_verify_tables_catches_corruption():
 
 def test_failing_check_carries_its_detail():
     t = build_tables(ff("1/2", "1/3"), 3)
-    rep = verify_tables(dataclasses.replace(t, kappa=Fraction(1, 3)))
+    rep = verify_tables(dataclasses.replace(
+        t, d_seq=t.d_seq[:2] + (17,) + t.d_seq[3:]))
     bad = rep.first_failure
-    assert (bad.name, bad.detail) == ("kappa matches params", "kappa=1/3")
+    assert (bad.name, bad.detail) == ("d(2) minimal", "d(2) has 5 bits")
 
 
 def test_checker_formats_details_only_on_failure():
@@ -394,7 +401,7 @@ def test_shallower_tables_are_prefixes(params, override, d):
 def test_tables_from_cli_strings():
     t = tables_from_cli("inf", "inf", 1, 3, c="2/3", h_seq="1,2,2,4")
     assert t.kappa == Fraction(2, 3)
-    assert t.h_seq == (1, 2, 2, 4)
+    assert t.h_override == h_columns(t)[0] == (1, 2, 2, 4)
     assert t.h_rule == "explicit"
 
 

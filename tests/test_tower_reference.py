@@ -16,7 +16,10 @@ sets (arrows moved, dropped, duplicated or relabelled; a span's lo, hi,
 kind or source changed) and on tables with r, l, d or d' corrupted,
 wherever a copy records a failing entry the new ``tables``, ``tower`` and
 ``action`` suites of the same run fail too, and ``CATCHERS`` names the new
-entries, at least one of which fails, for each old entry.  Where a row
+entries, at least one of which fails, for each old entry.  The old lemma
+row compared r(k)*l(k+1) with r(k+1); the new one compares the column
+sums with l(k+1), so an edited r is caught by the tables entry ``r(k+1)
+multiplicative``.  Where a row
 has no spans left, the old ``check_unital`` raised IndexError; the new
 one must fail that row's coverage entry instead.
 """
@@ -195,8 +198,12 @@ CATCHERS = {
     # its column totals are 2^(nd) + d(n+1) + 1
     "tower: map {n}: multiplicity per-target totals = l": [L_IDENTITY],
     "tower: stage {n} shape": [],
+    # the lemma row now reads l(k+1) for r(k+1)/r(k): an edited r fails
+    # the tables entry "r(k+1) multiplicative" at some step k of the runs
+    # below, none deeper than 4
     "tower: composed totals m->n = r(n)/r(m) (lemma)": [
-        "tower: composed totals m->n = r(n)/r(m) (lemma)"],
+        "tower: composed totals m->n = r(n)/r(m) (lemma)",
+        *(f"tables: r({m}) multiplicative" for m in range(1, 5))],
     "action: map {n}: g={g} {t}-target census invariant under shift": [SHIFT],
     "action: map {n}: g={g} {t}-target non-lattice arrows fixed pointwise": [
         SHIFT],
@@ -312,7 +319,8 @@ def test_clean_runs_pass_both_forms(regime, d):
 
 
 def test_catchers_are_new_entry_names():
-    tables = clean_tables(REGIMES[0], 2)
+    # depth 4, deep enough for every r(m) that the lemma's catchers name
+    tables = tables_from_cli(*REGIMES[0], 2, 4)
     maps = lattice_maps(tables)
     names = {f"tables: {e.name}" for e in verify_tables(tables).entries}
     names |= {f"tower: {e.name}"

@@ -7,13 +7,17 @@ were, replaying every identity and window in ``Fraction``s, with
 second reads and that the other tests compare against; each new suite
 must record the same (name, ok, detail) entries on clean tables, on the
 columns of a ``plan`` document read back, and on tables with one stored
-field corrupted.  Where a corrupted field makes the old form divide by zero, the
-new one must fail instead.  The old rows ``ratio(n) = s/r`` and
-``gamma(n) = s'/r`` checked stored ratio and gamma fields, which tables no
-longer hold, so they are left out of the comparison.
-``compose_multiplicities`` is the product form of the composed totals: the
-one lemma row of ``verify_tower`` must hold exactly when all of its
-O(depth^2) per-range rows do.
+column corrupted.  Where a corrupted column makes the old form divide by
+zero, the new one must fail instead.  Tables no longer store ratio, gamma,
+the regime, kappa, kappa' or the h sequences, so the old rows that
+compared them (``ratio(n) = s/r``, ``gamma(n) = s'/r``, the three
+``matches params`` rows, ``h constant``, ``h' = h`` and ``h' constant``)
+are left out of the comparison, and the copies read h and h' through the
+accessors.  ``compose_multiplicities`` is the product form of the composed
+totals: the one lemma row of ``verify_tower``, which reads l(k+1), with
+the tables entries ``r(k) multiplicative`` must hold exactly when all of
+its O(depth^2) per-range rows do with the entries ``l(k) = d(k) + 1 +
+2^(dn-d)``.
 """
 
 import dataclasses
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 
 from ahtower import crossed, sequences
 from ahtower.cli import main
-from ahtower.rational import ExtendedRational, fraction_from_json
+from ahtower.rational import ExtendedRational
 from ahtower.report import Checker, CheckReport
 from ahtower.sequences import (GrowthTables, TargetParams, build_tables,
                                derive_kappa, slot_padding)
@@ -64,7 +68,7 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
     c = Checker()
     t = tables
     rate = derive_kappa(t.params)
-    c.check("regime matches params", t.regime == rate.regime)
+    c.check("regime matches params", t.regime == t.params.regime)
     c.check("kappa matches params", t.kappa == rate.kappa,
             lambda: f"kappa={t.kappa}")
     c.check("kappa' matches params", t.kappa_prime == rate.kappa_prime)
@@ -72,16 +76,18 @@ def verify_tables(tables: GrowthTables) -> CheckReport:
     c.check("kappa' in (0, kappa]", 0 < t.kappa_prime <= t.kappa)
 
     # h-sequences
+    h_seq = tuple(map(t.h, range(t.depth + 1)))
+    h_prime_seq = tuple(map(t.h_prime, range(t.depth + 1)))
     if rate.h_grows:
         c.check("h(0) = 1", t.h(0) == 1)
     else:
-        c.check("h constant", set(t.h_seq) == {rate.h_base})
+        c.check("h constant", set(h_seq) == {rate.h_base})
     c.check("h nondecreasing",
             all(t.h(n) <= t.h(n + 1) for n in range(t.depth)))
     if rate.h_prime_grows:
-        c.check("h' = h", t.h_prime_seq == t.h_seq)
+        c.check("h' = h", h_prime_seq == h_seq)
     else:
-        c.check("h' constant", set(t.h_prime_seq) == {rate.h_prime_base})
+        c.check("h' constant", set(h_prime_seq) == {rate.h_prime_base})
     c.check("h(n)/2^(nd) nonincreasing",
             all(Fraction(t.h(n + 1), t.torus_points(n + 1))
                 <= Fraction(t.h(n), t.torus_points(n))
@@ -221,8 +227,11 @@ def rows(report):
     return [(e.name, e.ok, e.detail) for e in report.entries]
 
 
-# the old rows that checked the stored ratio and gamma
-STORED_QUOTIENT_ROWS = re.compile(r"(ratio|gamma)\(\d+\) = s'?/r")
+# the old rows that compared a value no table stores: a ratio, a gamma, or
+# a value derived from the params
+UNSTORED_ROWS = re.compile(r"(ratio|gamma)\(\d+\) = s'?/r|regime matches "
+                           r"params|kappa'? matches params|h constant|"
+                           r"h' = h|h' constant")
 
 
 def outcome(fn, *args):
@@ -245,7 +254,7 @@ def assert_same_rows(tables):
             assert not got.ok, suite.__name__
         else:
             want = [row for row in want
-                    if not STORED_QUOTIENT_ROWS.fullmatch(row[0])]
+                    if not UNSTORED_ROWS.fullmatch(row[0])]
             assert rows(got) == want, suite.__name__
 
 
@@ -255,14 +264,23 @@ def lemma_row(tables):
     return entry
 
 
+def tables_rows_hold(tables, pattern):
+    """Whether every ``verify_tables`` entry named by ``pattern`` holds."""
+    return all(e.ok for e in sequences.verify_tables(tables).entries
+               if re.fullmatch(pattern, e.name))
+
+
 def assert_lemma_matches_products(tables):
-    lemma = lemma_row(tables)
+    # the lemma row reads l(k+1) where the product rows read r(k+1)/r(k)
+    lemma = (lemma_row(tables).ok
+             and tables_rows_hold(tables, r"r\(\d+\) multiplicative"))
     try:
         products = composed_rows(tables)
     except ZeroDivisionError:           # r(m) = 0: r(n)/r(m) is undefined
-        assert not lemma.ok
+        assert not lemma
         return
-    assert lemma.ok == products.ok
+    assert lemma == (products.ok
+                     and tables_rows_hold(tables, r"l\(\d+\) = .*"))
 
 
 fractions = st.fractions(min_value=Fraction(1, 12), max_value=Fraction(9),
@@ -314,18 +332,17 @@ def test_suites_match_on_plan_documents(tmp_path, r, r_prime, c, d, depth):
 
 
 def columns_read(doc) -> GrowthTables:
-    """The tables a plan document's columns hold, read as they stand."""
+    """The tables a plan document's inputs and columns hold, read as they
+    stand."""
     def ints(key):
         return tuple(int(x) for x in doc[key])
 
     return GrowthTables(
         TargetParams.from_json_obj(doc["params"]), int(doc["depth"]),
-        doc["regime"], fraction_from_json(doc["kappa"]),
-        fraction_from_json(doc["kappaPrime"]), doc["hRule"],
+        ints("hSeqOverride") if "hSeqOverride" in doc else None,
         d_seq=(0, *ints("d")), l_seq=(1, *ints("l")), r_seq=ints("r"),
         s_seq=ints("s"), d_prime_seq=(0, *ints("dPrime")),
-        s_prime_seq=ints("sPrime"), h_seq=ints("h"),
-        h_prime_seq=ints("hPrime"))
+        s_prime_seq=ints("sPrime"))
 
 
 # -- corrupted tables ---------------------------------------------------------
@@ -334,31 +351,18 @@ def edit_int(x: int, how: int, by: int) -> int:
     return (x + by, x - by, 0, -x, 2 * x, x * by)[how]
 
 
-def edit_fraction(x: Fraction, how: int, by: int, anchors) -> Fraction:
-    """One of seven edits of x, or one of the four anchors, values that a
-    comparison of the suites may meet exactly."""
-    return (x + Fraction(1, by + 1), x - Fraction(1, by + 1),
-            Fraction(0), -x, 2 * x,
-            Fraction(x.numerator + by, x.denominator),
-            x * Fraction(by, by + 1), *anchors)[how]
-
-
-# field -> (attribute, first level), for the sequences
+# column -> (attribute, first level); h, h', kappa and kappa' are derived
+# from the params, so no edit reaches them apart from the params
 SEQUENCE_FIELDS = {
     "d": ("d_seq", 1), "l": ("l_seq", 0), "r": ("r_seq", 0),
     "s": ("s_seq", 0), "d'": ("d_prime_seq", 1), "s'": ("s_prime_seq", 0),
-    "h": ("h_seq", 0), "h'": ("h_prime_seq", 0),
 }
-KAPPAS = {"kappa": "kappa", "kappa'": "kappa_prime"}
-FIELDS = [*SEQUENCE_FIELDS, *KAPPAS]
-INT_EDITS, FRACTION_EDITS = 6, 11
+FIELDS = list(SEQUENCE_FIELDS)
+INT_EDITS = 6
 
 
 def with_value(tables, field, n, value):
-    """``tables`` with entry n of one stored sequence, or kappa or kappa',
-    replaced by ``value``."""
-    if field in KAPPAS:
-        return dataclasses.replace(tables, **{KAPPAS[field]: value})
+    """``tables`` with entry n of one stored column replaced by ``value``."""
     attr, _ = SEQUENCE_FIELDS[field]
     seq = getattr(tables, attr)
     return dataclasses.replace(tables, **{attr: seq[:n] + (value,)
@@ -366,13 +370,6 @@ def with_value(tables, field, n, value):
 
 
 def corrupt(tables, field, level, how, by):
-    if field in KAPPAS:
-        n = level % (tables.depth + 1)
-        old = getattr(tables, KAPPAS[field])
-        other = tables.kappa_prime if field == "kappa" else tables.kappa
-        anchors = (tables.ratio(n), tables.gamma(n), Fraction(1), other)
-        new = edit_fraction(old, how % FRACTION_EDITS, by, anchors)
-        return with_value(tables, field, n, new)
     attr, first = SEQUENCE_FIELDS[field]
     n = first + level % (tables.depth + 1 - first)
     seq = getattr(tables, attr)
@@ -380,7 +377,7 @@ def corrupt(tables, field, level, how, by):
 
 
 @given(params(), st.integers(1, 7), st.sampled_from(FIELDS),
-       st.integers(0, 100), st.integers(0, FRACTION_EDITS - 1),
+       st.integers(0, 100), st.integers(0, INT_EDITS - 1),
        st.integers(1, 5))
 @settings(max_examples=400, deadline=None)
 def test_suites_match_on_corrupted_tables(target, depth, field, level, how,
@@ -396,7 +393,7 @@ def test_each_field_flips_the_same_entries(field):
     tables = build_tables(TargetParams(ExtendedRational.parse("1/2"),
                                        ExtendedRational.parse("1/3"), 2), 4)
     for level in range(5):
-        for how in range(FRACTION_EDITS):
+        for how in range(INT_EDITS):
             assert_same_rows(corrupt(tables, field, level, how, 3))
 
 
@@ -456,7 +453,7 @@ def test_tower_suite_has_one_lemma_row():
 def test_lemma_row_names_the_failing_step():
     tables = build_tables(TargetParams(ExtendedRational.parse("1/2"),
                                        ExtendedRational.parse("1/3"), 1), 5)
-    broken = with_value(tables, "r", 3, tables.r(3) + 1)
+    broken = with_value(tables, "l", 3, tables.l(3) + 1)
     entry = lemma_row(broken)
     assert (entry.ok, entry.detail) == (False, "step 2->3")
 
